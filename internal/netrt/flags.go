@@ -3,28 +3,41 @@ package netrt
 import (
 	"flag"
 	"strconv"
+	"strings"
 )
 
 // RegisterFlags binds the standard -net.* flag set and returns the
 // Config they populate. Call before flag.Parse; pass the filled Config
 // to Start once flags are parsed.
 //
+// Every world bootstraps the same way — workers join rank 0's
+// coordinator star, worker-to-worker edges open at first contact — and
+// the first four flags only say where the ranks and addresses come from:
+//
 //	-net.rank   this process's rank (-1 = self-spawn the world)
 //	-net.world  number of processes
-//	-net.peers  static launch: comma-separated listen addresses by rank
 //	-net.coord  coordinator address (rank 0 listens, workers dial)
+//	-net.peers  static launch: comma-separated listen addresses by rank
+//	            (rank r listens on entry r; entry 0 is the coordinator)
 //	-net.eager  eager/rendezvous threshold in bytes
 //	-net.shm    shared-memory transport for co-located ranks (default on)
 //	-net.shmring   per-direction shm ring bytes (rounded up to a power of two)
 //	-net.shmarena  per-direction shm put-arena bytes
 //	-net.seed   base seed for the node's deterministic RNG streams
 //	-net.termfanout  termination-tree fanout (default 8)
-//	-net.lazy   lazy first-contact worker-to-worker dialing (default on)
 func RegisterFlags() *Config {
 	cfg := &Config{}
 	flag.IntVar(&cfg.Rank, "net.rank", -1, "net backend: this process's rank (-1 = self-spawn workers)")
 	flag.IntVar(&cfg.World, "net.world", 1, "net backend: number of processes")
-	flag.StringVar(&cfg.PeersCSV, "net.peers", "", "net backend: comma-separated listen addresses, one per rank (static launch)")
+	flag.Func("net.peers", "net backend: comma-separated listen addresses, one per rank (static launch; the first is the coordinator)", func(s string) error {
+		cfg.Peers = nil
+		for _, a := range strings.Split(s, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				cfg.Peers = append(cfg.Peers, a)
+			}
+		}
+		return nil
+	})
 	flag.StringVar(&cfg.Coord, "net.coord", "", "net backend: coordinator address (rank 0 listens, workers dial in)")
 	flag.IntVar(&cfg.EagerMax, "net.eager", DefaultEagerMax, "net backend: eager/rendezvous threshold in bytes")
 	// Config's zero value enables shm, so the flag inverts into ShmOff.
@@ -37,13 +50,5 @@ func RegisterFlags() *Config {
 	flag.IntVar(&cfg.ShmArenaBytes, "net.shmarena", 0, "net backend: per-direction shm put-arena bytes (0 = 4 MiB default)")
 	flag.Uint64Var(&cfg.Seed, "net.seed", 0, "net backend: base RNG seed for backoff jitter and shm tokens (0 = built-in)")
 	flag.IntVar(&cfg.TermFanout, "net.termfanout", DefaultTermFanout, "net backend: termination-tree fanout (children per interior rank)")
-	// Like -net.shm, the zero Config enables lazy dialing, so the flag
-	// inverts into LazyOff. Static -net.peers launches stay eager
-	// regardless (they have no coordinator star to relay dial requests).
-	flag.BoolFunc("net.lazy", "net backend: open worker-to-worker connections on first contact (default true)", func(s string) error {
-		v, err := strconv.ParseBool(s)
-		cfg.LazyOff = !v
-		return err
-	})
 	return cfg
 }

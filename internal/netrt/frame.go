@@ -38,13 +38,15 @@ import (
 // bye) are runtime-internal and never counted by termination detection;
 // app frames (eager/rts/cts/data/put/cast) carry program traffic.
 const (
-	// FHello identifies an inbound mesh connection: A = sender rank.
+	// FHello opens a first-contact worker-to-worker edge: A = the
+	// dialing (lower) rank. The shm offer follows on the same socket.
 	FHello byte = iota + 1
-	// FJoin is the worker->coordinator bootstrap: A = sender rank,
-	// payload = the worker's own listen address.
+	// FJoin is a worker joining the coordinator's star, at bootstrap
+	// and again at every rejoin: A = sender rank, payload = the worker's
+	// own listen address.
 	FJoin
-	// FPeers is the coordinator's bootstrap reply: payload = newline-
-	// joined listen addresses indexed by rank.
+	// FPeers is the coordinator's reply once every rank has joined:
+	// payload = newline-joined listen addresses indexed by rank.
 	FPeers
 	// FEager is a small Charm message: payload = encoded Env.
 	FEager
@@ -75,11 +77,13 @@ const (
 	// receiver cascades into its own abort so no process hangs waiting
 	// for traffic that will never come.
 	FBye
-	// FLeave is a graceful goodbye: the sender has finished every run
-	// generation through A and is closing its side of the mesh, so the
-	// EOF that follows on this connection is expected teardown — not a
-	// lost peer. A run the sender has NOT finished (generation > A)
-	// can no longer complete and aborts on receipt.
+	// FLeave is a graceful goodbye: rank B has finished every run
+	// generation through A and is closing its side of the mesh. Sent by
+	// the leaver itself (B = sender), the EOF that follows on this
+	// connection is expected teardown — not a lost peer; rank 0 relays
+	// it unchanged to the ranks that have no edge to the leaver. A run
+	// the leaver has NOT finished (generation > A) can no longer
+	// complete and aborts on receipt.
 	FLeave
 	// FJob is the coordinator's job announcement in service mode
 	// (internal/serve): A = job sequence number, payload = the encoded
@@ -118,14 +122,14 @@ const (
 	// identical location updates (SPMD bookkeeping). A counted app
 	// frame, like the FCast it is morally a specialization of.
 	FLoc
-	// FDialReq asks a lower rank to establish a lazy mesh edge: A = the
-	// rank that should dial, B = the rank asking to be dialed. Under
-	// lazy dialing the connection initiator is always the lower rank
-	// (that convention keeps the shm offer/accept roles of the eager
-	// bootstrap), so when a higher rank needs first contact it relays
-	// this request through the coordinator's always-open star: requester
-	// → rank 0 → rank A, which then dials the requester and flushes both
-	// sides' stashed frames.
+	// FDialReq asks a lower rank to open a first-contact mesh edge: A =
+	// the rank that should dial, B = the rank asking to be dialed. The
+	// connection initiator is always the lower rank (the same
+	// convention as the star, where workers dial rank 0 — it fixes who
+	// offers and who accepts the shm segment), so when a higher rank
+	// needs the edge first it relays this request through the
+	// coordinator's always-open star: requester → rank 0 → rank A, which
+	// then dials the requester and flushes both sides' stashed frames.
 	FDialReq
 	frameTypeMax
 )

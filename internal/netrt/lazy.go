@@ -9,25 +9,27 @@ import (
 	"repro/internal/bufpool"
 )
 
-// Lazy dialing: the coordinator still distributes the full address map
-// at bootstrap, but worker-to-worker sockets open at first contact
-// instead of eagerly, so a world whose communication graph is sparse (a
+// First-contact dialing is how the mesh grows past the star: the
+// coordinator distributes the full address map with FPeers, and a
+// worker-to-worker socket opens the first time one of the two ranks
+// sends to the other, so a world whose communication graph is sparse (a
 // stencil halo, a reduction tree) opens O(N) connections instead of the
-// O(N²) full mesh. The star (rank 0 <-> every worker) stays eager: it
-// carries bootstrap, job traffic, the FBye relay, and dial requests.
+// O(N²) full mesh. The star (rank 0 <-> every worker) is built by Start
+// and Rejoin: it carries the join handshake, job traffic, the FBye and
+// FLeave relays, and dial requests.
 //
 // The connection initiator is ALWAYS the lower rank of an edge — the
-// same convention as the eager bootstrap, which keeps the shm
-// offer/accept roles (lower offers, higher accepts) working verbatim on
-// the raw conn at first contact and makes simultaneous-open glare
-// impossible. When the HIGHER rank needs an edge first, it sends an
-// FDialReq through rank 0's star; the lower rank receives it and dials.
-// Frames sent while the edge is in flight stash, in order, in the
-// sender's per-rank lazySlot and flush before the connection publishes.
+// same convention as the star, where workers dial rank 0 — which fixes
+// the shm roles (lower offers, higher accepts) on the raw conn and makes
+// simultaneous-open glare impossible. When the HIGHER rank needs an edge
+// first, it sends an FDialReq through rank 0's star; the lower rank
+// receives it and dials. Frames sent while the edge is in flight stash,
+// in order, in the sender's per-rank lazySlot and flush before the
+// connection publishes.
 const (
 	// lazyHandshakeTimeout bounds the first-frame read on an inbound
 	// connection (FHello or FJoin), so a port-scanner's idle socket
-	// cannot pin the accept goroutine.
+	// cannot pin a handleInbound goroutine.
 	lazyHandshakeTimeout = 10 * time.Second
 	// lazyReqTimeout bounds how long a requester waits for the lower
 	// rank to dial back after an FDialReq before declaring the peer
@@ -42,11 +44,12 @@ type lazySlot struct {
 	dialing bool     // an establishment attempt (dial or FDialReq) is in flight
 }
 
-// inboundJoin is an FJoin taken off the accept loop, parked for a
-// rejoin in progress.
+// inboundJoin is an FJoin taken off the accept loop, parked for rank
+// 0's gatherJoins.
 type inboundJoin struct {
-	p *peerConn
-	f Frame
+	p    *peerConn
+	rank int
+	addr string
 }
 
 // lazyEnqueue stashes one encoded frame for a rank whose edge does not
@@ -88,8 +91,9 @@ func (n *Node) lazyEnqueue(rank int, b []byte) bool {
 }
 
 // lazyDial establishes the edge to a higher rank: dial, FHello, shm
-// offer, then install. Runs on its own goroutine, throttled by the
-// dialSem so an N-edge burst doesn't thundering-herd the accept queues.
+// offer, then install — the one place an FHello is written. Runs on its
+// own goroutine, throttled by the dialSem so an N-edge burst doesn't
+// thundering-herd the accept queues.
 func (n *Node) lazyDial(rank int, epoch int64) {
 	n.dialSem <- struct{}{}
 	defer func() { <-n.dialSem }()
@@ -100,28 +104,26 @@ func (n *Node) lazyDial(rank int, epoch int64) {
 	}
 	n.mu.Unlock()
 	if n.epoch.Load() != epoch {
-		n.lazyAbandon(rank)
-		return
+		return // obsoleted by a Rejoin, whose drain also reset the slot
 	}
 	if addr == "" {
 		n.lazyDialFailed(rank, epoch, fmt.Errorf("no address for rank %d", rank))
 		return
 	}
-	conn, err := n.dialRetry(addr)
+	conn, err := n.dialRetry(addr, dialAttempts)
 	if err != nil {
 		n.lazyDialFailed(rank, epoch, err)
 		return
 	}
 	p := newPeerConn(n, rank, conn)
 	p.epoch = epoch
-	if err := writeFrame(conn, &Frame{Type: FHello, A: int64(n.rank)}); err != nil {
-		conn.Close()
-		n.lazyDialFailed(rank, epoch, err)
-		return
+	err = writeFrame(conn, &Frame{Type: FHello, A: int64(n.rank)})
+	if err == nil {
+		// Lower rank of the edge: offer the shared segment, synchronously
+		// on the raw conn, as rank 0 does on a star edge.
+		err = n.shmOffer(p)
 	}
-	// Lower rank of the edge: offer the shared segment, synchronously on
-	// the raw conn, exactly as the eager bootstrap would have.
-	if err := n.shmOffer(p); err != nil {
+	if err != nil {
 		conn.Close()
 		n.lazyDialFailed(rank, epoch, err)
 		return
@@ -171,15 +173,6 @@ func (n *Node) installLazy(rank int, p *peerConn) {
 	}
 	n.mu.Unlock()
 	s.dialing = false
-}
-
-// lazyAbandon clears a slot whose establishment attempt was obsoleted
-// by a mesh epoch bump; the rejoin path already drained the stash.
-func (n *Node) lazyAbandon(rank int) {
-	s := &n.lazySlots[rank]
-	s.mu.Lock()
-	s.dialing = false
-	s.mu.Unlock()
 }
 
 // lazyDialFailed surfaces a failed establishment exactly like a broken
@@ -249,7 +242,7 @@ func (n *Node) onDialReq(f Frame) {
 		n.sendOpen(dialer, &Frame{Type: FDialReq, A: f.A, B: f.B})
 		return
 	}
-	if dialer != n.rank || !n.lazy {
+	if dialer != n.rank {
 		return
 	}
 	s := &n.lazySlots[requester]
@@ -262,12 +255,9 @@ func (n *Node) onDialReq(f Frame) {
 	s.mu.Unlock()
 }
 
-// acceptLoop owns the retained listener after bootstrap: inbound
-// connections are first-contact dials (FHello) from lower ranks, or
-// FJoins from respawned ranks rejoining under recovery, which park on
-// joinC for the rejoin coordinator. It exits when the listener closes
-// (Close or Die). The listener is captured by the caller while Start
-// is still single-threaded — Close nils n.ln concurrently.
+// acceptLoop owns the listener for the node's lifetime. It exits when
+// the listener closes (Close or Die). The listener is passed in rather
+// than read from n.ln — Close nils that field concurrently.
 func (n *Node) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
@@ -278,48 +268,41 @@ func (n *Node) acceptLoop(ln net.Listener) {
 	}
 }
 
-// handleInbound classifies one inbound connection by its first frame.
+// handleInbound classifies one inbound connection by its first frame —
+// the single reader of both opening handshakes. An FHello is a lower
+// rank's first-contact dial and becomes a mesh edge here. An FJoin is a
+// rank joining the star: rank 0 parks it on joinC for gatherJoins, while
+// it bootstraps and, under Recover, for as long as it lives (a fast
+// respawn can dial back in before the coordinator has noticed the
+// death; the rank on the other end is blocked reading FPeers, and the
+// next Rejoin answers it). Anything else — a worker sent an FJoin, a
+// join nobody will ever gather, an unknown frame, silence until the
+// deadline — closes the connection and touches nothing else.
 func (n *Node) handleInbound(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(lazyHandshakeTimeout))
 	p := newPeerConn(n, -1, conn)
 	f, err := readFrame(p.br)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	switch f.Type {
-	case FHello:
-		n.acceptLazy(p, f)
-	case FJoin:
-		conn.SetReadDeadline(time.Time{})
-		f.Payload = append([]byte(nil), f.Payload...)
-		select {
-		case n.joinC <- inboundJoin{p: p, f: f}:
-		default:
-			conn.Close() // no rejoin in progress could be this far behind
-		}
-	default:
-		conn.Close()
-	}
-}
-
-// acceptLazy runs the higher rank's side of a first-contact edge: the
-// dialer is the lower rank and just offered the shared segment, so
-// accept (or decline) it on the raw conn, then install.
-func (n *Node) acceptLazy(p *peerConn, f Frame) {
 	r := int(f.A)
-	if r < 0 || r >= n.rank || !n.lazy {
-		p.conn.Close()
-		return
+	switch {
+	case err != nil:
+	case f.Type == FHello && r >= 0 && r < n.rank:
+		// The dialer just offered the shared segment: accept (or decline)
+		// it on the raw conn, then install.
+		p.rank = r
+		if n.shmAccept(p) == nil {
+			n.connsAccepted.Add(1)
+			n.installLazy(r, p)
+			return
+		}
+	case f.Type == FJoin && n.rank == 0 && (n.cfg.Recover || n.live.Load() == nil):
+		conn.SetReadDeadline(time.Time{})
+		select {
+		case n.joinC <- inboundJoin{p: p, rank: r, addr: string(f.Payload)}:
+			return
+		default: // no gather could be this far behind
+		}
 	}
-	p.rank = r
-	if err := n.shmAccept(p); err != nil {
-		p.conn.Close()
-		return
-	}
-	p.conn.SetReadDeadline(time.Time{})
-	n.connsAccepted.Add(1)
-	n.installLazy(r, p)
+	conn.Close()
 }
 
 // drainLazyStashes returns every stashed frame's pooled buffer; Close,

@@ -126,20 +126,6 @@ func TestLazyFirstContact(t *testing.T) {
 	}
 }
 
-// TestLazyOffOpensFullMesh pins the opt-out: -net.lazy=false restores
-// the eager bootstrap, every edge up front.
-func TestLazyOffOpensFullMesh(t *testing.T) {
-	const world = 5
-	nodes := startWorldConfig(t, world, Config{LazyOff: true})
-	if got, want := totalConns(nodes), int64(world*(world-1)); got != want {
-		t.Fatalf("eager bootstrap opened %d sockets, want the full mesh's %d", got, want)
-	}
-	lazyExchange(t, nodes, 4, 1)
-	if got, want := totalConns(nodes), int64(world*(world-1)); got != want {
-		t.Fatalf("traffic on the eager mesh opened %d sockets, want %d unchanged", got, want)
-	}
-}
-
 // TestDialReqGlare drives both endpoints of one missing edge
 // simultaneously from opposite sides — the lower rank dialing directly
 // while the higher rank's FDialReq is in flight — and requires exactly
@@ -208,6 +194,7 @@ func TestLazyDeadPeerFailsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rides out the full ~10s dial-retry backoff")
 	}
+	t.Parallel() // overlaps TestHandleInboundSilentSocket's 10s wait
 	const world = 4
 	nodes := startWorld(t, world)
 	rts := make([]*Runtime, world)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,12 +35,12 @@ type Config struct {
 	Rank int
 	// World is the number of processes.
 	World int
-	// Peers is the static launch mode: one listen address per rank.
+	// Peers is the static launch's address plan, one listen address per
+	// rank. It is a deployment setting, not a second bootstrap: rank r
+	// listens on Peers[r] and Peers[0] is the coordinator address.
 	Peers []string
-	// PeersCSV is Peers as a comma-separated flag value.
-	PeersCSV string
-	// Coord is the coordinator bootstrap mode: rank 0 listens on this
-	// address, every other rank dials it and learns the peer table.
+	// Coord is the coordinator's address: rank 0 listens on it, every
+	// other rank dials it to join and learns the peer table in reply.
 	Coord string
 	// EagerMax overrides the eager/rendezvous threshold (bytes).
 	EagerMax int
@@ -90,13 +91,6 @@ type Config struct {
 	// window instead of letting a healthy-but-starved run be declared
 	// deadlocked.
 	StallTimeout time.Duration
-	// LazyOff disables on-demand connection establishment in the
-	// coordinator bootstrap modes: the full worker-to-worker mesh is
-	// dialed at Start, as before lazy dialing existed. Static -net.peers
-	// launches are always eager (their bootstrap is the address
-	// exchange). The coordinator's star (rank 0 <-> every worker) is
-	// eager in every mode.
-	LazyOff bool
 }
 
 // DefaultTermFanout is the default width of the k-ary termination tree.
@@ -109,24 +103,27 @@ const DefaultTermFanout = 8
 // 256-rank bootstrap wave) doesn't thundering-herd the accept queues.
 const lazyDialBurst = 8
 
-// Node is one process's membership in the distributed world: the full
-// connection mesh, the bootstrap state, and the attach point for the
-// per-run Runtime. A Node outlives individual runs — sequential runs
-// (stencil msg-vs-ckd, benchmark sweeps) reuse the same mesh, with run
-// generations keeping late frames of one run out of the next.
+// Node is one process's membership in the distributed world: the
+// connection mesh (the coordinator star plus whatever worker-to-worker
+// edges first contact has opened), the bootstrap state, and the attach
+// point for the per-run Runtime. A Node outlives individual runs —
+// sequential runs (stencil msg-vs-ckd, benchmark sweeps) reuse the same
+// mesh, with run generations keeping late frames of one run out of the
+// next.
 type Node struct {
 	rank, world int
 	eagerMax    int
-	// peers is the connection table under construction: bootstrap and
-	// Rejoin fill it on a single goroutine, then publish it wholesale
-	// into live. Everything that runs concurrently with a possible
-	// Rejoin (senders, teardown, the Bye cascade) must read the
-	// published snapshot via peerTable, never this field.
-	peers    []*peerConn // by rank; nil at our own slot
+	// peers is the connection table: the star handshake (Start, Rejoin)
+	// and first-contact installs fill it under mu, and every change is
+	// published as a fresh snapshot into live. Everything that runs
+	// concurrently with a possible Rejoin (senders, teardown, the Bye
+	// cascade) must read the published snapshot via peerTable, never
+	// this field.
+	peers    []*peerConn // by rank; nil at our own slot and unopened edges
 	live     atomic.Pointer[[]*peerConn]
 	ln       net.Listener
 	children []*spawnedWorker
-	cfg      Config // retained for Rejoin (recovery mode only)
+	cfg      Config // as resolved by Start; Rejoin re-reads Coord and Recover
 
 	mu           sync.Mutex
 	attached     *Runtime
@@ -146,11 +143,13 @@ type Node struct {
 	// abort the re-run at creation). Atomic so dispatch reads it
 	// lock-free on the per-frame hot path.
 	epoch atomic.Int64
-	// dead records peers whose connection broke in the current epoch —
-	// direct socket observations only (every rank has a direct edge to
-	// every other, so a crashed peer is seen firsthand; an FBye names
-	// the messenger, not the dead rank, and is deliberately not
-	// recorded here).
+	// dead records peers whose connection (or first-contact dial) broke
+	// in the current epoch — direct observations only: an FBye names the
+	// messenger, not the dead rank, and is deliberately not recorded
+	// here. The mesh is sparse, so a crashed worker is seen firsthand
+	// only by the ranks holding an open edge to it; rank 0 always does
+	// (the star), which is why the rejoin coordinator's own record is
+	// the one that matters.
 	dead map[int]bool
 
 	// jobC carries service-mode job traffic (FJob announcements on a
@@ -173,16 +172,14 @@ type Node struct {
 	shmMu  sync.Mutex
 	shmSrv *shmServer
 
-	// Lazy dialing state (nil/unused when lazy is off). addrs is the
-	// address table the coordinator broadcast at bootstrap — the map a
-	// first-contact dial resolves against; mu guards it across Rejoin
-	// rewrites. lazySlots serializes edge establishment per peer rank:
-	// frames sent before the edge exists stash in the slot and flush, in
-	// order, once the connection publishes. joinC carries inbound FJoins
-	// from the accept loop to a rejoin in progress (bootstrap joins are
-	// accepted directly — the loop isn't running yet). dialSem is the
-	// lazyDialBurst semaphore.
-	lazy      bool
+	// Mesh construction state. addrs is the address table the
+	// coordinator sent with the last FPeers — the map a first-contact
+	// dial resolves against; mu guards it across Rejoin rewrites.
+	// lazySlots serializes edge establishment per peer rank: frames sent
+	// before the edge exists stash in the slot and flush, in order, once
+	// the connection publishes. joinC carries inbound FJoins from the
+	// accept loop to rank 0's gatherJoins (bootstrap or rejoin). dialSem
+	// is the lazyDialBurst semaphore.
 	addrs     []string
 	lazySlots []lazySlot
 	joinC     chan inboundJoin
@@ -236,18 +233,14 @@ type bufFrame struct {
 	f    Frame
 }
 
-// Start brings this process into the world: bootstraps membership
-// (static peer table, coordinator dial-in, or self-spawn), establishes
-// the full connection mesh — negotiating a shared-memory segment per
-// co-located edge — and returns once every peer is connected.
+// Start brings this process into the world. Every multi-rank world is
+// built the same way: rank 0 listens on the coordinator address, every
+// other rank dials it (FJoin) and learns the address table (FPeers), and
+// that star — with a shared-memory segment negotiated per co-located
+// edge — is the whole mesh Start returns. Worker-to-worker edges open at
+// first contact (lazy.go). Self-spawn and a static Peers table only
+// choose the addresses; they are not separate bootstraps.
 func Start(cfg Config) (*Node, error) {
-	if cfg.PeersCSV != "" && len(cfg.Peers) == 0 {
-		for _, a := range strings.Split(cfg.PeersCSV, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				cfg.Peers = append(cfg.Peers, a)
-			}
-		}
-	}
 	world := cfg.World
 	if len(cfg.Peers) > 0 {
 		if world > 1 && world != len(cfg.Peers) {
@@ -271,15 +264,6 @@ func Start(cfg Config) (*Node, error) {
 	if n.rank < 0 {
 		n.rank = 0 // self-spawn: this process becomes rank 0
 	}
-	// Lazy dialing applies to the coordinator bootstrap modes: the
-	// address table is distributed eagerly, worker-to-worker sockets
-	// open at first contact.
-	n.lazy = world > 1 && len(cfg.Peers) == 0 && !cfg.LazyOff
-	if n.lazy {
-		n.lazySlots = make([]lazySlot, world)
-		n.joinC = make(chan inboundJoin, world)
-		n.dialSem = make(chan struct{}, lazyDialBurst)
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 0x636b646972656374 // "ckdirect"
@@ -291,55 +275,29 @@ func Start(cfg Config) (*Node, error) {
 		return n, nil
 	}
 	n.peers = make([]*peerConn, world)
-	var err error
-	switch {
-	case len(cfg.Peers) > 0:
-		if cfg.Rank < 0 {
-			err = badConfig(cfg.Rank, fmt.Errorf("static launch needs -net.rank in [0,%d)", world))
-		} else {
-			err = n.bootstrapStatic(cfg)
-		}
-	case cfg.Rank < 0:
-		// Self-spawn: coordinate on an ephemeral port and launch the
-		// other ranks as copies of this process.
-		err = n.bootstrapCoordinator(cfg, "127.0.0.1:0", true)
-	case cfg.Rank == 0:
-		if cfg.Coord == "" {
-			err = badConfig(cfg.Rank, errors.New("rank 0 needs -net.coord (its listen address) or -net.peers"))
-		} else {
-			err = n.bootstrapCoordinator(cfg, cfg.Coord, false)
-		}
-	default:
-		if cfg.Coord == "" {
-			err = badConfig(cfg.Rank, errors.New("workers need -net.coord or -net.peers"))
-		} else {
-			err = n.bootstrapWorker(cfg)
-		}
+	n.lazySlots = make([]lazySlot, world)
+	n.joinC = make(chan inboundJoin, world) // a gather has at most world-1 joins outstanding
+	n.dialSem = make(chan struct{}, lazyDialBurst)
+	// Workers and a self-spawning coordinator bind an ephemeral port; an
+	// explicitly launched rank 0 binds the coordinator address.
+	listen := "127.0.0.1:0"
+	if len(cfg.Peers) > 0 {
+		n.cfg.Coord, listen = cfg.Peers[0], cfg.Peers[n.rank]
+	} else if cfg.Rank == 0 {
+		listen = cfg.Coord
 	}
-	if err == nil {
-		// Mesh complete, connection goroutines not yet running: negotiate
-		// the per-edge shared segments synchronously on the raw conns.
-		err = n.setupShm(n.peers)
-	}
-	n.publishPeers()
-	if err != nil {
+	if err := n.bootstrap(listen, cfg.Rank < 0); err != nil {
+		// Publish whatever the handshake got as far as building, so Close
+		// can reach it.
+		n.mu.Lock()
+		n.publishPeers()
+		n.mu.Unlock()
 		n.Close()
 		var ne *NetError
 		if errors.As(err, &ne) {
 			return nil, err
 		}
 		return nil, &NetError{Rank: n.rank, Peer: -1, Op: "bootstrap", Err: err}
-	}
-	for _, p := range n.peers {
-		if p != nil {
-			p.start()
-		}
-	}
-	if n.lazy && n.ln != nil {
-		// The retained listener now serves first-contact dials (FHello)
-		// and, under recovery, rejoin traffic (FJoin) for the node's
-		// lifetime.
-		go n.acceptLoop(n.ln)
 	}
 	return n, nil
 }
@@ -363,16 +321,21 @@ func validateConfig(cfg Config, world int) error {
 			cfg.ShmRingBytes, cfg.ShmArenaBytes))
 	case cfg.TermFanout < 0:
 		return badConfig(cfg.Rank, fmt.Errorf("termination fanout %d is negative", cfg.TermFanout))
+	case world > 1 && cfg.Rank < 0 && len(cfg.Peers) > 0:
+		return badConfig(cfg.Rank, fmt.Errorf("static launch needs -net.rank in [0,%d)", world))
+	case world > 1 && cfg.Rank >= 0 && cfg.Coord == "" && len(cfg.Peers) == 0:
+		return badConfig(cfg.Rank,
+			errors.New("needs -net.coord (rank 0 listens on it, workers dial it) or -net.peers"))
 	}
 	return nil
 }
 
-// publishPeers makes the constructed connection table visible to
-// lock-free readers. Bootstrap and Rejoin call it once construction is
-// complete; until then, concurrent senders keep using the previous
-// table (whose connections are down during a rejoin, so their sends
-// drop — the run is aborting anyway). The published table is always a
-// snapshot copy: lazy dialing keeps mutating n.peers (under mu) as
+// publishPeers makes the connection table visible to lock-free readers.
+// startPeers calls it once the star is handshaken — until then,
+// concurrent senders keep using the previous table (whose connections
+// are down during a rejoin, so their sends drop — the run is aborting
+// anyway) — and every first-contact install republishes. The published
+// table is always a snapshot copy: n.peers keeps changing (under mu) as
 // edges open, and in-place writes to a shared slice would race the
 // lock-free readers.
 func (n *Node) publishPeers() {
@@ -402,9 +365,10 @@ func (n *Node) IsWorker() bool { return n.rank != 0 }
 // EagerMax returns the eager/rendezvous threshold in effect.
 func (n *Node) EagerMax() int { return n.eagerMax }
 
-// Addr returns this node's listen address, or "" when no listener is
-// retained. Under Config.Recover the address stays valid for the whole
-// run — a respawned rank dials the coordinator's to rejoin.
+// Addr returns this node's listen address ("" for a single-process
+// world or a closed node). The listener lives as long as the node: it
+// takes first-contact dials, and a respawned rank dials the
+// coordinator's to rejoin.
 func (n *Node) Addr() string {
 	if n.ln == nil {
 		return ""
@@ -412,187 +376,162 @@ func (n *Node) Addr() string {
 	return n.ln.Addr().String()
 }
 
-// listen binds the local listener and publishes its address.
-func (n *Node) listen(addr string, onListen func(string)) error {
+// listen binds the local listener, publishes its address, and hands the
+// listener to the accept loop, which owns it for the node's lifetime:
+// every inbound connection — a joining rank at bootstrap or rejoin, a
+// first-contact dial during a run — is classified by handleInbound.
+func (n *Node) listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	n.ln = ln
-	if onListen != nil {
-		onListen(ln.Addr().String())
+	if n.cfg.OnListen != nil {
+		n.cfg.OnListen(ln.Addr().String())
 	}
+	go n.acceptLoop(ln)
 	return nil
 }
 
-// accept takes one inbound connection with a bootstrap deadline.
-func (n *Node) accept() (net.Conn, error) {
-	if d, ok := n.ln.(*net.TCPListener); ok {
-		d.SetDeadline(time.Now().Add(30 * time.Second))
-	}
-	return n.ln.Accept()
-}
-
-// bootstrapStatic wires the mesh from a shared address table: rank r
-// listens on Peers[r], dials every lower rank (identifying itself with
-// FHello), and accepts a connection from every higher rank.
-func (n *Node) bootstrapStatic(cfg Config) error {
-	if err := n.listen(cfg.Peers[n.rank], cfg.OnListen); err != nil {
-		return err
-	}
-	for s := 0; s < n.rank; s++ {
-		conn, err := n.dialRetry(cfg.Peers[s])
-		if err != nil {
-			return fmt.Errorf("dial rank %d at %s: %w", s, cfg.Peers[s], err)
-		}
-		if err := writeFrame(conn, &Frame{Type: FHello, A: int64(n.rank)}); err != nil {
-			return err
-		}
-		n.connsDialed.Add(1)
-		n.peers[s] = newPeerConn(n, s, conn)
-	}
-	return n.acceptHigher()
-}
-
-// acceptHigher collects the inbound half of the mesh: one FHello-opened
-// connection from every rank above ours.
-func (n *Node) acceptHigher() error {
-	for need := n.world - 1 - n.rank; need > 0; need-- {
-		conn, err := n.accept()
-		if err != nil {
-			return err
-		}
-		n.connsAccepted.Add(1)
-		p := newPeerConn(n, -1, conn)
-		f, err := readFrame(p.br)
-		if err != nil || f.Type != FHello {
-			conn.Close()
-			return fmt.Errorf("expected HELLO on inbound connection: %v", err)
-		}
-		r := int(f.A)
-		if r <= n.rank || r >= n.world || n.peers[r] != nil {
-			conn.Close()
-			return fmt.Errorf("bad HELLO rank %d", r)
-		}
-		p.rank = r
-		n.peers[r] = p
-	}
-	n.closeListener()
-	return nil
-}
-
-// closeListener drops the bootstrap listener — unless recovery or lazy
-// dialing is on: recovery re-accepts on the same address after a rank
-// death, and a lazy mesh takes first-contact dials for the node's whole
-// lifetime.
-func (n *Node) closeListener() {
-	if n.cfg.Recover || n.lazy {
-		return
-	}
-	n.ln.Close()
-	n.ln = nil
-}
-
-// bootstrapCoordinator runs rank 0's side of the dial-in protocol:
-// collect one FJoin (rank + listen address) per worker, broadcast the
-// completed address table as FPeers, and keep each join connection as
-// the 0<->r mesh edge. When spawn is set, the workers are launched by
-// this process as copies of its own command line.
-func (n *Node) bootstrapCoordinator(cfg Config, addr string, spawn bool) error {
-	if err := n.listen(addr, cfg.OnListen); err != nil {
-		return err
-	}
-	if spawn {
-		// Surface a too-low fd limit as a typed error up front, not as a
-		// raw EMFILE somewhere mid-dial: the coordinator's star alone
-		// needs a socket per worker, plus listener, shm fds and slack.
-		if err := checkSpawnFDBudget(n.rank, n.world); err != nil {
-			return err
-		}
-		children, err := spawnWorkers(cfg, n.world, n.ln.Addr().String())
-		if err != nil {
-			return err
-		}
-		n.children = children
-	}
-	addrs := make([]string, n.world)
-	addrs[0] = n.ln.Addr().String()
-	for joined := 0; joined < n.world-1; joined++ {
-		conn, err := n.accept()
-		if err != nil {
-			return fmt.Errorf("waiting for workers (%d/%d joined): %w", joined, n.world-1, err)
-		}
-		n.connsAccepted.Add(1)
-		p := newPeerConn(n, -1, conn)
-		f, err := readFrame(p.br)
-		if err != nil || f.Type != FJoin {
-			conn.Close()
-			return fmt.Errorf("expected JOIN on inbound connection: %v", err)
-		}
-		r := int(f.A)
-		if r <= 0 || r >= n.world || n.peers[r] != nil {
-			conn.Close()
-			return fmt.Errorf("bad JOIN rank %d", r)
-		}
-		p.rank = r
-		n.peers[r] = p
-		addrs[r] = string(f.Payload)
-	}
-	n.addrs = addrs
-	table := strings.Join(addrs, "\n")
-	for r := 1; r < n.world; r++ {
-		if err := writeFrame(n.peers[r].conn, &Frame{Type: FPeers, Payload: []byte(table)}); err != nil {
-			return err
-		}
-	}
-	n.closeListener()
-	return nil
-}
-
-// bootstrapWorker runs a worker's dial-in: listen on an ephemeral port,
-// join via the coordinator, then build the worker-to-worker mesh edges
-// from the broadcast address table (dial lower ranks, accept higher).
-func (n *Node) bootstrapWorker(cfg Config) error {
-	if err := n.listen("127.0.0.1:0", cfg.OnListen); err != nil {
-		return err
-	}
-	conn, err := n.dialRetry(cfg.Coord)
+// bootstrap builds the coordinator star: rank 0 gathers one FJoin per
+// worker (launching the workers first in self-spawn mode), every other
+// rank joins, and startPeers finishes the edges. Rejoin runs the same
+// three functions over the same listener.
+func (n *Node) bootstrap(listen string, spawn bool) error {
+	err := n.listen(listen)
 	if err != nil {
-		return fmt.Errorf("dial coordinator at %s: %w", cfg.Coord, err)
+		return err
+	}
+	if n.rank != 0 {
+		err = n.joinStar(dialAttempts)
+	} else {
+		if spawn {
+			n.children, err = spawnWorkers(n.cfg, n.world, n.ln.Addr().String())
+		}
+		if err == nil {
+			// A world that is still forming has no stale joins to skip: a
+			// malformed or duplicate FJoin is a launch mistake, so strict.
+			err = n.gatherJoins(true)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return n.startPeers()
+}
+
+// joinStar is a worker's half of the star handshake: dial the
+// coordinator within the attempt budget, send FJoin (rank + our listen
+// address), and read the FPeers address table under the join window.
+// The connection becomes the 0<->rank star edge.
+func (n *Node) joinStar(attempts int) error {
+	conn, err := n.dialRetry(n.cfg.Coord, attempts)
+	if err != nil {
+		return fmt.Errorf("dial coordinator at %s: %w", n.cfg.Coord, err)
 	}
 	n.connsDialed.Add(1)
 	p := newPeerConn(n, 0, conn)
-	if err := writeFrame(conn, &Frame{Type: FJoin, A: int64(n.rank), Payload: []byte(n.ln.Addr().String())}); err != nil {
-		return err
+	conn.SetDeadline(time.Now().Add(joinWindow))
+	err = writeFrame(conn, &Frame{Type: FJoin, A: int64(n.rank), Payload: []byte(n.ln.Addr().String())})
+	var f Frame
+	if err == nil {
+		f, err = readFrame(p.br)
 	}
-	f, err := readFrame(p.br)
+	conn.SetDeadline(time.Time{})
 	if err != nil || f.Type != FPeers {
+		conn.Close()
 		return fmt.Errorf("expected PEERS from coordinator: %v", err)
 	}
-	n.peers[0] = p
 	addrs := strings.Split(string(f.Payload), "\n")
 	if len(addrs) != n.world {
+		conn.Close()
 		return fmt.Errorf("coordinator sent %d peer addresses, world is %d", len(addrs), n.world)
 	}
+	n.mu.Lock()
+	n.peers[0] = p
 	n.addrs = addrs
-	if n.lazy {
-		// Only the coordinator edge opens at bootstrap; worker-to-worker
-		// sockets wait for first contact (acceptLoop takes the inbound
-		// halves for the node's lifetime).
-		return nil
-	}
-	for s := 1; s < n.rank; s++ {
-		conn, err := n.dialRetry(addrs[s])
-		if err != nil {
-			return fmt.Errorf("dial rank %d at %s: %w", s, addrs[s], err)
+	n.mu.Unlock()
+	return nil
+}
+
+// gatherJoins is rank 0's half: within the join window, take world-1
+// FJoins off joinC (the accept loop parks them there), keep each
+// connection as the 0<->r star edge, and answer all of them with the
+// completed address table. A join naming a bad or already-joined rank
+// is closed; strict makes it fail the gather as well (bootstrap),
+// otherwise it is skipped (rejoin, where a stale parked join must not
+// kill a fresh attempt).
+func (n *Node) gatherJoins(strict bool) error {
+	epoch := n.epoch.Load()
+	addrs := make([]string, n.world)
+	addrs[0] = n.ln.Addr().String()
+	timeout := time.NewTimer(joinWindow)
+	defer timeout.Stop()
+	for joined := 0; joined < n.world-1; {
+		var ij inboundJoin
+		select {
+		case ij = <-n.joinC:
+		case <-timeout.C:
+			return fmt.Errorf("waiting for ranks (%d/%d joined): timeout", joined, n.world-1)
 		}
-		if err := writeFrame(conn, &Frame{Type: FHello, A: int64(n.rank)}); err != nil {
+		n.mu.Lock()
+		bad := ij.rank <= 0 || ij.rank >= n.world || n.peers[ij.rank] != nil
+		if !bad {
+			ij.p.rank = ij.rank
+			ij.p.epoch = epoch
+			n.peers[ij.rank] = ij.p
+		}
+		n.mu.Unlock()
+		if bad {
+			ij.p.conn.Close()
+			if strict {
+				return fmt.Errorf("bad JOIN rank %d", ij.rank)
+			}
+			continue
+		}
+		addrs[ij.rank] = ij.addr
+		n.connsAccepted.Add(1)
+		joined++
+	}
+	n.mu.Lock()
+	n.addrs = addrs
+	star := append([]*peerConn(nil), n.peers...)
+	n.mu.Unlock()
+	table := []byte(strings.Join(addrs, "\n"))
+	for r := 1; r < n.world; r++ {
+		if err := writeFrame(star[r].conn, &Frame{Type: FPeers, Payload: table}); err != nil {
 			return err
 		}
-		n.connsDialed.Add(1)
-		n.peers[s] = newPeerConn(n, s, conn)
 	}
-	return n.acceptHigher()
+	return nil
+}
+
+// startPeers finishes the star: it runs the shm handshakes over the
+// fresh sockets, publishes the connection table, and launches the
+// connection goroutines. The handshake must precede start(): it speaks
+// synchronously on the raw sockets, which only works while no reader
+// goroutine is competing for them.
+func (n *Node) startPeers() error {
+	// Snapshot under the lock: the accept loop may install first-contact
+	// edges (under mu) while this tail runs — a peer that finished its
+	// own handshake first is free to start talking — and those arrive
+	// already handshaken and started; they are not ours to touch.
+	n.mu.Lock()
+	peers := append([]*peerConn(nil), n.peers...)
+	n.mu.Unlock()
+	err := n.setupShm(peers)
+	n.mu.Lock()
+	n.publishPeers()
+	n.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for _, p := range peers {
+		if p != nil && !p.started {
+			p.start()
+		}
+	}
+	return nil
 }
 
 // sendTo queues a frame for a peer rank, lazily establishing the edge
@@ -618,7 +557,7 @@ func (n *Node) sendTo(rank int, f *Frame) bool {
 // open — it never triggers a lazy dial. Teardown traffic (FLeave, the
 // FBye cascade, keepalives) must use this path: opening sockets to
 // ranks we never spoke to, just to say goodbye, would rebuild the full
-// mesh that lazy dialing exists to avoid.
+// mesh that first-contact dialing exists to avoid.
 func (n *Node) sendOpen(rank int, f *Frame) bool {
 	t := n.peerTable()
 	if t == nil || rank < 0 || rank >= len(t) || t[rank] == nil {
@@ -652,7 +591,7 @@ func (n *Node) sendEnv(rank int, typ byte, run int64, env *Env) bool {
 }
 
 // routePeer resolves a destination rank: an open connection, or
-// (nil, true) when the edge does not exist yet but lazy dialing can
+// (nil, true) when the edge does not exist yet and first contact will
 // create it — the caller encodes the frame and hands it to routeSend.
 func (n *Node) routePeer(rank int) (*peerConn, bool) {
 	t := n.peerTable()
@@ -662,7 +601,7 @@ func (n *Node) routePeer(rank int) (*peerConn, bool) {
 	if p := t[rank]; p != nil {
 		return p, false
 	}
-	return nil, n.lazy && rank != n.rank
+	return nil, rank != n.rank
 }
 
 // routeSend delivers an encoded frame: via the open connection, or into
@@ -831,11 +770,11 @@ func (n *Node) peerDown(p *peerConn, op string, err error) {
 }
 
 // onBye handles a peer's abort announcement: adopt the failure and
-// abort the local run. Under lazy dialing the mesh may be sparse — not
-// every rank has an edge to the origin — so rank 0, whose star to every
-// worker is always open, re-broadcasts the first FBye it adopts. The
-// set-once deadErr gate keeps the relay from looping (a relayed FBye
-// arriving back at rank 0 finds deadErr already set).
+// abort the local run. The mesh is sparse — not every rank has an edge
+// to the origin — so rank 0, whose star to every worker is always open,
+// re-broadcasts the first FBye it adopts. The set-once deadErr gate
+// keeps the relay from looping (a relayed FBye arriving back at rank 0
+// finds deadErr already set).
 func (n *Node) onBye(p *peerConn, f Frame) {
 	ne := &NetError{Rank: n.rank, Peer: int(f.A), Op: "peer-abort", Err: errors.New(string(f.Payload))}
 	n.mu.Lock()
@@ -849,35 +788,37 @@ func (n *Node) onBye(p *peerConn, f Frame) {
 		rt.abort(ne)
 	}
 	if first && n.rank == 0 {
-		relay := Frame{Type: FBye, A: f.A, Payload: f.Payload}
-		for r, q := range n.peerTable() {
-			if q == nil || r == p.rank || r == int(f.A) || q.failed.Load() {
-				continue
-			}
-			n.sendOpen(r, &relay)
-		}
+		n.tellOpen(&Frame{Type: FBye, A: f.A, Payload: f.Payload}, p.rank, int(f.A))
 	}
 }
 
 // broadcastBye tells every rank this node can still reach that the run
-// is dead. Deliberately sendOpen: a bye must not lazily open sockets,
-// and it doesn't need to — rank 0 hears it over the always-open star
-// and relays it to the ranks the origin had no edge to (onBye).
+// is dead; rank 0 hears it over the always-open star and relays it to
+// the ranks the origin had no edge to (onBye).
 func (n *Node) broadcastBye(exceptRank int, ne *NetError) {
-	f := Frame{Type: FBye, A: int64(n.rank), Payload: []byte(ne.Error())}
+	n.tellOpen(&Frame{Type: FBye, A: int64(n.rank), Payload: []byte(ne.Error())}, exceptRank)
+}
+
+// tellOpen sends f down every open, healthy edge but the excepted
+// ranks'. Deliberately sendOpen: news of a departure must not open
+// sockets, and it doesn't need to — rank 0's star reaches everyone.
+func (n *Node) tellOpen(f *Frame, except ...int) {
 	for r, p := range n.peerTable() {
-		if p == nil || r == exceptRank || p.failed.Load() {
-			continue
+		if p != nil && !p.failed.Load() && !slices.Contains(except, r) {
+			n.sendOpen(r, f)
 		}
-		n.sendOpen(r, &f)
 	}
 }
 
 // attach installs a freshly built runtime and replays any frames that
-// arrived for its generation before this process started the run.
+// arrived for its generation before this process started the run. A
+// departure recorded since NewRuntime looked (a relayed leave, a broken
+// socket) found no run to abort; it aborts this one here, under the same
+// lock that recorded it, instead of leaving it to hang in termination.
 func (n *Node) attach(rt *Runtime) {
 	n.mu.Lock()
 	n.attached = rt
+	dead := n.deadErr
 	var flush []bufFrame
 	keep := n.buffered[:0]
 	for _, bf := range n.buffered {
@@ -889,6 +830,9 @@ func (n *Node) attach(rt *Runtime) {
 	}
 	n.buffered = keep
 	n.mu.Unlock()
+	if dead != nil && !rt.aborted.Load() {
+		rt.abort(dead)
+	}
 	for _, bf := range flush {
 		rt.handleApp(bf.rank, bf.f, false)
 	}
@@ -906,20 +850,32 @@ func (n *Node) detach(rt *Runtime) {
 	n.mu.Unlock()
 }
 
-// onLeave handles a peer's graceful goodbye: the peer finished every
-// run generation through f.A and is exiting, so the EOF about to
-// follow on this connection is planned teardown. Quieting the
-// connection BEFORE the reader hits that EOF (the goodbye and the EOF
-// arrive on the same goroutine, in order) is what keeps a fast-exiting
-// rank from looking like a lost peer to one still draining its
-// scheduler. A run the leaver has NOT finished can no longer complete
-// and aborts; either way the departure is recorded so any later run
-// aborts at creation instead of hanging in termination detection. No
-// FBye cascade is needed: the mesh is full, so every rank hears the
-// leaver directly (by FLeave or by the broken socket itself).
+// onLeave handles a graceful goodbye: rank f.B finished every run
+// generation through f.A and is exiting. Heard from the leaver itself,
+// the EOF about to follow on this connection is planned teardown, and
+// quieting the connection BEFORE the reader hits that EOF (the goodbye
+// and the EOF arrive on the same goroutine, in order) is what keeps a
+// fast-exiting rank from looking like a lost peer to one still draining
+// its scheduler. A run the leaver has NOT finished can no longer
+// complete and aborts; either way the departure is recorded so any later
+// run aborts at creation instead of hanging in termination detection.
+//
+// The mesh is sparse, so most ranks have no edge to the leaver and hear
+// neither its FLeave nor its EOF. Rank 0 always does (the star), and
+// relays the departure down its other open star edges exactly as onBye
+// relays an FBye; a relayed leave names a third rank, so the connection
+// it arrived on stays loud. Only rank 0 relays and only what it heard
+// firsthand, so the relay cannot loop.
 func (n *Node) onLeave(p *peerConn, f Frame) {
-	p.quiet.Store(true)
-	ne := &NetError{Rank: n.rank, Peer: p.rank, Op: "leave",
+	leaver := int(f.B)
+	firsthand := leaver == p.rank
+	if !firsthand && p.rank != 0 {
+		return // only the coordinator relays
+	}
+	if firsthand {
+		p.quiet.Store(true)
+	}
+	ne := &NetError{Rank: n.rank, Peer: leaver, Op: "leave",
 		Err: fmt.Errorf("peer exited after run generation %d", f.A)}
 	n.mu.Lock()
 	if n.deadErr == nil {
@@ -929,6 +885,9 @@ func (n *Node) onLeave(p *peerConn, f Frame) {
 	n.mu.Unlock()
 	if rt != nil && rt.gen > f.A {
 		rt.abort(ne)
+	}
+	if firsthand && n.rank == 0 {
+		n.tellOpen(&Frame{Type: FLeave, A: f.A, B: f.B}, leaver)
 	}
 }
 
@@ -1040,7 +999,7 @@ func (n *Node) Close() error {
 		// FIN, so a peer still draining its final run can tell planned
 		// teardown from a lost peer. sendOpen — goodbyes go to edges
 		// that exist, never open new ones.
-		n.sendOpen(r, &Frame{Type: FLeave, A: completed})
+		n.sendOpen(r, &Frame{Type: FLeave, A: completed, B: int64(n.rank)})
 		p.close()
 	}
 	// Frames stashed for edges that never opened die with the mesh; give

@@ -47,6 +47,40 @@ func runAll(rts []*Runtime) {
 	wg.Wait()
 }
 
+// awaitDeath waits until the coordinator has observed a rank death
+// firsthand — the record Rejoin hands the respawn hook.
+func awaitDeath(t *testing.T, coord *Node) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(coord.DeadRanks()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never observed the death")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitRespawn waits for an OnRespawn hook to install the replacement
+// for rank r, which happens after its Start returns and can trail rank
+// 0's Rejoin by a beat. The caller nils nodes[r] (under mu) before the
+// Rejoin, so the killed node is never mistaken for its replacement.
+func awaitRespawn(t *testing.T, mu *sync.Mutex, nodes []*Node, r int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		ok := nodes[r] != nil
+		mu.Unlock()
+		if ok {
+			return
+		}
+		if t.Failed() || time.Now().After(deadline) {
+			t.Fatalf("respawn did not install a replacement for rank %d", r)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSingleProcessWorldIsDegenerate(t *testing.T) {
 	n, err := Start(Config{World: 1})
 	if err != nil {
@@ -72,14 +106,14 @@ func TestStartRejectsBadConfigs(t *testing.T) {
 		{"rank below -1", Config{Rank: -2, World: 2, Coord: "127.0.0.1:0"}},
 		{"rank at world", Config{Rank: 2, World: 2, Coord: "127.0.0.1:0"}},
 		{"rank past world", Config{Rank: 7, World: 2, Coord: "127.0.0.1:0"}},
-		{"out-of-range static rank", Config{Rank: 5, World: 2, PeersCSV: "127.0.0.1:1,127.0.0.1:2"}},
-		{"self-spawn rank with static peers", Config{Rank: -1, World: 2, PeersCSV: "127.0.0.1:1,127.0.0.1:2"}},
+		{"out-of-range static rank", Config{Rank: 5, World: 2, Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}}},
+		{"self-spawn rank with static peers", Config{Rank: -1, World: 2, Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}}},
 		{"negative eager threshold", Config{Rank: 0, World: 2, Coord: "127.0.0.1:0", EagerMax: -1}},
 		{"negative shm ring", Config{Rank: 0, World: 2, Coord: "127.0.0.1:0", ShmRingBytes: -4096}},
 		{"negative shm arena", Config{Rank: 0, World: 2, Coord: "127.0.0.1:0", ShmArenaBytes: -1}},
 		{"rank 0 without coord or peers", Config{Rank: 0, World: 2}},
 		{"worker without coord or peers", Config{Rank: 1, World: 2}},
-		{"world/peers mismatch", Config{Rank: 0, World: 3, PeersCSV: "a:1,b:2"}},
+		{"world/peers mismatch", Config{Rank: 0, World: 3, Peers: []string{"a:1", "b:2"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -267,6 +267,7 @@ func (p *peerConn) writer() {
 		if len(owned) > 0 {
 			n := copy(backing, owned)
 			batch = net.Buffers(backing[:n])
+			raceWirePublish()
 			_, err := batch.WriteTo(p.conn)
 			for i, fb := range owned {
 				bufpool.Put(fb)
@@ -337,6 +338,7 @@ func (p *peerConn) readLoop(br *bufio.Reader) error {
 		if err != nil {
 			return err
 		}
+		raceWireObserve()
 		p.lastRecv.Store(time.Now().UnixNano())
 		if m.typ == FPut && m.payloadLen > 0 {
 			handled, err := p.node.streamPut(p, br, m)
@@ -473,22 +475,18 @@ func (p *peerConn) eagerLimit(base int) int {
 	return cur
 }
 
-// dialRetry dials addr with exponential backoff and jitter — worker
-// processes race the coordinator's listen during bootstrap, and a
-// refused connection a few milliseconds in is expected, not fatal.
-func (n *Node) dialRetry(addr string) (net.Conn, error) {
-	return n.dialRetryN(addr, dialAttempts)
-}
-
-// dialRetryN is dialRetry with a caller-chosen attempt budget (Rejoin
-// uses a longer one). The backoff doubles up to dialMaxDelay and never
-// past it, so many ranks re-dialing a restarting coordinator stay
-// jittered across a bounded window instead of thundering in ever-wider
-// synchronized bursts. Jitter draws from the node's seeded per-rank
-// stream, not the global math/rand source: every rank of a world gets
-// an independent, reproducible schedule instead of whatever the
-// process-wide generator happens to hold.
-func (n *Node) dialRetryN(addr string, attempts int) (net.Conn, error) {
+// dialRetry dials addr with exponential backoff and jitter, within the
+// caller's attempt budget (Rejoin uses a longer one) — worker processes
+// race the coordinator's listen during bootstrap, and a refused
+// connection a few milliseconds in is expected, not fatal. The backoff
+// doubles up to dialMaxDelay and never past it, so many ranks
+// re-dialing a restarting coordinator stay jittered across a bounded
+// window instead of thundering in ever-wider synchronized bursts.
+// Jitter draws from the node's seeded per-rank stream, not the global
+// math/rand source: every rank of a world gets an independent,
+// reproducible schedule instead of whatever the process-wide generator
+// happens to hold.
+func (n *Node) dialRetry(addr string, attempts int) (net.Conn, error) {
 	var lastErr error
 	delay := dialBaseDelay
 	for attempt := 0; attempt < attempts; attempt++ {

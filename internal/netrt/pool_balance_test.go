@@ -103,19 +103,5 @@ func testAbortedRunDrainsPool(t *testing.T, base Config) {
 	for _, n := range nodes {
 		n.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := bufpool.Default.Stats()
-		gets := s.Gets - before.Gets
-		puts := s.Puts - before.Puts
-		dropped := s.Dropped - before.Dropped
-		if gets == puts+dropped {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool unbalanced after abort: gets=%d puts=%d dropped=%d (leak of %d)",
-				gets, puts, dropped, gets-puts-dropped)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	poolSettles(t, before)
 }

@@ -4,16 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/bufpool"
 )
 
-// rejoinAcceptWindow bounds how long the coordinator waits for every
-// rank (survivors plus respawned replacements) to dial back in during
-// Rejoin, and how long a worker waits for the coordinator's FPeers.
-const rejoinAcceptWindow = 60 * time.Second
+// joinWindow bounds the star handshake, at bootstrap and at Rejoin
+// alike: how long the coordinator waits for every rank (at rejoin,
+// survivors plus respawned replacements) to dial in, and how long a
+// worker waits for the coordinator's FPeers.
+const joinWindow = 60 * time.Second
 
 // reapGrace is how long Rejoin waits for a reportedly dead child
 // process to be collectable. A kill -9'd child exits immediately; a
@@ -42,17 +42,15 @@ const probeGrace = 200 * time.Millisecond
 //     across ranks — resetting everyone keeps them in lockstep), and
 //     buffered frames and the dead-peer latch are cleared.
 //   - The coordinator reaps and respawns dead child ranks (self-spawn
-//     mode) or hands them to Config.OnRespawn (in-process tests), then
-//     re-runs the dial-in bootstrap on its retained listener: world-1
-//     FJoins, each carrying the rank's stable identity and fresh listen
-//     address, answered by a broadcast FPeers table.
-//   - Workers re-dial the coordinator (with the capped, jittered retry)
-//     and rebuild their mesh edges exactly as at bootstrap.
+//     mode) or hands them to Config.OnRespawn (in-process tests).
+//   - Then the star is rebuilt by the functions that built it in Start:
+//     workers joinStar (with the stretched dial budget — the coordinator
+//     may be reaping for a while), rank 0 gatherJoins off the same
+//     accept loop, both startPeers. Worker-to-worker edges reopen at
+//     first contact, against the fresh address table.
 //
-// The protocol is the bootstrap handshake verbatim — rejoin needs no
-// new frame types, only listeners that outlive bootstrap. A respawned
-// worker needs no special handling here: it re-runs its own Start,
-// which dials into the same accept loop.
+// A respawned worker needs no special handling here: it re-runs its own
+// Start, and its FJoin lands in the same gather.
 func (n *Node) Rejoin() error {
 	if !n.cfg.Recover {
 		return errors.New("netrt: Rejoin needs Config.Recover")
@@ -62,8 +60,11 @@ func (n *Node) Rejoin() error {
 	}
 
 	// Snapshot who died before the reset clears the record. Only direct
-	// socket observations land in n.dead, so in a full mesh this names
-	// the crashed rank(s), not the messengers of the abort cascade.
+	// observations land in n.dead, so this names crashed rank(s), not
+	// the messengers of the abort cascade — but only those this rank
+	// held an edge to. The snapshot matters on rank 0, whose star
+	// reaches every worker; even there it can be empty when the abort
+	// cascade outran the broken socket (see respawnDead).
 	n.mu.Lock()
 	if n.closing {
 		n.mu.Unlock()
@@ -101,7 +102,7 @@ func (n *Node) Rejoin() error {
 		if p == nil {
 			continue
 		}
-		b, err := encodeFramePooled(&Frame{Type: FLeave, A: completed})
+		b, err := encodeFramePooled(&Frame{Type: FLeave, A: completed, B: int64(n.rank)})
 		if err == nil && !p.send(b) {
 			bufpool.Put(b)
 		}
@@ -113,15 +114,25 @@ func (n *Node) Rejoin() error {
 	// fresh segments; nothing here is reused.
 	go teardownShmLinks(oldPeers)
 
+	var err error
 	if n.rank == 0 {
-		return n.rejoinCoordinator(dead)
+		if err = n.respawnDead(dead); err == nil {
+			// Parked joins may predate this Rejoin or come from an
+			// attempt long abandoned, so a bad one is skipped, not fatal.
+			err = n.gatherJoins(false)
+		}
+	} else {
+		err = n.joinStar(rejoinDialAttempts)
 	}
-	return n.rejoinWorker()
+	if err != nil {
+		return fmt.Errorf("netrt: rejoin: %w", err)
+	}
+	return n.startPeers()
 }
 
-// rejoinCoordinator is rank 0's side: respawn the dead, re-accept
-// everyone, broadcast the fresh address table.
-func (n *Node) rejoinCoordinator(dead map[int]bool) error {
+// respawnDead is the coordinator's first rejoin step: bring replacement
+// ranks into being, so the gather that follows hears from everyone.
+func (n *Node) respawnDead(dead map[int]bool) error {
 	if len(n.children) > 0 {
 		// Self-spawn mode: probe every child for exit — not just the
 		// socket-observed dead — and launch replacements with the
@@ -144,174 +155,20 @@ func (n *Node) rejoinCoordinator(dead map[int]bool) error {
 			}
 			nw, err := spawnOne(n.cfg, w.rank, n.world, n.ln.Addr().String())
 			if err != nil {
-				return fmt.Errorf("netrt: respawn rank %d: %w", w.rank, err)
+				return fmt.Errorf("respawn rank %d: %w", w.rank, err)
 			}
 			n.children[i] = nw
 		}
 	} else if n.cfg.OnRespawn != nil {
 		for r := range dead {
 			// Off this goroutine: the hook typically calls Start, which
-			// blocks until the accept loop below answers it.
+			// blocks until the gather answers it.
 			go n.cfg.OnRespawn(r)
 		}
 	}
 	// No spawn machinery and no hook: an externally launched world. The
-	// accept window below still gives an operator-restarted rank time
-	// to dial back in.
-
-	deadline := time.Now().Add(rejoinAcceptWindow)
-	addrs := make([]string, n.world)
-	addrs[0] = n.ln.Addr().String()
-	if n.lazy {
-		// The accept loop owns the retained listener; rejoining ranks'
-		// FJoins park on joinC. Some may predate this Rejoin — a fast
-		// respawn can dial back in before the coordinator noticed the
-		// death — and those connections are perfectly good: the rank on
-		// the other end is blocked reading FPeers. Bad or duplicate
-		// joins are dropped, not fatal (a stale parked join must not
-		// kill a fresh rejoin).
-		epoch := n.epoch.Load()
-		for joined := 0; joined < n.world-1; {
-			var ij inboundJoin
-			select {
-			case ij = <-n.joinC:
-			case <-time.After(time.Until(deadline)):
-				return fmt.Errorf("netrt: rejoin waiting for ranks (%d/%d rejoined): timeout", joined, n.world-1)
-			}
-			r := int(ij.f.A)
-			n.mu.Lock()
-			bad := r <= 0 || r >= n.world || n.peers[r] != nil
-			if !bad {
-				ij.p.rank = r
-				ij.p.epoch = epoch
-				n.peers[r] = ij.p
-			}
-			n.mu.Unlock()
-			if bad {
-				ij.p.conn.Close()
-				continue
-			}
-			addrs[r] = string(ij.f.Payload)
-			n.connsAccepted.Add(1)
-			joined++
-		}
-	} else {
-		for joined := 0; joined < n.world-1; joined++ {
-			if tl, ok := n.ln.(interface{ SetDeadline(time.Time) error }); ok {
-				tl.SetDeadline(deadline)
-			}
-			conn, err := n.ln.Accept()
-			if err != nil {
-				return fmt.Errorf("netrt: rejoin waiting for ranks (%d/%d rejoined): %w", joined, n.world-1, err)
-			}
-			conn.SetReadDeadline(deadline)
-			p := newPeerConn(n, -1, conn)
-			f, err := readFrame(p.br)
-			if err != nil || f.Type != FJoin {
-				conn.Close()
-				return fmt.Errorf("netrt: expected JOIN on rejoin connection: %v", err)
-			}
-			conn.SetReadDeadline(time.Time{})
-			r := int(f.A)
-			if r <= 0 || r >= n.world || n.peers[r] != nil {
-				conn.Close()
-				return fmt.Errorf("netrt: bad rejoin JOIN rank %d", r)
-			}
-			p.rank = r
-			n.peers[r] = p
-			addrs[r] = string(f.Payload)
-			n.connsAccepted.Add(1)
-		}
-	}
-	n.mu.Lock()
-	n.addrs = addrs
-	star := append([]*peerConn(nil), n.peers...)
-	n.mu.Unlock()
-	table := strings.Join(addrs, "\n")
-	for r := 1; r < n.world; r++ {
-		if err := writeFrame(star[r].conn, &Frame{Type: FPeers, Payload: []byte(table)}); err != nil {
-			return err
-		}
-	}
-	return n.startPeers()
-}
-
-// rejoinWorker is a surviving worker's side: re-dial the coordinator
-// with the stretched retry budget (the coordinator may be reaping and
-// respawning for a while before it accepts), then rebuild the mesh
-// edges exactly as at bootstrap.
-func (n *Node) rejoinWorker() error {
-	conn, err := n.dialRetryN(n.cfg.Coord, rejoinDialAttempts)
-	if err != nil {
-		return fmt.Errorf("netrt: rejoin dial coordinator at %s: %w", n.cfg.Coord, err)
-	}
-	p := newPeerConn(n, 0, conn)
-	n.connsDialed.Add(1)
-	if err := writeFrame(conn, &Frame{Type: FJoin, A: int64(n.rank), Payload: []byte(n.ln.Addr().String())}); err != nil {
-		return err
-	}
-	conn.SetReadDeadline(time.Now().Add(rejoinAcceptWindow))
-	f, err := readFrame(p.br)
-	if err != nil || f.Type != FPeers {
-		conn.Close()
-		return fmt.Errorf("netrt: expected PEERS from coordinator on rejoin: %v", err)
-	}
-	conn.SetReadDeadline(time.Time{})
-	addrs := strings.Split(string(f.Payload), "\n")
-	if len(addrs) != n.world {
-		return fmt.Errorf("netrt: coordinator sent %d peer addresses on rejoin, world is %d", len(addrs), n.world)
-	}
-	n.mu.Lock()
-	n.peers[0] = p
-	n.addrs = addrs
-	n.mu.Unlock()
-	if n.lazy {
-		// Worker-to-worker edges reopen on demand, exactly as at
-		// bootstrap: the fresh address table above is all they need.
-		return n.startPeers()
-	}
-	for s := 1; s < n.rank; s++ {
-		conn, err := n.dialRetry(addrs[s])
-		if err != nil {
-			return fmt.Errorf("netrt: rejoin dial rank %d at %s: %w", s, addrs[s], err)
-		}
-		if err := writeFrame(conn, &Frame{Type: FHello, A: int64(n.rank)}); err != nil {
-			return err
-		}
-		n.peers[s] = newPeerConn(n, s, conn)
-		n.connsDialed.Add(1)
-	}
-	if err := n.acceptHigher(); err != nil {
-		return err
-	}
-	return n.startPeers()
-}
-
-// startPeers runs the shm handshakes over the fresh sockets, publishes
-// the rebuilt connection table, and launches the connection goroutines
-// of every mesh edge. The handshake must precede start(): it speaks
-// synchronously on the raw sockets, which only works while no reader
-// goroutine is competing for them.
-func (n *Node) startPeers() error {
-	// Snapshot under the lock: in lazy mode the accept loop may install
-	// first-contact edges (under mu) while this rejoin tail runs, and
-	// those arrive already handshaken and started — they are not ours
-	// to touch.
-	n.mu.Lock()
-	peers := append([]*peerConn(nil), n.peers...)
-	n.mu.Unlock()
-	err := n.setupShm(peers)
-	n.mu.Lock()
-	n.publishPeers()
-	n.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, p := range peers {
-		if p != nil && !p.started {
-			p.start()
-		}
-	}
+	// join window still gives an operator-restarted rank time to dial
+	// back in.
 	return nil
 }
 

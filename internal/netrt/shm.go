@@ -333,13 +333,13 @@ func (n *Node) shmSizes() (ringBytes, arenaBytes int) {
 // shmEnabled reports whether this node may offer or accept segments.
 func (n *Node) shmEnabled() bool { return shmSupported && !n.cfg.ShmOff }
 
-// setupShm runs the per-edge shared-memory handshake across the whole
-// freshly built mesh, synchronously, before any connection goroutine
-// starts — the frames ride the raw bootstrap conns. Edges are processed
-// in increasing peer-rank order and the LOWER rank of each edge offers
-// while the higher accepts; a blocked node is always waiting on a peer
-// busy with a strictly lower-ranked edge, so the wait graph is acyclic
-// and the exchange cannot deadlock.
+// setupShm runs the shared-memory handshake on every edge of a freshly
+// joined star, synchronously, before any connection goroutine starts —
+// the frames ride the raw conns. The LOWER rank of an edge offers and
+// the higher accepts, so rank 0 offers to each worker in rank order and
+// each worker answers its one edge: nobody waits on anyone who is
+// waiting. A first-contact edge runs the same two functions on its own
+// raw conn (lazyDial offers, handleInbound accepts).
 //
 // The exchange always happens, even when shm is disabled or
 // unsupported: the offer is then empty and the answer a decline, which
@@ -349,9 +349,9 @@ func (n *Node) setupShm(peers []*peerConn) error {
 	for r := 0; r < len(peers); r++ {
 		p := peers[r]
 		if p == nil || r == n.rank || p.started {
-			// A started peer is a lazily installed first-contact edge
-			// that raced a rejoin tail: its handshake already happened
-			// on the raw conn at accept time.
+			// A started peer is a first-contact edge installed while
+			// startPeers was getting here: its handshake already
+			// happened on the raw conn at accept time.
 			continue
 		}
 		var err error

@@ -38,10 +38,10 @@ func shmLinkOf(nodes []*Node, a, b int) *shmLink {
 // rings (the ring positions move), and that payloads cross intact.
 func TestShmLinksNegotiated(t *testing.T) {
 	skipNoShm(t)
-	// Eager mesh: this test pins the bootstrap-time negotiation on every
-	// edge; first-contact negotiation under lazy dialing is covered in
-	// lazy_test.go.
-	nodes := startWorldConfig(t, 3, Config{LazyOff: true})
+	// The star negotiates at bootstrap; the 1<->2 edge negotiates when
+	// traffic first opens it, so open it before looking at every edge.
+	nodes := startWorld(t, 3)
+	lazyExchange(t, nodes, 1, 2)
 	for a := 0; a < 3; a++ {
 		for b := 0; b < 3; b++ {
 			if a == b {
@@ -174,6 +174,11 @@ func exchangeOne(t *testing.T, nodes []*Node) {
 		rts[0].SendMsg(&Env{Kind: EnvPE, Array: -1, SrcPE: 0, DstPE: 1, Data: []byte{1, 2, 3}})
 	})
 	runAll(rts)
+	for i, rt := range rts {
+		if errs := rt.Errors(); len(errs) > 0 {
+			t.Fatalf("rank %d errors: %v", i, errs)
+		}
+	}
 	if delivered.Load() != 1 {
 		t.Fatalf("delivered %d, want 1", delivered.Load())
 	}
@@ -401,22 +406,14 @@ func TestShmNoFdLeakAcrossEpochs(t *testing.T) {
 	// negotiate a FRESH segment (remap, not reuse) and still hold no fd.
 	oldLink := shmLinkOf(nodes, 0, 1)
 	nodes[1].Die()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(nodes[0].DeadRanks()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never observed the death")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitDeath(t, nodes[0])
+	mu.Lock()
+	nodes[1] = nil
+	mu.Unlock()
 	if err := nodes[0].Rejoin(); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
-	mu.Lock()
-	n1 := nodes[1]
-	mu.Unlock()
-	if n1 == nil {
-		t.Fatal("respawn did not install a new node")
-	}
+	awaitRespawn(t, &mu, nodes, 1)
 	newLink := shmLinkOf(nodes, 0, 1)
 	if newLink == nil {
 		t.Fatal("no shm link after rejoin")

@@ -26,11 +26,13 @@ import (
 // frame bytes into data and THEN release-stores tail; the consumer
 // acquire-loads tail and therefore observes the bytes the store
 // published. Go's sync/atomic operations are sequentially consistent,
-// which subsumes the release/acquire pairing — and, equally important,
-// the race detector understands them, so the in-process worlds the
-// tests run stay warning-free. This is the same publish discipline the
-// CkDirect sentinel itself uses (memcpy, then release-store the final
-// word), applied to a byte stream.
+// which subsumes the release/acquire pairing. The race detector only
+// sees the pairing when both ends name the same address, which two
+// mappings of one memfd do not; race_on.go restates it on a word they
+// share (released here, acquired in readLoop), so the in-process worlds
+// the tests run stay warning-free. This is the same publish discipline
+// the CkDirect sentinel itself uses (memcpy, then release-store the
+// final word), applied to a byte stream.
 //
 // The two wait words at offsets 136 and 144 are the futex doorbell: a
 // side that has yielded fruitlessly arms its word (1), re-checks the
@@ -40,14 +42,14 @@ import (
 // process, so no FUTEX_PRIVATE_FLAG. On non-Linux hosts the stub wait
 // degrades to a short sleep — the old backoff behavior.
 const (
-	shmRingHdrBytes  = 192
-	shmHeadOff       = 0
-	shmTailOff       = 64
-	shmClosedOff     = 128
-	shmDataWaitOff   = 136
-	shmSpaceWaitOff  = 144
-	ringSpinYields   = 512               // cheap yields before arming the futex
-	ringFutexWaitNS  = 2 * 1000 * 1000   // first bounded wait: re-check down/closed at 2ms
+	shmRingHdrBytes = 192
+	shmHeadOff      = 0
+	shmTailOff      = 64
+	shmClosedOff    = 128
+	shmDataWaitOff  = 136
+	shmSpaceWaitOff = 144
+	ringSpinYields  = 512             // cheap yields before arming the futex
+	ringFutexWaitNS = 2 * 1000 * 1000 // first bounded wait: re-check down/closed at 2ms
 	// ringFutexWaitMaxNS caps the exponential escalation of the bounded
 	// wait while nothing arrives. The timeout is only a liveness
 	// fallback — real traffic wakes the futex explicitly — but a parked
@@ -194,6 +196,7 @@ func (r *shmRing) write(b []byte, down <-chan struct{}) bool {
 		if c < n {
 			copy(r.data, b[c:n])
 		}
+		raceWirePublish()
 		r.tail.store(tail + uint64(n))
 		if r.dataWait.load() != 0 {
 			r.dataWait.store(0)

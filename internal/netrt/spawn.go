@@ -24,10 +24,10 @@ type spawnedWorker struct {
 // 256-rank world under the classic 1024-fd default dies as a raw
 // EMFILE somewhere mid-dial, long after the spawn wave started. The
 // typed error names the limit to raise instead.
-func checkSpawnFDBudget(rank, world int) error {
+func checkSpawnFDBudget(world int) error {
 	need := uint64(2*world + 64)
 	if cur, ok := nofileLimit(); ok && cur < need {
-		return &NetError{Rank: rank, Peer: -1, Op: "spawn",
+		return &NetError{Rank: 0, Peer: -1, Op: "spawn",
 			Err: fmt.Errorf("RLIMIT_NOFILE is %d but a %d-rank self-spawned world needs about %d fds on the coordinator; raise it (e.g. ulimit -n %d)",
 				cur, world, need, need)}
 	}
@@ -71,6 +71,9 @@ func spawnOne(cfg Config, rank, world int, coordAddr string) (*spawnedWorker, er
 // command line, so a single command — `pingpong -backend=net
 // -net.world=2` — runs a whole world.
 func spawnWorkers(cfg Config, world int, coordAddr string) ([]*spawnedWorker, error) {
+	if err := checkSpawnFDBudget(world); err != nil {
+		return nil, err
+	}
 	var workers []*spawnedWorker
 	for r := 1; r < world; r++ {
 		w, err := spawnOne(cfg, r, world, coordAddr)

@@ -225,13 +225,12 @@ func TestTermInteriorKillRecovery(t *testing.T) {
 
 	// Rebuild the mesh: rank 0 waits to observe the death, then every
 	// survivor rejoins concurrently while the hook respawns rank 1.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(nodes[0].DeadRanks()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never observed the death")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitDeath(t, nodes[0])
+	// Drop the killed node: from here slot 1 belongs to the respawn hook,
+	// and nothing below may mistake the corpse for its replacement.
+	mu.Lock()
+	nodes[1] = nil
+	mu.Unlock()
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		if r == 1 {
@@ -247,21 +246,7 @@ func TestTermInteriorKillRecovery(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// The respawn hook installs the replacement node after its Start
-	// returns, which can trail rank 0's Rejoin by a beat.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		ok := nodes[1] != nil
-		mu.Unlock()
-		if ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("respawn did not install a replacement node")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitRespawn(t, &mu, nodes, 1)
 	if t.Failed() {
 		t.Fatal("mesh did not rebuild")
 	}
