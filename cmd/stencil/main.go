@@ -215,17 +215,19 @@ func main() {
 // self-spawned workers), so a script can sum conns_opened across the
 // world — CI's scale-smoke job greps these lines to assert that a
 // 16-rank stencil halo opens far fewer sockets than the N·(N−1) full
-// mesh and that rank 0's termination probe fan-in respects the tree.
+// mesh, that rank 0's termination probe and nudge fan-in respect the
+// tree, and that no rank saw an app frame after the halt.
 func printNetStats(node *netrt.Node) {
 	if node == nil {
 		return
 	}
 	s := node.Stats()
 	fmt.Fprintf(os.Stderr,
-		"stencil: net-stats rank=%d world=%d conns_opened=%d dialed=%d accepted=%d term_fanout=%d probe_rounds=%d probe_reports=%d dialreqs=%d\n",
+		"stencil: net-stats rank=%d world=%d conns_opened=%d dialed=%d accepted=%d term_fanout=%d probe_rounds=%d probe_reports=%d event_rounds=%d tick_rounds=%d nudges=%d frames_after_halt=%d dialreqs=%d\n",
 		node.Rank(), node.World(), s.ConnsDialed+s.ConnsAccepted,
 		s.ConnsDialed, s.ConnsAccepted, s.TermFanout,
-		s.TermProbeRounds, s.TermProbeReports, s.DialReqs)
+		s.TermProbeRounds, s.TermProbeReports, s.TermEventRounds, s.TermTickRounds,
+		s.TermNudges, s.FramesAfterHalt, s.DialReqs)
 }
 
 // closeNode tears the net-backend mesh down (reaping self-spawned

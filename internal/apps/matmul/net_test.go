@@ -8,6 +8,7 @@ import (
 	"repro/internal/charm"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
+	"repro/internal/netrt/nettest"
 )
 
 // netOracleConfig is the validated configuration the cross-backend
@@ -54,11 +55,7 @@ func TestNetBackendMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	defer nettest.CloseAll(t, nodes)
 	for _, mode := range []Mode{Msg, Ckd} {
 		cfg := netOracleConfig(mode)
 		simRes := Run(cfg)

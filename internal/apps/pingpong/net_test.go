@@ -9,6 +9,7 @@ import (
 	"repro/internal/charm"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
+	"repro/internal/netrt/nettest"
 )
 
 // runNetWorld executes one pingpong configuration on every rank of an
@@ -42,11 +43,7 @@ func TestNetBackendPingPong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	defer nettest.CloseAll(t, nodes)
 	for _, mode := range []Mode{CharmMsg, CkDirect} {
 		for _, size := range []int{64, 4 * netrt.DefaultEagerMax} {
 			results := runNetWorld(t, nodes, Config{
@@ -80,11 +77,7 @@ func TestNetBackendPeerLossSurfacesNetError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	defer nettest.CloseAll(t, nodes)
 	// Enough round trips that the run is still in flight when the wire
 	// is cut ~30ms in (loopback trips are tens of microseconds).
 	cfg := Config{
@@ -131,4 +124,44 @@ func TestNetBackendNeedsNode(t *testing.T) {
 	}()
 	Run(Config{Platform: netmodel.AbeIB, Mode: CharmMsg, Size: 64, Iters: 1,
 		Backend: charm.NetBackend})
+}
+
+// TestLiveMsgArmShipsItsPayload is the payload-honesty guard, next to
+// the app: on the live backends the message arm must move cfg.Size bytes
+// each way, as the CkDirect arm does. The run itself panics (checkMsg)
+// if a message arrives without its payload, so completing is most of
+// the assertion; the counters pin the accounting — at least 2 x size
+// charm.bytes per round trip, summed over the ranks.
+func TestLiveMsgArmShipsItsPayload(t *testing.T) {
+	const size, iters = 4096, 50
+	cfg := Config{Platform: netmodel.AbeIB, Mode: CharmMsg, Size: size, Iters: iters}
+	check := func(backend string, results ...Result) {
+		t.Helper()
+		var bytes int64
+		for rank, res := range results {
+			if len(res.Errors) > 0 {
+				t.Fatalf("%s rank %d: %v", backend, rank, res.Errors)
+			}
+			bytes += res.Counters["charm.bytes"]
+		}
+		if perTrip := bytes / iters; perTrip < 2*size {
+			t.Errorf("%s: charm.bytes per round trip = %d, want >= %d", backend, perTrip, 2*size)
+		}
+	}
+
+	cfg.Backend = charm.RealBackend
+	check("real", Run(cfg))
+
+	nodes, err := netrt.StartLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nettest.CloseAll(t, nodes)
+	cfg.Backend = charm.NetBackend
+	check("net", runNetWorld(t, nodes, cfg)...)
+	for rank, n := range nodes {
+		if late := n.Stats().FramesAfterHalt; late != 0 {
+			t.Errorf("rank %d: %d app frames arrived after the termination decision", rank, late)
+		}
+	}
 }

@@ -5,6 +5,7 @@
 package pingpong
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -166,10 +167,26 @@ func runCharm(cfg Config) Result {
 	// delivered before it sends again, on every backend.
 	pingMsg := &charm.Message{Size: cfg.Size}
 	pongMsg := &charm.Message{Size: cfg.Size}
+	live := cfg.Backend != charm.SimBackend
+	if live {
+		// The simulator prices Size and moves nothing; a live backend
+		// moves what Data holds, so without a payload this arm timed a
+		// bare envelope against CkDirect's cfg.Size bytes. Every rank
+		// builds both patterns (SPMD), so each receiver knows what its
+		// peer sent.
+		pingMsg.Data = pattern(cfg.Size, 7)
+		pongMsg.Data = pattern(cfg.Size, 11)
+	}
 	pingEP = arr.EntryMethod("ping", func(ctx *charm.Ctx, msg *charm.Message) {
+		if live {
+			checkMsg(msg, pingMsg.Data, msg.Tag == 1)
+		}
 		ctx.Send(arr, charm.Idx1(0), pongEP, pongMsg)
 	})
 	pongEP = arr.EntryMethod("pong", func(ctx *charm.Ctx, msg *charm.Message) {
+		if live {
+			checkMsg(msg, pongMsg.Data, e0.Left == 1)
+		}
 		e0.Left--
 		// The kill -9 chaos tier fires here: the pong callback is the
 		// benchmark's globally ordered progress observer.
@@ -178,14 +195,36 @@ func runCharm(cfg Config) Result {
 			end = ctx.Now()
 			return
 		}
+		pingMsg.Tag = e0.Left // the ping tagged 1 is the last
 		ctx.Send(arr, charm.Idx1(1), pingEP, pingMsg)
 	})
 	rts.StartAt(peA, func(ctx *charm.Ctx) {
 		start = ctx.Now()
+		pingMsg.Tag = e0.Left
 		ctx.Send(arr, charm.Idx1(1), pingEP, pingMsg)
 	})
 	rts.Run()
 	return finish(cfg, rts, start, end)
+}
+
+// pattern is a size-byte message payload distinct per direction.
+func pattern(size, salt int) []byte {
+	b := make([]byte, size)
+	fillBytes(b, salt)
+	return b
+}
+
+// checkMsg asserts a received message carries its full payload: the
+// length on every trip (free), the bytes on the last one — the same
+// once-per-run compare the CkDirect arm does in checkPayload, so the
+// timed trips of both arms carry no verification.
+func checkMsg(msg *charm.Message, want []byte, last bool) {
+	if len(msg.Data) != len(want) {
+		panic(fmt.Sprintf("pingpong: message carries %d payload bytes, want %d", len(msg.Data), len(want)))
+	}
+	if last && !bytes.Equal(msg.Data, want) {
+		panic("pingpong: received message payload differs from the source")
+	}
 }
 
 func runCkDirect(cfg Config) Result {
@@ -388,10 +427,11 @@ func finish(cfg Config, rts *charm.RTS, start, end sim.Time) Result {
 	return res
 }
 
-func fill(r *machine.Region) {
-	b := r.Bytes()
+func fill(r *machine.Region) { fillBytes(r.Bytes(), 7) }
+
+func fillBytes(b []byte, salt int) {
 	for i := range b {
-		b[i] = byte(i*31 + 7)
+		b[i] = byte(i*31 + salt)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/charm"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
+	"repro/internal/netrt/nettest"
 )
 
 // TestRecoveryKillRejoin covers the checkpoint-free recovery path: a
@@ -81,11 +82,9 @@ func testRecoveryKillRejoin(t *testing.T, mode Mode) {
 	nodes = ns
 	mu.Unlock()
 	defer func() {
-		for r := 0; r < world; r++ {
-			if n := node(r); n != nil {
-				n.Close()
-			}
-		}
+		mu.Lock()
+		defer mu.Unlock()
+		nettest.CloseAll(t, nodes)
 	}()
 
 	for r := 0; r < world; r++ {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/charm"
 	"repro/internal/netrt"
+	"repro/internal/netrt/nettest"
 )
 
 // runNetWorld executes one stencil configuration on every rank of an
@@ -39,11 +40,7 @@ func TestNetBackendMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	defer nettest.CloseAll(t, nodes)
 	for _, mode := range []Mode{Msg, Ckd} {
 		cfg := realOracleConfig(mode)
 		simRes := Run(cfg)
@@ -82,11 +79,7 @@ func TestNetBackendResultShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
+	defer nettest.CloseAll(t, nodes)
 	cfg := realOracleConfig(Ckd)
 	cfg.Backend = charm.NetBackend
 	results := runNetWorld(t, nodes, cfg)

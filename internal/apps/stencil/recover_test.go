@@ -9,6 +9,7 @@ import (
 	"repro/internal/charm"
 	"repro/internal/ckpt"
 	"repro/internal/netrt"
+	"repro/internal/netrt/nettest"
 )
 
 // recoveryConfig checkpoints every 2 barriers; with Warmup 1 + Iters 3
@@ -93,11 +94,9 @@ func testRecoveryKillRejoin(t *testing.T, mode Mode) {
 	nodes = ns
 	mu.Unlock()
 	defer func() {
-		for r := 0; r < world; r++ {
-			if n := node(r); n != nil {
-				n.Close()
-			}
-		}
+		mu.Lock()
+		defer mu.Unlock()
+		nettest.CloseAll(t, nodes)
 	}()
 
 	for r := 0; r < world; r++ {

@@ -246,6 +246,11 @@ func (b *netBackend) run() sim.Time {
 	for _, err := range b.nrt.Errors() {
 		b.rts.ReportError(err)
 	}
+	late := b.nrt.FramesAfterHalt()
+	if late > 0 && b.rts.opts.Checked {
+		b.rts.ReportError(&netrt.NetError{Rank: b.nrt.Rank(), Peer: -1, Op: "invariant",
+			Err: fmt.Errorf("%d app frames arrived after the termination decision", late)})
+	}
 	if rec := b.rts.rec; rec != nil {
 		// Mesh scale counters. These are cumulative over the node's
 		// lifetime (connections opened at bootstrap included), not
@@ -260,6 +265,10 @@ func (b *netBackend) run() sim.Time {
 		rec.Incr(trace.CntNetDialReqs, s.DialReqs)
 		rec.Incr(trace.CntNetProbeRounds, s.TermProbeRounds)
 		rec.Incr(trace.CntNetProbeReports, s.TermProbeReports)
+		rec.Incr(trace.CntNetEventRounds, s.TermEventRounds)
+		rec.Incr(trace.CntNetTickRounds, s.TermTickRounds)
+		rec.Incr(trace.CntNetNudges, s.TermNudges)
+		rec.Incr(trace.CntNetAfterHalt, late)
 		rec.Incr(trace.CntNetShmCoalesced, s.ShmFramesCoalesced)
 		rec.Incr(trace.CntNetBatchGrows, s.BatchGrows)
 		rec.Incr(trace.CntNetBatchShrinks, s.BatchShrinks)

@@ -16,7 +16,7 @@ type NetError struct {
 	// Peer is the remote rank the failure concerns.
 	Peer int
 	// Op names the operation that failed: "dial", "read", "write",
-	// "keepalive", "peer-abort", "bootstrap", "config".
+	// "keepalive", "peer-abort", "bootstrap", "config", "invariant".
 	Op string
 	// Err is the underlying cause.
 	Err error

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/realrt"
 	"repro/internal/rng"
 )
 
@@ -191,9 +192,21 @@ type Node struct {
 	// and merges child reports even for a generation it has not attached
 	// yet (it reports itself non-idle with zero counters, exactly as the
 	// flat protocol did).
+	//
+	// nudgeOwed/nudgeRun are the nudge this rank owes its tree parent:
+	// set (under termMu) when a probe of run nudgeRun arrives, paid at
+	// the next idle edge or child nudge — at most one per probe round
+	// (see payNudge). The flag is atomic so the per-task idle hook reads
+	// it without the lock.
 	termFanout int
 	termMu     sync.Mutex
 	termAggs   map[termKey]*probeAgg
+	nudgeRun   int64
+	nudgeOwed  atomic.Bool
+
+	// sched is the attached run's local scheduler, published lock-free
+	// for the shm ring waiters (schedulerHot).
+	sched atomic.Pointer[realrt.Runtime]
 
 	// Scaling counters, all cumulative over the node's lifetime (they
 	// span bootstrap, runs, and rejoins). See trace.CntNet* for meaning.
@@ -202,6 +215,10 @@ type Node struct {
 	dialReqs      atomic.Int64
 	probeRounds   atomic.Int64
 	probeReports  atomic.Int64
+	eventRounds   atomic.Int64
+	tickRounds    atomic.Int64
+	nudges        atomic.Int64
+	afterHalt     atomic.Int64
 	shmCoalesced  atomic.Int64
 	batchGrows    atomic.Int64
 	batchShrinks  atomic.Int64
@@ -818,6 +835,7 @@ func (n *Node) tellOpen(f *Frame, except ...int) {
 func (n *Node) attach(rt *Runtime) {
 	n.mu.Lock()
 	n.attached = rt
+	n.sched.Store(rt.rt)
 	dead := n.deadErr
 	var flush []bufFrame
 	keep := n.buffered[:0]
@@ -838,11 +856,20 @@ func (n *Node) attach(rt *Runtime) {
 	}
 }
 
+// schedulerHot reports whether a run is attached whose local scheduler
+// still has an unparked PE — the shm ring waiters keep yielding while it
+// does (shmRing.await has the rule and its measurements).
+func (n *Node) schedulerHot() bool {
+	s := n.sched.Load()
+	return s != nil && !s.AllParked()
+}
+
 // detach clears the attach point once a run's Run() returns.
 func (n *Node) detach(rt *Runtime) {
 	n.mu.Lock()
 	if n.attached == rt {
 		n.attached = nil
+		n.sched.Store(nil)
 	}
 	if rt.gen > n.completedGen {
 		n.completedGen = rt.gen

@@ -26,11 +26,24 @@ func startWorldConfig(t *testing.T, world int, base Config) []*Node {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	t.Cleanup(func() {
+		// Every test world is torn down through the safety check (what
+		// nettest.CloseAll does for the packages that can import it).
+		noFramesAfterHalt(t, nodes)
 		for _, n := range nodes {
 			n.Close()
 		}
 	})
 	return nodes
+}
+
+// noFramesAfterHalt asserts the protocol's safety property on every node.
+func noFramesAfterHalt(t *testing.T, nodes []*Node) {
+	t.Helper()
+	for i, n := range nodes {
+		if late := n.Stats().FramesAfterHalt; late != 0 {
+			t.Errorf("rank %d: %d app frames arrived after the termination decision", i, late)
+		}
+	}
 }
 
 // runAll runs every runtime concurrently and waits for all to return.

@@ -146,15 +146,20 @@ func (p *peerConn) start() {
 	}
 }
 
-// isAppFrame reports whether a frame type carries program traffic —
-// the classes that ride the shared-memory ring when the edge has one.
-// Control traffic stays on TCP: its relative order against app frames
-// is immaterial (termination is counter-based, probes are idempotent,
-// and FHalt/FLeave only fire after the counters prove app traffic
-// drained), while the socket's EOF remains the instant death signal.
-func isAppFrame(t byte) bool {
+// ridesRing reports whether a frame type takes the shared-memory ring
+// when the edge has one: program traffic, and the termination frames
+// that account for it. A probe answered through the kernel is answered
+// late exactly when it matters — while PEs and ring readers spin, no P
+// runs dry, and Go reaches the netpoller only from a P with nothing to
+// run (sysmon's 10 ms poll aside), so a TCP probe sat for 0.5–2 ms of a
+// 2 ms job; on the ring the reader that is hot for the app's frames
+// picks it up in the same pass. The rest of the control traffic stays on
+// TCP, whose EOF remains the instant death signal: nothing depends on
+// its order against ring frames (termination is counter-based, probes
+// are idempotent, FLeave only follows a finished run).
+func ridesRing(t byte) bool {
 	switch t {
-	case FEager, FRTS, FCTS, FData, FPut, FCast:
+	case FEager, FRTS, FCTS, FData, FPut, FCast, FProbe, FReport, FHalt:
 		return true
 	}
 	return false
@@ -166,12 +171,13 @@ func isAppFrame(t byte) bool {
 // the run is aborting. On true the frame belongs to the connection:
 // either the writer writes-and-Puts it, or the teardown drain Puts it.
 //
-// App frames on an shm edge take the ring instead: the bytes are
-// copied into the segment synchronously (the ring write IS the wire
-// write — no goroutine handoff, no syscall) and the pooled buffer is
-// reclaimed here, keeping the pool ledger identical across transports.
+// Ring-class frames (ridesRing) on an shm edge take the ring instead:
+// the bytes are copied into the segment synchronously (the ring write IS
+// the wire write — no goroutine handoff, no syscall) and the pooled
+// buffer is reclaimed here, keeping the pool ledger identical across
+// transports.
 func (p *peerConn) send(b []byte) bool {
-	if l := p.shm.Load(); l != nil && isAppFrame(b[3]) {
+	if l := p.shm.Load(); l != nil && ridesRing(b[3]) {
 		if !l.writeFrame(b, p.down) {
 			return false
 		}

@@ -92,6 +92,7 @@ func (n *Node) Rejoin() error {
 	// to the dead epoch: the aborted run's frames are gone either way.
 	n.termMu.Lock()
 	n.termAggs = make(map[termKey]*probeAgg)
+	n.nudgeOwed.Store(false)
 	n.termMu.Unlock()
 	n.drainLazyStashes()
 

@@ -31,7 +31,9 @@ type Runtime struct {
 	sent, recv   atomic.Int64 // app frames only
 	started      atomic.Bool
 	holdReleased atomic.Bool
+	halted       atomic.Bool // the hold was released by the termination decision
 	aborted      atomic.Bool
+	afterHalt0   int64 // node.afterHalt when this run was created
 
 	deliver     func(env Env, pooled []byte)
 	putSink     func(id int64, payload []byte)
@@ -51,6 +53,12 @@ type Runtime struct {
 	repMu   sync.Mutex
 	reports []peerReport // by rank; [n.rank] unused
 
+	// event latches "something changed since the last probe round began"
+	// (rank 0's scheduler crossed its idle edge, or a subtree nudged);
+	// wakeC is the coordinator's sticky wake token — reports, events and
+	// aborts all ring it, and the coordinator re-reads state on each wake.
+	event atomic.Bool
+	wakeC chan struct{}
 	stopC chan struct{}
 }
 
@@ -94,7 +102,10 @@ func (n *Node) NewRuntime(npes int) (*Runtime, error) {
 		eagerMax: n.eagerMax,
 		xfers:    make(map[int64]*pendingXfer),
 		reports:  make([]peerReport, n.world),
+		wakeC:    make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
+
+		afterHalt0: n.afterHalt.Load(),
 	}
 	rt.rt.StallTimeout = n.cfg.StallTimeout
 	if n.world > 1 {
@@ -102,6 +113,7 @@ func (n *Node) NewRuntime(npes int) (*Runtime, error) {
 		// realrt Hold so the stall watchdog knows an idle rank parked
 		// on it alone is waiting on the world, not deadlocked.
 		rt.rt.Hold()
+		rt.rt.SetIdleHook(rt.idleEdge)
 	}
 	if dead != nil {
 		rt.abort(dead)
@@ -357,6 +369,11 @@ func (rt *Runtime) handleApp(rank int, f Frame, pooled bool) bool {
 		// would Enqueue onto workers that may already have exited.
 		return false
 	}
+	if rt.halted.Load() {
+		// The termination decision proved no app frame was in flight, so
+		// this one falsifies it: counted, and an error under Checked.
+		rt.node.afterHalt.Add(1)
+	}
 	switch f.Type {
 	case FEager, FData:
 		// FData is a granted rendezvous body; the RTS was counted at
@@ -449,11 +466,43 @@ func (rt *Runtime) localReport() (idle bool, s, r int64) {
 	return idle, rt.sent.Load(), rt.recv.Load()
 }
 
-// noteReport records a peer's answer to a termination probe.
+// noteReport records a peer's answer to a termination probe and wakes
+// the coordinator waiting on it.
 func (rt *Runtime) noteReport(rank int, f Frame) {
 	rt.repMu.Lock()
 	rt.reports[rank] = peerReport{epoch: f.A, idle: f.B == 1, s: f.C, r: f.D}
 	rt.repMu.Unlock()
+	rt.wake()
+}
+
+// wake deposits the coordinator's wake token (sticky, capacity one).
+func (rt *Runtime) wake() {
+	select {
+	case rt.wakeC <- struct{}{}:
+	default:
+	}
+}
+
+// idleEdge is the local scheduler's idle hook: a retired unit of work
+// left only the standing hold outstanding. It runs on PE goroutines after
+// every task of a rank that is waiting on a remote reply, so both arms
+// are one atomic load when there is nothing to announce. On rank 0 the
+// edge is a reason to probe; elsewhere it is when this rank pays the
+// nudge it owes its tree parent.
+func (rt *Runtime) idleEdge() {
+	if rt.node.rank == 0 {
+		rt.noteEvent()
+	} else {
+		rt.node.payNudge(rt.gen)
+	}
+}
+
+// noteEvent latches a round trigger for the coordinator; only the first
+// since the last round began rings the wake token.
+func (rt *Runtime) noteEvent() {
+	if !rt.event.Load() && !rt.event.Swap(true) {
+		rt.wake()
+	}
 }
 
 // Run executes the run generation to distributed completion and returns
@@ -463,8 +512,14 @@ func (rt *Runtime) noteReport(rank int, f Frame) {
 func (rt *Runtime) Run() sim.Time {
 	rt.node.attach(rt)
 	rt.started.Store(true)
-	if rt.node.rank == 0 && rt.node.world > 1 {
-		go rt.coordinate()
+	if rt.node.world > 1 {
+		if rt.node.rank == 0 {
+			go rt.coordinate()
+		} else if idle, _, _ := rt.localReport(); idle {
+			// A run that never enqueues here crosses no idle edge, yet a
+			// probe that came before the attach was answered non-idle.
+			rt.idleEdge()
+		}
 	}
 	d := rt.rt.Run()
 	close(rt.stopC)
@@ -472,72 +527,134 @@ func (rt *Runtime) Run() sim.Time {
 	return d
 }
 
+// Pacing of the probe rounds. A round that does not lead to a halt is
+// followed by the next one when something changed (an event) and at
+// least the floor has passed since it began; the floor doubles with
+// every such round from termFloorMin up to termTick, so a long run with
+// constant traffic is probed no more often than once per termTick. With
+// no event, termTick after the round began is the liveness backstop: a
+// nudge lost to a race delays the halt by one tick and nothing more.
+const (
+	termTick       = time.Millisecond
+	termFloorMin   = 20 * time.Microsecond
+	termReportWait = 250 * time.Millisecond
+)
+
 // coordinate is rank 0's termination loop: each epoch, probe the root's
 // children in the k-ary termination tree (every other rank's report
 // arrives pre-aggregated up that tree — see term.go), and halt only
 // after two consecutive epochs in which every subtree was idle and the
 // global sent/received sums matched and did not change — the second
 // round proves no frame was in flight past the first.
+//
+// The rule is timing-free; what this loop decides is only when a round
+// begins. The first goes out at once, the confirming round follows an
+// all-idle matched round immediately, and every other round waits for
+// an event or the backstop (see the pacing constants). All waits are on
+// the wake token, so a report, a nudge, rank 0's own idle edge and an
+// abort each cost the coordinator a wakeup, not a polling interval.
 func (rt *Runtime) coordinate() {
-	tick := time.NewTicker(1 * time.Millisecond)
-	defer tick.Stop()
-	kids := termChildren(0, rt.node.termFanout, rt.node.world)
+	n := rt.node
+	kids := termChildren(0, n.termFanout, n.world)
+	alarm := time.NewTimer(termReportWait)
+	defer alarm.Stop()
 	var epoch int64
 	var stable int
 	var lastS, lastR int64 = -1, -1
+	floor := termFloorMin
+	byEvent := true
 	for {
-		select {
-		case <-rt.stopC:
-			return
-		case <-tick.C:
-		}
-		if rt.aborted.Load() {
-			return
-		}
 		epoch++
-		rt.node.probeRounds.Add(1)
+		n.probeRounds.Add(1)
+		if byEvent {
+			n.eventRounds.Add(1)
+		} else {
+			n.tickRounds.Add(1)
+		}
+		rt.event.Store(false)
+		began := time.Now()
 		probe := Frame{Type: FProbe, Run: rt.gen, A: epoch}
 		for _, r := range kids {
-			rt.node.sendTo(r, &probe)
+			n.sendTo(r, &probe)
 		}
 		// Wait (bounded) for every subtree's report for this epoch.
-		deadline := time.Now().Add(250 * time.Millisecond)
-		for {
-			if rt.epochComplete(epoch, kids) {
+		for !rt.epochComplete(epoch, kids) {
+			left := termReportWait - time.Since(began)
+			if left <= 0 {
 				break
 			}
-			if time.Now().After(deadline) || rt.aborted.Load() {
-				break
+			if !rt.termSleep(alarm, left) {
+				return
 			}
-			time.Sleep(100 * time.Microsecond)
 		}
+		confirm := false
 		if !rt.epochComplete(epoch, kids) {
 			stable = 0
+		} else {
+			idle, s, r := rt.localReport()
+			allIdle := idle
+			rt.repMu.Lock()
+			for _, rank := range kids {
+				rep := rt.reports[rank]
+				allIdle = allIdle && rep.idle
+				s += rep.s
+				r += rep.r
+			}
+			rt.repMu.Unlock()
+			if allIdle && s == r && s == lastS && r == lastR {
+				stable++
+			} else {
+				stable = 0
+			}
+			lastS, lastR = s, r
+			if stable >= 1 {
+				// Two consecutive matching epochs (this one and the one that
+				// set lastS/lastR): globally terminated.
+				rt.haltAll(kids)
+				return
+			}
+			confirm = allIdle && s == r
+		}
+		if confirm {
+			byEvent = true
 			continue
 		}
-		idle, s, r := rt.localReport()
-		allIdle := idle
-		rt.repMu.Lock()
-		for _, rank := range kids {
-			rep := rt.reports[rank]
-			allIdle = allIdle && rep.idle
-			s += rep.s
-			r += rep.r
+		for {
+			wait := termTick
+			if byEvent = rt.event.Load(); byEvent {
+				wait = floor
+			}
+			if wait -= time.Since(began); wait <= 0 {
+				break
+			}
+			if !rt.termSleep(alarm, wait) {
+				return
+			}
 		}
-		rt.repMu.Unlock()
-		if allIdle && s == r && s == lastS && r == lastR {
-			stable++
-		} else {
-			stable = 0
-		}
-		lastS, lastR = s, r
-		if stable >= 1 {
-			// Two consecutive matching epochs (this one and the one that
-			// set lastS/lastR): globally terminated.
-			rt.haltAll(kids)
-			return
+		if floor *= 2; floor > termTick {
+			floor = termTick
 		}
 	}
+}
+
+// termSleep parks the coordinator until its wake token rings or d
+// passes; false means the run is over (stopped or aborted) and the
+// coordinator must exit.
+func (rt *Runtime) termSleep(alarm *time.Timer, d time.Duration) bool {
+	if !alarm.Stop() {
+		select {
+		case <-alarm.C:
+		default:
+		}
+	}
+	alarm.Reset(d)
+	select {
+	case <-rt.stopC:
+		return false
+	case <-rt.wakeC:
+	case <-alarm.C:
+	}
+	return !rt.aborted.Load()
 }
 
 // epochComplete reports whether every root-child subtree has answered
@@ -563,9 +680,17 @@ func (rt *Runtime) haltAll(kids []int) {
 	rt.halt()
 }
 
-// halt releases the standing hold credit, letting the local scheduler
-// observe quiescence and return from Run.
+// halt is the termination decision arriving at this rank: from here on
+// an app frame for this run is a protocol violation (handleApp counts
+// it), and the hold is released so Run returns.
 func (rt *Runtime) halt() {
+	rt.halted.Store(true)
+	rt.release()
+}
+
+// release returns the standing hold credit, letting the local scheduler
+// observe quiescence and return from Run.
+func (rt *Runtime) release() {
 	if rt.node.world > 1 && rt.holdReleased.CompareAndSwap(false, true) {
 		rt.rt.Release()
 	}
@@ -579,11 +704,17 @@ func (rt *Runtime) abort(err error) {
 	rt.errs = append(rt.errs, err)
 	rt.errMu.Unlock()
 	rt.aborted.Store(true)
-	rt.halt()
+	rt.release()
+	rt.wake()
 }
 
 // Aborted reports whether the run was aborted.
 func (rt *Runtime) Aborted() bool { return rt.aborted.Load() }
+
+// FramesAfterHalt returns how many app frames reached this run after
+// the termination decision released its hold — zero unless the
+// termination protocol halted a run that still had a frame in flight.
+func (rt *Runtime) FramesAfterHalt() int64 { return rt.node.afterHalt.Load() - rt.afterHalt0 }
 
 // Errors returns the fatal errors recorded during the run.
 func (rt *Runtime) Errors() []error {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,7 +151,6 @@ func (l *shmLink) writeFrame(b []byte, down <-chan struct{}) bool {
 		return false
 	}
 	defer l.prod.Done()
-	spins := 0
 	l.mu.Lock()
 	for {
 		if l.dead {
@@ -168,15 +168,15 @@ func (l *shmLink) writeFrame(b []byte, down <-chan struct{}) bool {
 			l.mu.Unlock()
 			return true
 		}
-		// Staging buffer full: wait for the flusher to drain it (or for
-		// the token to free up), with the ring's own backoff curve.
+		// Staging buffer full: yield until the flusher drains it (or the
+		// token frees up).
 		l.mu.Unlock()
 		select {
 		case <-down:
 			return false
 		default:
 		}
-		spins = spinStep(spins)
+		runtime.Gosched()
 		l.mu.Lock()
 	}
 	l.writing = true
@@ -428,8 +428,7 @@ func (n *Node) shmOffer(p *peerConn) error {
 		unmapShm(seg)
 		return nil
 	}
-	link.coalesced = &n.shmCoalesced
-	p.shm.Store(link)
+	n.adoptShmLink(p, link)
 	return nil
 }
 
@@ -472,9 +471,18 @@ func (n *Node) shmAccept(p *peerConn) error {
 		return err
 	}
 	if link != nil {
-		p.shm.Store(link)
+		n.adoptShmLink(p, link)
 	}
 	return nil
+}
+
+// adoptShmLink wires a handshaken link to this node — the coalescing
+// counter and the scheduler both ring waiters follow — and installs it
+// on the edge.
+func (n *Node) adoptShmLink(p *peerConn, l *shmLink) {
+	l.coalesced = &n.shmCoalesced
+	l.out.hot, l.in.hot = n.schedulerHot, n.schedulerHot
+	p.shm.Store(l)
 }
 
 // teardownNoReader is teardown for a link whose ring reader never

@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -40,7 +39,24 @@ import (
 // peer's publish-then-check-arm cannot BOTH miss), and futex-waits on
 // it; the peer clears the word and wakes after publishing. Cross-
 // process, so no FUTEX_PRIVATE_FLAG. On non-Linux hosts the stub wait
-// degrades to a short sleep — the old backoff behavior.
+// degrades to a short sleep.
+//
+// When a waiter arms follows the local scheduler, not a fixed count
+// alone. As long as a PE of the attached run is unparked (hot) it is
+// either computing toward its next send or spinning for a reply, and the
+// waiter that will carry that traffic keeps yielding however long the
+// compute phase lasts. Past that, a waiter yields ringSpinYields more
+// times (≈ 1–2 ms on an otherwise idle core) before it arms: a PE waiting
+// on a remote halo parks within microseconds, and the gap between two
+// runs of a job stream is a few hundred microseconds — a waiter that
+// armed on either would cost the peer a futex syscall per publish and
+// this side a kernel wake plus a P retake per frame, once per exchange.
+// Measured on stencil-shm (2 ranks, 15 s): arming 512 yields after the
+// PEs park reads ckd p50 136–150 µs and msg p99 0.9–1.6 ms; 8192 reads
+// 112–117 µs and 0.38–0.40 ms; never arming at all reads the same as
+// 8192. A link that stays quiet that long then gives its core back, and
+// the escalating futex timeout keeps it there, so the hundreds of idle
+// ring ends of a large world cost nothing.
 const (
 	shmRingHdrBytes = 192
 	shmHeadOff      = 0
@@ -48,7 +64,7 @@ const (
 	shmClosedOff    = 128
 	shmDataWaitOff  = 136
 	shmSpaceWaitOff = 144
-	ringSpinYields  = 512             // cheap yields before arming the futex
+	ringSpinYields  = 8192            // yields before arming the futex once no PE is hot
 	ringFutexWaitNS = 2 * 1000 * 1000 // first bounded wait: re-check down/closed at 2ms
 	// ringFutexWaitMaxNS caps the exponential escalation of the bounded
 	// wait while nothing arrives. The timeout is only a liveness
@@ -74,6 +90,12 @@ type shmRing struct {
 	spaceWait *atomicU32Ptr // armed by a producer out of space
 	data      []byte
 	mask      uint64
+
+	// hot, when set by the owning node, reports whether the attached
+	// run's scheduler still has an unparked PE (Node.schedulerHot).
+	hot func() bool
+	// parks counts futex waits entered on either word (tests read it).
+	parks atomic.Int64
 }
 
 // atomicU64Ptr is an atomic word living inside the mapped segment (not
@@ -126,27 +148,49 @@ func (r *shmRing) close() {
 	futexWake(&r.spaceWait.v)
 }
 
-// spinStep paces a poll loop that is waiting on the other process. The
-// benchmark hosts run GOMAXPROCS=1, so every iteration MUST yield —
-// a raw spin would starve the very goroutine that will produce (or
-// consume) the bytes being waited for. After enough fruitless yields
-// the wait escalates to short sleeps: an idle link between runs must
-// not burn the only CPU.
-func spinStep(spins int) int {
-	switch {
-	case spins < 1024:
-		runtime.Gosched()
-	case spins < 2048:
-		time.Sleep(5 * time.Microsecond)
-	case spins < 4096:
-		time.Sleep(50 * time.Microsecond)
-	default:
-		time.Sleep(500 * time.Microsecond)
+// await is the ring's one wait loop, shared by a consumer out of bytes
+// (word = dataWait) and a producer out of space (word = spaceWait): yield
+// until ready() holds, arming word and parking in the futex once the
+// yields are spent and no PE is hot. The peer clears the word and wakes
+// after every publish while it is armed; the bounded futex wait re-checks
+// closed/down, so a dead peer that never wakes us still surfaces within
+// the timeout. False means the link died (down closed, or the ring's
+// closed flag set) with ready() still false.
+func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struct{}) bool {
+	spins, waitNS := 0, int64(ringFutexWaitNS)
+	for {
+		if ready() {
+			return true
+		}
+		if r.closed.load() != 0 {
+			return false
+		}
+		select {
+		case <-down:
+			return false
+		default:
+		}
+		if spins < ringSpinYields || (r.hot != nil && r.hot()) {
+			// Every iteration yields: on a host with fewer cores than
+			// goroutines a raw spin would starve the very goroutine that
+			// will produce (or consume) the bytes being waited for.
+			spins++
+			runtime.Gosched()
+			continue
+		}
+		word.store(1)
+		if ready() || r.closed.load() != 0 {
+			continue
+		}
+		r.parks.Add(1)
+		futexWait(&word.v, 1, waitNS)
+		if waitNS < ringFutexWaitMaxNS {
+			waitNS *= 2
+		}
 	}
-	return spins + 1
 }
 
-// write copies all of b into the ring, blocking (with yields) while the
+// write copies all of b into the ring, blocking (in await) while the
 // ring is full. Writes larger than the ring capacity stream through in
 // chunks as the consumer drains — a 64 MiB rendezvous body crosses a
 // 1 MiB ring fine. It returns false when the link died (down closed or
@@ -154,39 +198,15 @@ func spinStep(spins int) int {
 // frame is then dropped, which is correct because the only paths that
 // close a link are already aborting or tearing down the run.
 func (r *shmRing) write(b []byte, down <-chan struct{}) bool {
-	spins := 0
-	waitNS := int64(ringFutexWaitNS)
 	for len(b) > 0 {
 		tail := r.tail.load()
 		space := uint64(len(r.data)) - (tail - r.head.load())
 		if space == 0 {
-			if r.closed.load() != 0 {
+			if !r.await(r.spaceWait, func() bool { return tail-r.head.load() < uint64(len(r.data)) }, down) {
 				return false
-			}
-			select {
-			case <-down:
-				return false
-			default:
-			}
-			if spins < ringSpinYields {
-				spins = spinStep(spins)
-				continue
-			}
-			// Yields exhausted: arm the space doorbell and sleep on it
-			// until the consumer frees room (it clears and wakes after
-			// every head advance while the word is armed).
-			r.spaceWait.store(1)
-			if uint64(len(r.data))-(r.tail.load()-r.head.load()) > 0 || r.closed.load() != 0 {
-				continue
-			}
-			futexWait(&r.spaceWait.v, 1, waitNS)
-			if waitNS < ringFutexWaitMaxNS {
-				waitNS *= 2
 			}
 			continue
 		}
-		spins = 0
-		waitNS = ringFutexWaitNS
 		n := len(b)
 		if uint64(n) > space {
 			n = int(space)
@@ -210,9 +230,8 @@ func (r *shmRing) write(b []byte, down <-chan struct{}) bool {
 // shmRingReader adapts the consumer side to io.Reader so the exact
 // same bufio-fed frame loop that serves a TCP socket serves the ring —
 // byte-identical dispatch across transports by construction. A read
-// blocks (with yields, then sleeps) until at least one byte is
-// available, and reports io.EOF once the link is down or closed with
-// the ring drained.
+// blocks (in await) until at least one byte is available, and reports
+// io.EOF once the link is down or closed with the ring drained.
 type shmRingReader struct {
 	ring *shmRing
 	down <-chan struct{}
@@ -220,52 +239,29 @@ type shmRingReader struct {
 
 func (rr *shmRingReader) Read(p []byte) (int, error) {
 	r := rr.ring
-	spins := 0
-	waitNS := int64(ringFutexWaitNS)
 	for {
 		head := r.head.load()
 		avail := r.tail.load() - head
-		if avail > 0 {
-			n := len(p)
-			if uint64(n) > avail {
-				n = int(avail)
+		if avail == 0 {
+			if !r.await(r.dataWait, func() bool { return r.tail.load() != head }, rr.down) {
+				return 0, io.EOF
 			}
-			idx := head & r.mask
-			c := copy(p[:n], r.data[idx:])
-			if c < n {
-				copy(p[c:n], r.data)
-			}
-			r.head.store(head + uint64(n))
-			if r.spaceWait.load() != 0 {
-				r.spaceWait.store(0)
-				futexWake(&r.spaceWait.v)
-			}
-			return n, nil
-		}
-		if r.closed.load() != 0 {
-			return 0, io.EOF
-		}
-		select {
-		case <-rr.down:
-			return 0, io.EOF
-		default:
-		}
-		if spins < ringSpinYields {
-			spins = spinStep(spins)
 			continue
 		}
-		// Yields exhausted: arm the data doorbell and sleep until the
-		// producer publishes (it clears and wakes after every tail
-		// advance while the word is armed). The bounded wait re-checks
-		// closed/down above, so a dead peer that never wakes us still
-		// surfaces within the timeout.
-		r.dataWait.store(1)
-		if r.tail.load() != head || r.closed.load() != 0 {
-			continue
+		n := len(p)
+		if uint64(n) > avail {
+			n = int(avail)
 		}
-		futexWait(&r.dataWait.v, 1, waitNS)
-		if waitNS < ringFutexWaitMaxNS {
-			waitNS *= 2
+		idx := head & r.mask
+		c := copy(p[:n], r.data[idx:])
+		if c < n {
+			copy(p[c:n], r.data)
 		}
+		r.head.store(head + uint64(n))
+		if r.spaceWait.load() != 0 {
+			r.spaceWait.store(0)
+			futexWake(&r.spaceWait.v)
+		}
+		return n, nil
 	}
 }

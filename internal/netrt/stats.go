@@ -23,6 +23,19 @@ type NetStats struct {
 	// the tree bounds by TermFanout.
 	TermProbeRounds  int64
 	TermProbeReports int64
+	// TermEventRounds and TermTickRounds split TermProbeRounds by what
+	// started the round: an event (the run beginning, the confirming
+	// round, the root's idle edge, a nudge) or the 1 ms backstop firing
+	// with no event pending. TermNudges counts nudges arriving at this
+	// node as root; the tree bounds them, like reports, by TermFanout
+	// per round.
+	TermEventRounds int64
+	TermTickRounds  int64
+	TermNudges      int64
+	// FramesAfterHalt counts app frames that reached a run after the
+	// termination decision released its hold. The protocol's safety
+	// property is that this stays zero.
+	FramesAfterHalt int64
 	// ShmFramesCoalesced counts frames that piggybacked on another
 	// producer's ring write instead of taking the combining lock.
 	ShmFramesCoalesced int64
@@ -44,6 +57,10 @@ func (n *Node) Stats() NetStats {
 		DialReqs:           n.dialReqs.Load(),
 		TermProbeRounds:    n.probeRounds.Load(),
 		TermProbeReports:   n.probeReports.Load(),
+		TermEventRounds:    n.eventRounds.Load(),
+		TermTickRounds:     n.tickRounds.Load(),
+		TermNudges:         n.nudges.Load(),
+		FramesAfterHalt:    n.afterHalt.Load(),
 		ShmFramesCoalesced: n.shmCoalesced.Load(),
 		BatchGrows:         n.batchGrows.Load(),
 		BatchShrinks:       n.batchShrinks.Load(),

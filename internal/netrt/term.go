@@ -24,6 +24,12 @@ package netrt
 // unchanged global sums still prove no frame was in flight at the
 // second round's start. A generation a rank has not attached yet
 // reports non-idle with zero counters, exactly as before.
+//
+// When the root probes is event-driven (Runtime.coordinate): besides the
+// root's own idle edge, what asks for a round is a nudge — an unsolicited
+// FReport with epoch 0 — climbing the same tree, at most one per rank
+// per probe round (payNudge), so the root's nudge fan-in is bounded by
+// the fanout exactly as its report fan-in is.
 
 // termParent returns rank r's parent in the k-ary termination tree.
 func termParent(r, fanout int) int {
@@ -80,9 +86,16 @@ func (n *Node) localTermFrame(run, epoch int64) Frame {
 // onProbe handles a termination probe arriving from this rank's tree
 // parent. A leaf answers immediately; an interior rank opens an
 // aggregation window and forwards the probe to its children — their
-// reports cannot overtake this forward (TCP delivers per-edge FIFO), so
-// the window always exists when they arrive.
+// reports cannot overtake this forward (every edge, ring or socket,
+// delivers FIFO), so the window always exists when they arrive.
 func (n *Node) onProbe(p *peerConn, f Frame) {
+	// Answering a probe puts this rank in debt of one nudge (payNudge).
+	// The debt is recorded before the local state is sampled, so an idle
+	// edge the sample just missed is certain to find it.
+	n.termMu.Lock()
+	n.nudgeRun = f.Run
+	n.nudgeOwed.Store(true)
+	n.termMu.Unlock()
 	kids := termChildren(n.rank, n.termFanout, n.world)
 	if len(kids) == 0 {
 		rep := n.localTermFrame(f.Run, f.A)
@@ -113,6 +126,20 @@ func (n *Node) onProbe(p *peerConn, f Frame) {
 // Reports for pruned windows (an abandoned round) drop silently — the
 // root gave up on that round long ago.
 func (n *Node) onReport(p *peerConn, f Frame) {
+	if f.A == 0 {
+		// Epoch 0 is never probed: an unsolicited report is a nudge. An
+		// interior rank passes it up (once per round); the root takes it
+		// as a reason to probe.
+		if n.rank != 0 {
+			n.payNudge(f.Run)
+			return
+		}
+		n.nudges.Add(1)
+		if rt := n.current(f.Run); rt != nil {
+			rt.noteEvent()
+		}
+		return
+	}
 	if n.rank == 0 {
 		n.probeReports.Add(1)
 		if rt := n.current(f.Run); rt != nil {
@@ -146,6 +173,30 @@ func (n *Node) onReport(p *peerConn, f Frame) {
 	rep.C += agg.s
 	rep.D += agg.r
 	n.sendTo(termParent(n.rank, n.termFanout), &rep)
+}
+
+// payNudge sends the nudge this rank owes for run, if it owes one: an
+// FReport with epoch 0 to the tree parent, saying "something under me
+// changed since I answered your probe — ask again". A rank owes one per
+// probe round and pays it at its next idle edge or when a child's nudge
+// passes through, whichever is first; later ones in the same round are
+// absorbed, so however many ranks go idle the root hears at most one
+// nudge per child per round. A nudge is a hint: the root's rule reads
+// only probe reports, so a lost or stale one costs a round or a tick,
+// never a wrong halt.
+func (n *Node) payNudge(run int64) {
+	if !n.nudgeOwed.Load() {
+		return
+	}
+	n.termMu.Lock()
+	pay := n.nudgeOwed.Load() && n.nudgeRun == run
+	if n.nudgeRun <= run {
+		n.nudgeOwed.Store(false)
+	}
+	n.termMu.Unlock()
+	if pay {
+		n.sendTo(termParent(n.rank, n.termFanout), &Frame{Type: FReport, Run: run})
+	}
 }
 
 // onHalt forwards the halt order down this rank's subtree, then halts

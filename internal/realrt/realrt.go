@@ -84,6 +84,14 @@ type Runtime struct {
 	// a wakeup so no arrival can hide behind tiering while the PE sleeps.
 	poll func(pe int, full bool) bool
 
+	// onIdle, when installed (by the distributed backend), runs each time
+	// a retired unit leaves only standing holds outstanding — the edge at
+	// which this runtime has nothing left to do but wait on the world.
+	onIdle func()
+
+	// nparked counts workers blocked in park; see AllParked.
+	nparked atomic.Int32
+
 	// StallTimeout is how long the runtime tolerates outstanding work with
 	// zero progress before panicking with a diagnostic (a real-backend
 	// deadlock would otherwise spin forever). Zero means 30s.
@@ -135,6 +143,14 @@ func (rt *Runtime) Executed() uint64 { return rt.executed.Load() }
 // SetPoll installs the per-PE polling hook (the CkDirect sentinel scan).
 // Must be called before Run.
 func (rt *Runtime) SetPoll(fn func(pe int, full bool) bool) { rt.poll = fn }
+
+// SetIdleHook installs the idle-edge hook: fn runs on whichever goroutine
+// retires the unit of work that leaves only standing holds outstanding
+// (see Hold). It must be cheap and must not block — a message-driven PE
+// crosses this edge after every task it runs while waiting on a remote
+// reply. A runtime with no hook installed pays one nil check per retired
+// unit. Must be called before Run.
+func (rt *Runtime) SetIdleHook(fn func()) { rt.onIdle = fn }
 
 // checkPE validates a PE index before any state is touched, so a bad
 // index cannot take a work credit it will never retire (which would wedge
@@ -204,6 +220,11 @@ func (rt *Runtime) Release() {
 // report local idleness to the termination coordinator.
 func (rt *Runtime) Outstanding() int64 { return rt.work.Load() }
 
+// AllParked reports whether every PE's worker is blocked on its notifier.
+// The distributed backend's transport readers follow it: while some PE
+// still runs or spins they keep polling for the frames it is waiting on.
+func (rt *Runtime) AllParked() bool { return int(rt.nparked.Load()) == rt.npes }
+
 // Kick wakes a PE's worker if it is parked. The put seam calls it after
 // the sentinel release-store: the put itself is genuinely one-sided (no
 // receiver involvement lands the bytes), the kick only shortcuts the
@@ -223,6 +244,8 @@ func (rt *Runtime) noteDone() {
 		rt.wakeAll()
 	case rem < 0:
 		panic("realrt: work counter underflow")
+	case rt.onIdle != nil && rem == rt.holds.Load():
+		rt.onIdle()
 	}
 }
 
@@ -315,7 +338,9 @@ func (rt *Runtime) park(pe int) {
 		n.parked.Store(0)
 		return
 	}
+	rt.nparked.Add(1)
 	<-n.ch
+	rt.nparked.Add(-1)
 	n.parked.Store(0)
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -397,6 +398,73 @@ func TestLBJobSurfacesCounters(t *testing.T) {
 	for _, k := range []string{"pingpong", "matmul", "fem"} {
 		if _, err := srv.Submit(Spec{Kind: k, LBEvery: 2}); err == nil {
 			t.Errorf("%s accepted lb_every", k)
+		}
+	}
+}
+
+// TestFinishedJobHistoryIsBounded: 300 sequential jobs leave at most
+// maxFinishedJobs records in the store, the oldest answer 404 "evicted"
+// (distinct from an id that never existed), and the cumulative counters
+// still account for all 300.
+func TestFinishedJobHistoryIsBounded(t *testing.T) {
+	srv, err := New(Options{Env: realEnv()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const jobs = 300
+	for i := 0; i < jobs; i++ {
+		if j := submitWait(t, srv, Spec{Kind: "pingpong", Iters: 2, Size: 64}, time.Minute); j.State != StateDone {
+			t.Fatalf("job %d state %s: %+v", j.ID, j.State, j.Local)
+		}
+	}
+	list := srv.List()
+	if len(list) > maxFinishedJobs {
+		t.Errorf("store holds %d jobs after %d sequential ones, bound is %d", len(list), jobs, maxFinishedJobs)
+	}
+	if first := list[0].ID; first != jobs-maxFinishedJobs+1 {
+		t.Errorf("oldest stored job is %d, want %d", first, jobs-maxFinishedJobs+1)
+	}
+	if _, ok := srv.Get(jobs); !ok {
+		t.Errorf("the newest job was evicted")
+	}
+
+	kindOf := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e apiError
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Kind
+	}
+	for _, path := range []string{"/jobs/1", "/jobs/1/wait?timeout=1s"} {
+		if code, kind := kindOf(path); code != http.StatusNotFound || kind != "evicted" {
+			t.Errorf("GET %s: HTTP %d kind %q, want 404 evicted", path, code, kind)
+		}
+	}
+	if code, kind := kindOf(fmt.Sprintf("/jobs/%d", jobs+1)); code != http.StatusNotFound || kind != "not_found" {
+		t.Errorf("GET a never-submitted id: HTTP %d kind %q, want 404 not_found", code, kind)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		fmt.Sprintf("serve.jobs.done %d\n", jobs),
+		fmt.Sprintf("serve.jobs_evicted %d\n", jobs-maxFinishedJobs),
+		fmt.Sprintf("serve.job.pingpong.count %d\n", jobs),
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 }

@@ -20,8 +20,8 @@ const maxBodyBytes = 1 << 16
 // Handler builds the daemon's HTTP API:
 //
 //	POST /jobs          submit a Spec; 202 + job, 400 bad spec, 429 overloaded
-//	GET  /jobs          list all jobs
-//	GET  /jobs/{id}     one job's state and outcomes
+//	GET  /jobs          list the stored jobs (all unfinished + the last 256 finished)
+//	GET  /jobs/{id}     one job's state and outcomes; 404 kind "evicted" once it aged out
 //	GET  /jobs/{id}/wait?timeout=30s   long-poll for completion
 //	GET  /stream        NDJSON stream of finished jobs as they complete
 //	GET  /metrics       serve.* counters + pool/cumulative run counters
@@ -90,7 +90,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	case "":
 		job, ok := s.Get(id)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, apiError{Error: "no such job", Kind: "not_found"})
+			s.writeNoJob(w, id)
 			return
 		}
 		writeJSON(w, http.StatusOK, job)
@@ -106,7 +106,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		job, final := s.Wait(id, timeout)
 		if job.ID == 0 {
-			writeJSON(w, http.StatusNotFound, apiError{Error: "no such job", Kind: "not_found"})
+			s.writeNoJob(w, id)
 			return
 		}
 		if !final {
@@ -117,6 +117,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusNotFound, apiError{Error: "no such endpoint", Kind: "not_found"})
 	}
+}
+
+// writeNoJob answers a lookup that found no record: the job either never
+// existed or finished long enough ago to have been evicted.
+func (s *Server) writeNoJob(w http.ResponseWriter, id int64) {
+	if s.wasEvicted(id) {
+		writeJSON(w, http.StatusNotFound, apiError{
+			Error: fmt.Sprintf("job %d finished and its record was evicted (the last %d finished jobs are kept)", id, maxFinishedJobs),
+			Kind:  "evicted"})
+		return
+	}
+	writeJSON(w, http.StatusNotFound, apiError{Error: "no such job", Kind: "not_found"})
 }
 
 // handleStream replays already-finished jobs, then streams completions
@@ -189,6 +201,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "serve.rejected.badspec %d\n", atomic.LoadInt64(&s.badSpec))
 	fmt.Fprintf(&b, "serve.jobs.done %d\n", atomic.LoadInt64(&s.jobsDone))
 	fmt.Fprintf(&b, "serve.jobs.failed %d\n", atomic.LoadInt64(&s.jobsFail))
+	fmt.Fprintf(&b, "serve.jobs_evicted %d\n", atomic.LoadInt64(&s.evicted))
 	fmt.Fprintf(&b, "serve.uptime_seconds %.0f\n", time.Since(s.started).Seconds())
 
 	s.mu.Lock()

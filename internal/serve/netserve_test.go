@@ -10,6 +10,7 @@ import (
 	"repro/internal/charm"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
+	"repro/internal/netrt/nettest"
 )
 
 // checksums flattens a finished job's per-rank checksums for equality
@@ -92,11 +93,9 @@ func TestNetServeJobsAndKillRecovery(t *testing.T) {
 	nodes = ns
 	mu.Unlock()
 	defer func() {
-		for r := 0; r < world; r++ {
-			if n := node(r); n != nil {
-				n.Close()
-			}
-		}
+		mu.Lock()
+		defer mu.Unlock()
+		nettest.CloseAll(t, nodes)
 	}()
 	for r := 1; r < world; r++ {
 		go follow(r, ns[r])

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,20 +51,31 @@ type Options struct {
 	Parallel int
 }
 
+// maxFinishedJobs bounds the job store: the records of the most recent
+// maxFinishedJobs finished jobs stay queryable, older ones are evicted
+// as new ones finish. A record holds two Outcomes with full counter
+// maps, and a daemon that serves a job every two milliseconds would
+// otherwise grow by tens of MB a minute (38 → 56 MB peak RSS and a p95
+// up from 6.8 to 10 ms over one 15 s benchmark block). Queued and
+// running jobs are never evicted, and the cumulative serve.* and
+// latency counters do not depend on the store.
+const maxFinishedJobs = 256
+
 // Server is the rank-0 daemon core: the admission queue, the job store,
 // the executor, and the serve.* counters. Worker ranks run Follow
 // instead.
 type Server struct {
 	opts Options
 
-	mu      sync.Mutex
-	jobs    map[int64]*Job
-	order   []int64
-	subs    map[int]chan Job
-	nextSub int
-	cum     map[string]int64
-	lat     map[string]*latStats
-	doneCh  map[int64]chan struct{}
+	mu       sync.Mutex
+	jobs     map[int64]*Job
+	order    []int64 // stored jobs, submission order
+	finished []int64 // stored finished jobs, completion order (eviction queue)
+	subs     map[int]chan Job
+	nextSub  int
+	cum      map[string]int64
+	lat      map[string]*latStats
+	doneCh   map[int64]chan struct{}
 
 	nextID    int64
 	admitted  int64
@@ -71,6 +83,7 @@ type Server struct {
 	badSpec   int64
 	jobsDone  int64
 	jobsFail  int64
+	evicted   int64
 	depth     int64
 	started   time.Time
 	queue     chan *Job
@@ -203,7 +216,16 @@ func (s *Server) Get(id int64) (Job, bool) {
 	return snapshot(j), true
 }
 
-// List returns snapshots of every job in submission order.
+// wasEvicted reports whether id named a job whose record has since been
+// dropped from the bounded store (see maxFinishedJobs).
+func (s *Server) wasEvicted(id int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, stored := s.jobs[id]
+	return !stored && id >= 1 && id <= s.nextID
+}
+
+// List returns snapshots of every stored job in submission order.
 func (s *Server) List() []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -413,6 +435,14 @@ func (s *Server) finishJob(job *Job, local Outcome, workers []Outcome, jobErr er
 	snap := snapshot(job)
 	done := s.doneCh[job.ID]
 	delete(s.doneCh, job.ID)
+	s.finished = append(s.finished, job.ID)
+	if len(s.finished) > maxFinishedJobs {
+		old := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, old)
+		s.order = slices.DeleteFunc(s.order, func(id int64) bool { return id == old })
+		atomic.AddInt64(&s.evicted, 1)
+	}
 	subs := make([]chan Job, 0, len(s.subs))
 	for _, c := range s.subs {
 		subs = append(subs, c)

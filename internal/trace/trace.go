@@ -74,17 +74,26 @@ const (
 	// the coordinator. The term counters expose the k-ary termination
 	// tree: probe rounds started by the root, and FReport frames
 	// arriving at rank 0 (the root's fan-in — bounded by -net.termfanout
-	// regardless of world size). The batching counters record the
-	// per-peer adaptive writev window and eager-threshold adjustments,
-	// and shm_coalesced the frames (FPut doorbells above all) staged
-	// behind an in-flight shm ring write and flushed in one combined
-	// pass.
+	// regardless of world size); event/tick rounds split the probe rounds
+	// by what started them (an event, or the 1 ms backstop firing with
+	// none pending) and nudges counts the unsolicited epoch-0 reports that
+	// reached the root. FramesAfterHalt is this run's own count (not
+	// cumulative) of app frames that arrived after the termination
+	// decision — the protocol's safety property is that it is zero. The
+	// batching counters record the per-peer adaptive writev window and
+	// eager-threshold adjustments, and shm_coalesced the frames (FPut
+	// doorbells above all) staged behind an in-flight shm ring write and
+	// flushed in one combined pass.
 	CntNetConnsOpened   = "net.conns_opened"
 	CntNetConnsDialed   = "net.conns_dialed"
 	CntNetConnsAccepted = "net.conns_accepted"
 	CntNetDialReqs      = "net.dial_reqs"
 	CntNetProbeRounds   = "net.term_probe_rounds"
 	CntNetProbeReports  = "net.term_probe_reports"
+	CntNetEventRounds   = "net.term_event_rounds"
+	CntNetTickRounds    = "net.term_tick_rounds"
+	CntNetNudges        = "net.term_nudges"
+	CntNetAfterHalt     = "net.frames_after_halt"
 	CntNetShmCoalesced  = "net.shm_coalesced"
 	CntNetBatchGrows    = "net.batch_grows"
 	CntNetBatchShrinks  = "net.batch_shrinks"
