@@ -20,7 +20,7 @@ func StartLocalConfig(world int, base Config) ([]*Node, error) {
 	if world <= 1 {
 		cfg := base
 		cfg.Rank, cfg.World = 0, 1
-		n, err := Start(cfg)
+		n, err := start(cfg, true)
 		if err != nil {
 			return nil, err
 		}
@@ -35,7 +35,7 @@ func StartLocalConfig(world int, base Config) ([]*Node, error) {
 		cfg := base
 		cfg.Rank, cfg.World, cfg.Coord = 0, world, "127.0.0.1:0"
 		cfg.OnListen = func(a string) { addrC <- a }
-		nodes[0], errs[0] = Start(cfg)
+		nodes[0], errs[0] = start(cfg, true)
 	}()
 	var addr string
 	select {
@@ -53,7 +53,7 @@ func StartLocalConfig(world int, base Config) ([]*Node, error) {
 			cfg := base
 			cfg.Rank, cfg.World, cfg.Coord = r, world, addr
 			cfg.OnListen = nil
-			nodes[r], errs[r] = Start(cfg)
+			nodes[r], errs[r] = start(cfg, true)
 		}()
 	}
 	wg.Wait()

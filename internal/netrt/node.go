@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/realrt"
 	"repro/internal/rng"
 )
 
@@ -113,6 +112,7 @@ const lazyDialBurst = 8
 // next.
 type Node struct {
 	rank, world int
+	oneProcess  bool // every rank of the world lives in this process (StartLocalConfig)
 	eagerMax    int
 	// peers is the connection table: the star handshake (Start, Rejoin)
 	// and first-contact installs fill it under mu, and every change is
@@ -204,10 +204,6 @@ type Node struct {
 	nudgeRun   int64
 	nudgeOwed  atomic.Bool
 
-	// sched is the attached run's local scheduler, published lock-free
-	// for the shm ring waiters (schedulerHot).
-	sched atomic.Pointer[realrt.Runtime]
-
 	// Scaling counters, all cumulative over the node's lifetime (they
 	// span bootstrap, runs, and rejoins). See trace.CntNet* for meaning.
 	connsDialed   atomic.Int64
@@ -257,7 +253,11 @@ type bufFrame struct {
 // edge — is the whole mesh Start returns. Worker-to-worker edges open at
 // first contact (lazy.go). Self-spawn and a static Peers table only
 // choose the addresses; they are not separate bootstraps.
-func Start(cfg Config) (*Node, error) {
+func Start(cfg Config) (*Node, error) { return start(cfg, false) }
+
+// start is Start; oneProcess says the whole world lives in this process
+// (StartLocalConfig), which the shm ring waiters want to know (ringYields).
+func start(cfg Config, oneProcess bool) (*Node, error) {
 	world := cfg.World
 	if len(cfg.Peers) > 0 {
 		if world > 1 && world != len(cfg.Peers) {
@@ -276,7 +276,7 @@ func Start(cfg Config) (*Node, error) {
 		cfg.TermFanout = DefaultTermFanout
 	}
 	n := &Node{rank: cfg.Rank, world: world, eagerMax: cfg.EagerMax, completedGen: -1,
-		cfg: cfg, dead: make(map[int]bool),
+		cfg: cfg, oneProcess: oneProcess, dead: make(map[int]bool),
 		termFanout: cfg.TermFanout, termAggs: make(map[termKey]*probeAgg)}
 	if n.rank < 0 {
 		n.rank = 0 // self-spawn: this process becomes rank 0
@@ -835,7 +835,6 @@ func (n *Node) tellOpen(f *Frame, except ...int) {
 func (n *Node) attach(rt *Runtime) {
 	n.mu.Lock()
 	n.attached = rt
-	n.sched.Store(rt.rt)
 	dead := n.deadErr
 	var flush []bufFrame
 	keep := n.buffered[:0]
@@ -856,20 +855,11 @@ func (n *Node) attach(rt *Runtime) {
 	}
 }
 
-// schedulerHot reports whether a run is attached whose local scheduler
-// still has an unparked PE — the shm ring waiters keep yielding while it
-// does (shmRing.await has the rule and its measurements).
-func (n *Node) schedulerHot() bool {
-	s := n.sched.Load()
-	return s != nil && !s.AllParked()
-}
-
 // detach clears the attach point once a run's Run() returns.
 func (n *Node) detach(rt *Runtime) {
 	n.mu.Lock()
 	if n.attached == rt {
 		n.attached = nil
-		n.sched.Store(nil)
 	}
 	if rt.gen > n.completedGen {
 		n.completedGen = rt.gen

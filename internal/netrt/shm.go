@@ -34,8 +34,8 @@ const (
 )
 
 // maxShmPendingBytes bounds the combiner's staging buffer: a producer
-// finding it full spins (briefly) for the flusher instead of growing it
-// without limit.
+// finding it full waits for the flusher instead of growing it without
+// limit.
 const maxShmPendingBytes = 1 << 20
 
 // shmLink is one live shared segment between this process and a peer:
@@ -73,6 +73,7 @@ type shmLink struct {
 	prod    sync.WaitGroup
 	writing bool
 	pending []byte
+	drained *sync.Cond // on mu: pending was taken, or the write token freed
 
 	// coalesced, when set by the owning node, counts frames that were
 	// staged behind an in-flight ring write instead of paying their own.
@@ -128,6 +129,7 @@ func newShmLink(seg []byte, ringBytes, arenaBytes int, lower bool) (*shmLink, er
 	loArena := seg[2*ringLen : 2*ringLen+arenaBytes]
 	hiArena := seg[2*ringLen+arenaBytes : 2*ringLen+2*arenaBytes]
 	l := &shmLink{seg: seg, readerDone: make(chan struct{})}
+	l.drained = sync.NewCond(&l.mu)
 	if lower {
 		l.out, l.in = loHi, hiLo
 		l.outArena, l.inArena = loArena, hiArena
@@ -168,16 +170,11 @@ func (l *shmLink) writeFrame(b []byte, down <-chan struct{}) bool {
 			l.mu.Unlock()
 			return true
 		}
-		// Staging buffer full: yield until the flusher drains it (or the
-		// token frees up).
-		l.mu.Unlock()
-		select {
-		case <-down:
-			return false
-		default:
-		}
-		runtime.Gosched()
-		l.mu.Lock()
+		// Staging buffer full: park until the flusher takes the batch or
+		// gives up the token. It signals both, and it always gets there —
+		// its ring write (shmRing.await) ends when the consumer frees
+		// space, when the link closes, or when down does.
+		l.drained.Wait()
 	}
 	l.writing = true
 	l.mu.Unlock()
@@ -186,12 +183,14 @@ func (l *shmLink) writeFrame(b []byte, down <-chan struct{}) bool {
 	for ok && !l.dead && len(l.pending) > 0 {
 		batch := l.pending
 		l.pending = nil
+		l.drained.Broadcast()
 		l.mu.Unlock()
 		ok = l.out.write(batch, down)
 		l.mu.Lock()
 	}
 	l.pending = nil
 	l.writing = false
+	l.drained.Broadcast()
 	l.mu.Unlock()
 	return ok
 }
@@ -453,7 +452,6 @@ func (n *Node) shmAccept(p *peerConn) error {
 		ringBytes > 0 && arenaBytes > 0 && shmSegBytes(ringBytes, arenaBytes) <= maxShmBytes {
 		if seg := n.shmRedeem(string(f.Payload), shmSegBytes(ringBytes, arenaBytes)); seg != nil {
 			if l, err := newShmLink(seg, ringBytes, arenaBytes, false); err == nil {
-				l.coalesced = &n.shmCoalesced
 				link = l
 			} else {
 				unmapShm(seg)
@@ -477,11 +475,16 @@ func (n *Node) shmAccept(p *peerConn) error {
 }
 
 // adoptShmLink wires a handshaken link to this node — the coalescing
-// counter and the scheduler both ring waiters follow — and installs it
-// on the edge.
+// counter, and the yield budget of both ring waiters — and installs it on
+// the edge.
 func (n *Node) adoptShmLink(p *peerConn, l *shmLink) {
 	l.coalesced = &n.shmCoalesced
-	l.out.hot, l.in.hot = n.schedulerHot, n.schedulerHot
+	procs := n.world
+	if n.oneProcess {
+		procs = 1
+	}
+	l.out.yields = ringYields(n.world, procs, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	l.in.yields = l.out.yields
 	p.shm.Store(l)
 }
 

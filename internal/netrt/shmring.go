@@ -41,22 +41,26 @@ import (
 // process, so no FUTEX_PRIVATE_FLAG. On non-Linux hosts the stub wait
 // degrades to a short sleep.
 //
-// When a waiter arms follows the local scheduler, not a fixed count
-// alone. As long as a PE of the attached run is unparked (hot) it is
-// either computing toward its next send or spinning for a reply, and the
-// waiter that will carry that traffic keeps yielding however long the
-// compute phase lasts. Past that, a waiter yields ringSpinYields more
-// times (≈ 1–2 ms on an otherwise idle core) before it arms: a PE waiting
-// on a remote halo parks within microseconds, and the gap between two
-// runs of a job stream is a few hundred microseconds — a waiter that
-// armed on either would cost the peer a futex syscall per publish and
-// this side a kernel wake plus a P retake per frame, once per exchange.
-// Measured on stencil-shm (2 ranks, 15 s): arming 512 yields after the
-// PEs park reads ckd p50 136–150 µs and msg p99 0.9–1.6 ms; 8192 reads
-// 112–117 µs and 0.38–0.40 ms; never arming at all reads the same as
-// 8192. A link that stays quiet that long then gives its core back, and
-// the escalating futex timeout keeps it there, so the hundreds of idle
-// ring ends of a large world cost nothing.
+// How long a waiter yields before it arms depends on whether the host has
+// cores to yield on (ringYields). Where it has one for every ring reader
+// and every thread of the world, the waiter yields ringSpinYields times
+// (≈ 1–2 ms): long enough to cross a peer's compute phase, or the few
+// hundred microseconds between two runs of a job stream, without arming —
+// which would cost the peer a futex syscall per publish and this side a
+// kernel wake plus a P retake per frame, once per exchange. Everywhere
+// else a yield is a time slice taken from whoever will produce the
+// awaited bytes, and the waiter keeps the short ringArmYields budget.
+// Both sides are measured, on 2 cores. The benchmark's 2-rank in-process
+// world (stencil-shm, 15 s): arming after 512 yields reads ckd p50
+// 131–134 µs and msg p99 570–600 µs (the parent, whose runs are 4 ms
+// apart, 132–135 and 340–380), after 8192 108–115 and 360–390; a
+// serve-shm job 1.66 vs 1.36 ms. The same stencil between 2 rank
+// processes of 2 threads each: 26–35 µs an iteration after 512, 51–74
+// after 8192; between 8 rank processes 5.4–6.6 ms against 26–29 ms; and a
+// 4-rank in-process job stream does 141 jobs/s against 52. Either
+// way a link that stays quiet gives its core back, and the escalating
+// futex timeout keeps it there, so the hundreds of idle ring ends of a
+// large world cost nothing.
 const (
 	shmRingHdrBytes = 192
 	shmHeadOff      = 0
@@ -64,7 +68,8 @@ const (
 	shmClosedOff    = 128
 	shmDataWaitOff  = 136
 	shmSpaceWaitOff = 144
-	ringSpinYields  = 8192            // yields before arming the futex once no PE is hot
+	ringArmYields   = 512             // yields before arming the futex
+	ringSpinYields  = 8192            // the same, where the host has the cores (ringYields)
 	ringFutexWaitNS = 2 * 1000 * 1000 // first bounded wait: re-check down/closed at 2ms
 	// ringFutexWaitMaxNS caps the exponential escalation of the bounded
 	// wait while nothing arrives. The timeout is only a liveness
@@ -91,11 +96,9 @@ type shmRing struct {
 	data      []byte
 	mask      uint64
 
-	// hot, when set by the owning node, reports whether the attached
-	// run's scheduler still has an unparked PE (Node.schedulerHot).
-	hot func() bool
-	// parks counts futex waits entered on either word (tests read it).
-	parks atomic.Int64
+	// yields is how many times a waiter yields before it arms its word:
+	// ringArmYields unless the owning node found the cores (ringYields).
+	yields int
 }
 
 // atomicU64Ptr is an atomic word living inside the mapped segment (not
@@ -135,7 +138,20 @@ func newShmRing(region []byte) (*shmRing, error) {
 		spaceWait: (*atomicU32Ptr)(unsafe.Pointer(&region[shmSpaceWaitOff])),
 		data:      region[shmRingHdrBytes:],
 		mask:      uint64(capacity - 1),
+		yields:    ringArmYields,
 	}, nil
+}
+
+// ringYields is the yield budget of a rank's ring waiters: the long one
+// only if the host has a core for every ring reader the world can have
+// (world-1 per rank) and for every OS thread its procs processes can run
+// (threads each) — see the top of the file. Both counts take the whole
+// world to be on this host, which errs short.
+func ringYields(world, procs, threads, cores int) int {
+	if world*(world-1) <= cores && procs*threads <= cores {
+		return ringSpinYields
+	}
+	return ringArmYields
 }
 
 // close raises the closed flag and kicks both doorbells so a peer
@@ -151,7 +167,7 @@ func (r *shmRing) close() {
 // await is the ring's one wait loop, shared by a consumer out of bytes
 // (word = dataWait) and a producer out of space (word = spaceWait): yield
 // until ready() holds, arming word and parking in the futex once the
-// yields are spent and no PE is hot. The peer clears the word and wakes
+// r.yields budget is spent. The peer clears the word and wakes
 // after every publish while it is armed; the bounded futex wait re-checks
 // closed/down, so a dead peer that never wakes us still surfaces within
 // the timeout. False means the link died (down closed, or the ring's
@@ -170,7 +186,7 @@ func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struc
 			return false
 		default:
 		}
-		if spins < ringSpinYields || (r.hot != nil && r.hot()) {
+		if spins < r.yields {
 			// Every iteration yields: on a host with fewer cores than
 			// goroutines a raw spin would starve the very goroutine that
 			// will produce (or consume) the bytes being waited for.
@@ -182,7 +198,6 @@ func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struc
 		if ready() || r.closed.load() != 0 {
 			continue
 		}
-		r.parks.Add(1)
 		futexWait(&word.v, 1, waitNS)
 		if waitNS < ringFutexWaitMaxNS {
 			waitNS *= 2

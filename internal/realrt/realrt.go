@@ -89,9 +89,6 @@ type Runtime struct {
 	// which this runtime has nothing left to do but wait on the world.
 	onIdle func()
 
-	// nparked counts workers blocked in park; see AllParked.
-	nparked atomic.Int32
-
 	// StallTimeout is how long the runtime tolerates outstanding work with
 	// zero progress before panicking with a diagnostic (a real-backend
 	// deadlock would otherwise spin forever). Zero means 30s.
@@ -220,11 +217,6 @@ func (rt *Runtime) Release() {
 // report local idleness to the termination coordinator.
 func (rt *Runtime) Outstanding() int64 { return rt.work.Load() }
 
-// AllParked reports whether every PE's worker is blocked on its notifier.
-// The distributed backend's transport readers follow it: while some PE
-// still runs or spins they keep polling for the frames it is waiting on.
-func (rt *Runtime) AllParked() bool { return int(rt.nparked.Load()) == rt.npes }
-
 // Kick wakes a PE's worker if it is parked. The put seam calls it after
 // the sentinel release-store: the put itself is genuinely one-sided (no
 // receiver involvement lands the bytes), the kick only shortcuts the
@@ -338,9 +330,7 @@ func (rt *Runtime) park(pe int) {
 		n.parked.Store(0)
 		return
 	}
-	rt.nparked.Add(1)
 	<-n.ch
-	rt.nparked.Add(-1)
 	n.parked.Store(0)
 }
 

@@ -210,6 +210,15 @@ func TestAdmissionControl(t *testing.T) {
 	if overloads == 0 {
 		t.Error("depth-1 queue accepted every submission while the executor was busy")
 	}
+	// A bounced submission consumed no id: the ids handed out are dense,
+	// and the one past the newest is unknown, not "evicted".
+	newest := long.ID + int64(len(accepted))
+	if len(accepted) > 0 && accepted[len(accepted)-1].ID != newest {
+		t.Errorf("newest accepted job has id %d, want %d (rejections must not consume ids)", accepted[len(accepted)-1].ID, newest)
+	}
+	if srv.wasEvicted(newest + 1) {
+		t.Errorf("id %d was never stored (only rejected submissions followed job %d) but reads as evicted", newest+1, newest)
+	}
 	if j, done := srv.Wait(long.ID, time.Minute); !done || j.State != StateDone {
 		t.Fatalf("long job: done=%v state %s", done, j.State)
 	}

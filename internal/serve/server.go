@@ -191,6 +191,10 @@ func (s *Server) Submit(spec Spec) (Job, error) {
 	select {
 	case s.queue <- job:
 	default:
+		// A rejected submission leaves no record, so it must not consume
+		// an id either: wasEvicted reads every unstored id up to nextID as
+		// a job that ran.
+		s.nextID--
 		s.mu.Unlock()
 		atomic.AddInt64(&s.rejected, 1)
 		return Job{}, &ErrOverloaded{Depth: s.opts.QueueDepth}
