@@ -216,18 +216,19 @@ func main() {
 // world — CI's scale-smoke job greps these lines to assert that a
 // 16-rank stencil halo opens far fewer sockets than the N·(N−1) full
 // mesh, that rank 0's termination probe and nudge fan-in respect the
-// tree, and that no rank saw an app frame after the halt.
+// tree, and that no rank saw an app frame after the halt; shm-smoke,
+// that a co-located world's puts went direct.
 func printNetStats(node *netrt.Node) {
 	if node == nil {
 		return
 	}
 	s := node.Stats()
 	fmt.Fprintf(os.Stderr,
-		"stencil: net-stats rank=%d world=%d conns_opened=%d dialed=%d accepted=%d term_fanout=%d probe_rounds=%d probe_reports=%d event_rounds=%d tick_rounds=%d nudges=%d frames_after_halt=%d dialreqs=%d\n",
+		"stencil: net-stats rank=%d world=%d conns_opened=%d dialed=%d accepted=%d term_fanout=%d probe_rounds=%d probe_reports=%d event_rounds=%d tick_rounds=%d nudges=%d frames_after_halt=%d dialreqs=%d shm_declined=%d puts_direct=%d puts_framed=%d\n",
 		node.Rank(), node.World(), s.ConnsDialed+s.ConnsAccepted,
 		s.ConnsDialed, s.ConnsAccepted, s.TermFanout,
 		s.TermProbeRounds, s.TermProbeReports, s.TermEventRounds, s.TermTickRounds,
-		s.TermNudges, s.FramesAfterHalt, s.DialReqs)
+		s.TermNudges, s.FramesAfterHalt, s.DialReqs, s.ShmDeclined, s.PutsDirect, s.PutsFramed)
 }
 
 // closeNode tears the net-backend mesh down (reaping self-spawned

@@ -287,14 +287,11 @@ func (a *app) buildChannels() {
 				continue
 			}
 			d := d
-			size := c.faceBytes(d)
-			var region *machine.Region
-			if virtual {
-				region = mach.AllocRegion(c.pe, size, true)
-			} else {
-				buf := make([]byte, size)
-				region = mach.WrapRegion(c.pe, buf)
-			}
+			// The region owns its storage (the face is only ever read
+			// through region.Bytes()), so on the net backend CkDirect may
+			// move it into a shm arena and the neighbour's puts land
+			// there directly.
+			region := mach.AllocRegion(c.pe, c.faceBytes(d), virtual)
 			c.recvRegions[d] = region
 			h, err := a.mgr.CreateHandle(c.pe, region, oobPattern, func(ctx *charm.Ctx) {
 				c.onFace(ctx, d, region.Bytes())

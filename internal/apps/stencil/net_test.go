@@ -71,6 +71,47 @@ func TestNetBackendMatchesSim(t *testing.T) {
 	}
 }
 
+// TestNetShmPutsGoDirect counts the validated ckd stencil's cross-rank
+// puts by path: over shm at least 99 % land by direct deposit (only a put
+// that outruns its channel's registration may go framed), over TCP none
+// can.
+func TestNetShmPutsGoDirect(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shmOff bool
+	}{{"shm", false}, {"tcp", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, err := netrt.StartLocalConfig(2, netrt.Config{ShmOff: tc.shmOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nettest.CloseAll(t, nodes)
+			cfg := realOracleConfig(Ckd)
+			cfg.Backend = charm.NetBackend
+			cfg.Iters = 300
+			for rank, res := range runNetWorld(t, nodes, cfg) {
+				if len(res.Errors) > 0 {
+					t.Fatalf("rank %d: %v", rank, res.Errors)
+				}
+			}
+			var direct, framed int64
+			for _, n := range nodes {
+				s := n.Stats()
+				direct += s.PutsDirect
+				framed += s.PutsFramed
+			}
+			switch {
+			case direct+framed == 0:
+				t.Fatal("no cross-rank puts counted")
+			case tc.shmOff && direct != 0:
+				t.Fatalf("TCP world sent %d puts direct", direct)
+			case !tc.shmOff && direct*100 < 99*(direct+framed):
+				t.Fatalf("shm world sent %d of %d puts direct, want >= 99%%", direct, direct+framed)
+			}
+		})
+	}
+}
+
 // TestNetBackendResultShape checks the rank-0/worker split of a net run:
 // rank 0 owns the barrier timeline and a positive iteration time, the
 // worker reports no timing but a validated local block.

@@ -120,6 +120,15 @@ type Handle struct {
 	// only): release-stored by the sender's put, acquire-loaded by the
 	// receiver's poll pass.
 	sw *uint64
+	// arena marks a receive buffer placed in a shm arena (net backend,
+	// receiving rank; see placeRecvInShm): the sender may deposit into it
+	// directly, and such a put is counted received only when realDetect
+	// sees it. credited is set by any deposit that took the put's credit
+	// and counted its receipt itself — a framed or in-process put into
+	// the same buffer — before its publishing store; detection then
+	// clears it instead of counting the put a second time.
+	arena    bool
+	credited atomic.Bool
 	// strided, when set, scatters each put across the destination per
 	// the layout (§6 extension; see strided.go).
 	strided *StridedLayout
@@ -230,14 +239,14 @@ func NewManager(rts *charm.RTS) *Manager {
 	}
 	if nrt := rts.NetRT(); nrt != nil {
 		// Distributed backend: local detection is the real backend's poll
-		// pass verbatim; puts arriving from other processes are deposited
-		// into the registered buffer by netPutSink.
+		// pass verbatim; framed puts from other processes are deposited
+		// into the registered buffer by netPutStream / netPutSink, direct
+		// shm puts by the sender itself.
 		m.rt = nrt
 		m.net = nrt
 		nrt.SetPoll(m.realPoll)
 		nrt.SetPutSink(m.netPutSink)
 		nrt.SetPutStream(m.netPutStream)
-		nrt.SetPutDoorbell(m.netPutDoorbell)
 		return m
 	}
 	plat := rts.Platform()

@@ -42,8 +42,9 @@ func (m *Manager) netPutSink(id int64, payload []byte) {
 		return
 	}
 	m.net.PutIssued()
+	pe := h.recvPE // as in netPutStream: read before the deposit publishes
 	m.depositBytes(h, payload)
-	m.net.Kick(h.recvPE)
+	m.net.Kick(pe)
 }
 
 // netPutStream is the zero-copy inbound put path: the frame reader has
@@ -84,9 +85,18 @@ func (m *Manager) netPutStream(id int64, size int, r io.Reader) error {
 	if err != nil {
 		return err
 	}
+	// Once the sentinel is out the handle is the receiver's again (its
+	// callback may rehome it), so the PE to kick is read before; for an
+	// arena buffer the credited store is what orders the read before the
+	// detection for the race detector, which cannot see atomics on the
+	// shared mapping.
+	pe := h.recvPE
 	m.net.PutIssued()
+	if h.arena {
+		h.credited.Store(true)
+	}
 	atomic.StoreUint64(h.sw, last)
-	m.net.Kick(h.recvPE)
+	m.net.Kick(pe)
 	return nil
 }
 
@@ -133,36 +143,15 @@ func discardPut(r io.Reader, size int) error {
 	return err
 }
 
-// netPutDoorbell completes a direct-deposit put: the sender already
-// memcpy'd the body into this handle's receive buffer through the
-// shared-memory arena, so all that remains is the sentinel
-// release-store — the exact store a real RDMA NIC's last write would
-// be. The work credit is taken before the publishing store, same as
-// every other inbound-put path, so termination cannot race a
-// landed-but-undetected put.
-func (m *Manager) netPutDoorbell(id int64, last uint64) {
-	if id < 0 || id >= int64(len(m.handles)) {
-		m.rts.ReportError(fmt.Errorf("ckdirect: shm doorbell for unknown handle %d (have %d)", id, len(m.handles)))
-		return
-	}
-	h := m.handles[id]
-	if !m.rts.HostsPE(h.recvPE) {
-		m.rts.ReportError(fmt.Errorf("ckdirect: shm doorbell for handle %d on PE %d, not hosted here", id, h.recvPE))
-		return
-	}
-	m.net.PutIssued()
-	atomic.StoreUint64(h.sw, last)
-	m.net.Kick(h.recvPE)
-}
-
 // placeRecvInShm moves a handle's receive buffer into the shm arena
-// shared with the sending rank, so that rank's puts become one memcpy
-// plus a doorbell instead of a framed payload. Runs on the receiving
-// rank at AssocLocal time (SPMD setup executes AssocLocal everywhere,
-// so by then the handle knows its sender). Best-effort: any reason not
-// to — strided layout, in-process sender, no shm link, arena full —
-// leaves the handle on its heap buffer and every transport path still
-// works, just without the zero-frame deposit.
+// shared with the sending rank, so that rank's puts become the paper's
+// put — one memcpy and the sentinel's release-store, by the sender —
+// instead of a framed payload. Runs on the receiving rank at AssocLocal
+// time (SPMD setup executes AssocLocal everywhere, so by then the handle
+// knows its sender). Best-effort: any reason not to — strided layout,
+// in-process sender, no shm link, arena full — leaves the handle on its
+// heap buffer and every transport path still works, just without the
+// zero-frame deposit.
 func (m *Manager) placeRecvInShm(h *Handle) {
 	if m.net == nil || h.strided != nil || !m.rts.HostsPE(h.recvPE) || m.rts.HostsPE(h.sendPE) {
 		return
@@ -188,6 +177,7 @@ func (m *Manager) placeRecvInShm(h *Handle) {
 		return
 	}
 	h.sw = sw
+	h.arena = true
 	m.writeSentinel(h)
 	m.net.RegisterPutBuffer(rank, int64(h.id), off, int64(size))
 }

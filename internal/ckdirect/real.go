@@ -54,7 +54,12 @@ func (m *Manager) realDeposit(h *Handle) { m.depositBytes(h, h.sendBuf.Bytes()) 
 // release-stored into the sentinel position so the receiver's
 // acquire-loading poll pass orders the whole payload behind it. src is
 // the local source region under real, an inbound put frame under net.
+// Both callers took the put's credit already, so an arena-resident
+// buffer is marked credited before the store (see realDetect).
 func (m *Manager) depositBytes(h *Handle, src []byte) {
+	if h.arena {
+		h.credited.Store(true)
+	}
 	dst := h.recvBuf.Bytes()
 	if h.strided == nil {
 		pos := len(dst) - 8
@@ -146,7 +151,15 @@ func (m *Manager) realPoll(pe int, full bool) bool {
 // credit. The callback may Put, Ready, or enqueue entry methods; any
 // credits those take are live before this one is returned, so quiescence
 // cannot slip past the chain.
+//
+// A put the sender deposited straight into an arena-resident buffer
+// (net backend over shm) arrived with no frame and so with no credit and
+// no receipt: both are taken here, by PutLanded, before the callback.
+// Every other deposit into such a buffer marked it credited first.
 func (m *Manager) realDetect(h *Handle) {
+	if h.arena && !h.credited.Swap(false) {
+		m.net.PutLanded()
+	}
 	m.pollRemove(h)
 	h.pollMisses = 0
 	h.state = Fired

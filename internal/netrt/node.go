@@ -216,6 +216,9 @@ type Node struct {
 	nudges        atomic.Int64
 	afterHalt     atomic.Int64
 	shmCoalesced  atomic.Int64
+	shmDeclined   atomic.Int64
+	putsDirect    atomic.Int64
+	putsFramed    atomic.Int64
 	batchGrows    atomic.Int64
 	batchShrinks  atomic.Int64
 	eagerShrinks  atomic.Int64
@@ -852,6 +855,20 @@ func (n *Node) attach(rt *Runtime) {
 	}
 	for _, bf := range flush {
 		rt.handleApp(bf.rank, bf.f, false)
+	}
+}
+
+// kickPEs wakes any parked PE of the attached run. A shm ring reader
+// calls it when a direct put moved putSeq: the put names no PE, and a
+// kick costs a PE that is not parked one atomic load.
+func (n *Node) kickPEs() {
+	n.mu.Lock()
+	rt := n.attached
+	n.mu.Unlock()
+	if rt != nil {
+		for pe := 0; pe < rt.hi-rt.lo; pe++ {
+			rt.rt.Kick(pe)
+		}
 	}
 }
 

@@ -153,13 +153,17 @@ func (p *peerConn) start() {
 // runs dry, and Go reaches the netpoller only from a P with nothing to
 // run (sysmon's 10 ms poll aside), so a TCP probe sat for 0.5–2 ms of a
 // 2 ms job; on the ring the reader that is hot for the app's frames
-// picks it up in the same pass. The rest of the control traffic stays on
-// TCP, whose EOF remains the instant death signal: nothing depends on
-// its order against ring frames (termination is counter-based, probes
-// are idempotent, FLeave only follows a finished run).
+// picks it up in the same pass. So does a put-buffer registration
+// (FShmReg): the sender's puts stay framed until it arrives, and through
+// the kernel it arrived milliseconds late, after hundreds of a stencil's
+// puts. The rest of the control traffic stays on TCP, whose EOF remains
+// the instant death signal: nothing depends on its order against ring
+// frames (termination is counter-based, probes are idempotent, a put
+// that outruns its registration is framed, FLeave only follows a
+// finished run).
 func ridesRing(t byte) bool {
 	switch t {
-	case FEager, FRTS, FCTS, FData, FPut, FCast, FProbe, FReport, FHalt:
+	case FEager, FRTS, FCTS, FData, FPut, FCast, FProbe, FReport, FHalt, FShmReg:
 		return true
 	}
 	return false
@@ -324,7 +328,7 @@ func (p *peerConn) reader() {
 // edge exactly as a corrupt TCP stream would.
 func (p *peerConn) ringReader(l *shmLink) {
 	defer l.markReaderDone()
-	br := bufio.NewReaderSize(&shmRingReader{ring: l.in, down: p.down}, ioBufBytes)
+	br := bufio.NewReaderSize(&shmRingReader{ring: l.in, down: p.down, onPut: p.node.kickPEs}, ioBufBytes)
 	err := p.readLoop(br)
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return

@@ -35,17 +35,20 @@ type Runtime struct {
 	aborted      atomic.Bool
 	afterHalt0   int64 // node.afterHalt when this run was created
 
-	deliver     func(env Env, pooled []byte)
-	putSink     func(id int64, payload []byte)
-	putStream   func(id int64, size int, r io.Reader) error
-	putDoorbell func(id int64, last uint64)
-	moveSink    func(array int64, payload []byte)
-	locSink     func(payload []byte)
-	eagerMax    int
+	deliver   func(env Env, pooled []byte)
+	putSink   func(id int64, payload []byte)
+	putStream func(id int64, size int, r io.Reader) error
+	moveSink  func(array int64, payload []byte)
+	locSink   func(payload []byte)
+	eagerMax  int
 
 	xferMu   sync.Mutex
 	xfers    map[int64]*pendingXfer
 	nextXfer int64
+
+	regMu    sync.Mutex
+	regsOpen bool      // Run began: registrations go out as they are made
+	heldRegs []heldReg // made during setup, sent by Run
 
 	errMu sync.Mutex
 	errs  []error
@@ -176,12 +179,6 @@ func (rt *Runtime) SetPutSink(fn func(id int64, payload []byte)) { rt.putSink = 
 // means the stream itself failed and the connection dies.
 func (rt *Runtime) SetPutStream(fn func(id int64, size int, r io.Reader) error) { rt.putStream = fn }
 
-// SetPutDoorbell installs the handler for shm direct-deposit doorbells:
-// the sender already memcpy'd the put body into the receiver's
-// registered buffer through the shared mapping, and the doorbell
-// carries only the handle id and the sentinel word to release-store.
-func (rt *Runtime) SetPutDoorbell(fn func(id int64, last uint64)) { rt.putDoorbell = fn }
-
 // SetMoveSink installs the handler for inbound element-migration
 // frames (array = ordinal, payload = index + packed state). It runs on
 // connection reader goroutines; the payload is only valid during the
@@ -222,6 +219,23 @@ func (rt *Runtime) Executed() uint64 { return rt.rt.Executed() }
 // PutIssued and PutDetected expose the local work-credit pair.
 func (rt *Runtime) PutIssued()   { rt.rt.PutIssued() }
 func (rt *Runtime) PutDetected() { rt.rt.PutDetected() }
+
+// PutLanded is the receive side of a direct shm put, called by the
+// receiving PE's poll pass when it detects one, before the callback: no
+// frame carried the put, so its work credit and its receipt are taken
+// here, in handleApp's order (credit, the after-halt check, recv). Until
+// then the sender's count is ahead of every receipt, so a put that landed
+// but is not yet detected keeps the global sums apart and termination
+// cannot conclude around it. PutDetected after the callback returns the
+// credit, as for every put.
+func (rt *Runtime) PutLanded() {
+	raceWireObserve()
+	rt.rt.PutIssued()
+	if rt.halted.Load() {
+		rt.node.afterHalt.Add(1)
+	}
+	rt.recv.Add(1)
+}
 
 // SendMsg ships one Charm envelope to the process hosting env.DstPE:
 // an eager frame when the encoding fits the threshold, a rendezvous
@@ -271,21 +285,23 @@ func (rt *Runtime) SendCast(env *Env) {
 }
 
 // SendPut ships a one-sided put: the raw source bytes, addressed by the
-// SPMD-identical CkDirect handle id. EncodeFrame copies the payload, so
-// the caller may reuse (or let the application overwrite) the source
-// buffer as soon as SendPut returns — matching the local-completion
-// semantics of the real backend's put.
+// SPMD-identical CkDirect handle id — deposited straight into the
+// receiver's registered arena buffer when the edge has one (directPut),
+// framed otherwise. Either way the bytes are copied before SendPut
+// returns, so the caller may reuse (or let the application overwrite)
+// the source buffer at once — the local-completion semantics of the real
+// backend's put.
 func (rt *Runtime) SendPut(dstPE int, handleID int64, payload []byte) {
 	rank := rt.RankOf(dstPE)
+	// Counted before anything is published: a direct put can be detected
+	// and counted received (PutLanded) the instant its sentinel store
+	// lands, and a receipt must never be ahead of its send.
+	rt.sent.Add(1)
 	if t := rt.node.peerTable(); t != nil && t[rank] != nil && t[rank].directPut(rt.gen, handleID, payload) {
-		// Direct deposit: the body is already in the receiver's
-		// registered buffer through the shared mapping and only a
-		// 48-byte doorbell rode the ring. The doorbell is a counted
-		// app frame, same as the full put it replaces.
-		rt.sent.Add(1)
+		rt.node.putsDirect.Add(1)
 		return
 	}
-	rt.sent.Add(1)
+	rt.node.putsFramed.Add(1)
 	rt.node.sendTo(rank, &Frame{Type: FPut, Run: rt.gen, A: handleID, Payload: payload})
 }
 
@@ -327,12 +343,44 @@ func (rt *Runtime) AllocPutRegion(rank, size int) ([]byte, int64, bool) {
 
 // RegisterPutBuffer advertises an arena-resident destination buffer to
 // the sending rank: puts into handle id may henceforth be deposited at
-// arena offset off (size bytes, sentinel in the last 8). Control
-// traffic on the TCP stream — uncounted, ordered before nothing; a put
-// that races ahead of the registration simply takes the frame path
-// into the very same rebound buffer.
+// arena offset off (size bytes, sentinel in the last 8). An uncounted
+// control frame on the ring, ordered before nothing; a put that races
+// ahead of it simply takes the frame path into the very same rebound
+// buffer.
+//
+// A registration made before Run is held until Run: until then the
+// application may still write the buffer — a checkpoint restore puts the
+// saved bytes back after setup — and would erase a deposit that landed
+// first, where a framed put arriving that early waits in the node's
+// buffer for attach.
 func (rt *Runtime) RegisterPutBuffer(rank int, id, off, size int64) bool {
-	return rt.node.sendTo(rank, &Frame{Type: FShmReg, Run: rt.gen, A: id, B: off, C: size})
+	f := Frame{Type: FShmReg, Run: rt.gen, A: id, B: off, C: size}
+	rt.regMu.Lock()
+	if !rt.regsOpen {
+		rt.heldRegs = append(rt.heldRegs, heldReg{rank: rank, f: f})
+		rt.regMu.Unlock()
+		return true
+	}
+	rt.regMu.Unlock()
+	return rt.node.sendTo(rank, &f)
+}
+
+// heldReg is a put-buffer registration waiting for Run.
+type heldReg struct {
+	rank int
+	f    Frame
+}
+
+// openRegs sends the registrations held since setup; later ones go out
+// at once.
+func (rt *Runtime) openRegs() {
+	rt.regMu.Lock()
+	held := rt.heldRegs
+	rt.heldRegs, rt.regsOpen = nil, true
+	rt.regMu.Unlock()
+	for i := range held {
+		rt.node.sendTo(held[i].rank, &held[i].f)
+	}
 }
 
 // DropPutBuffer invalidates any shared-memory put registration this
@@ -412,16 +460,6 @@ func (rt *Runtime) handleApp(rank int, f Frame, pooled bool) bool {
 			go rt.node.sendTo(x.rank, &Frame{Type: FData, Run: rt.gen, A: f.A, Payload: x.payload})
 		}
 	case FPut:
-		if f.B == shmPutDoorbell {
-			// Direct-deposit doorbell: the body already sits in the
-			// registered buffer via the shared mapping; only the
-			// sentinel release remains. C carries the sentinel word.
-			if rt.putDoorbell != nil {
-				rt.putDoorbell(f.A, uint64(f.C))
-			}
-			rt.recv.Add(1)
-			return false
-		}
 		// Non-streamed put (replayed buffered frame, or no streaming sink
 		// installed): the sink deposits synchronously, so the payload is
 		// done with when it returns and the reader reclaims it.
@@ -512,6 +550,7 @@ func (rt *Runtime) noteEvent() {
 func (rt *Runtime) Run() sim.Time {
 	rt.node.attach(rt)
 	rt.started.Store(true)
+	rt.openRegs()
 	if rt.node.world > 1 {
 		if rt.node.rank == 0 {
 			go rt.coordinate()

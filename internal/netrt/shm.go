@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Shared-memory transport defaults and handshake tuning.
@@ -59,9 +60,8 @@ const maxShmPendingBytes = 1 << 20
 // append their encoded frames to pending (one copy — frames are
 // self-delimiting, so the byte stream concatenates) and return
 // immediately, and the token holder flushes the accumulated batch in
-// single ring writes after its own. Consecutive FPut doorbells under
-// fan-in thus coalesce into one ring pass — the doorbell aggregation
-// the scale work wants — and the count lands in coalesced.
+// single ring writes after its own; the count lands in coalesced.
+// Direct puts never take it (directPut).
 type shmLink struct {
 	seg      []byte // the whole mapping (nil after teardown)
 	out, in  *shmRing
@@ -290,6 +290,12 @@ func (s *shmServer) serveOne(c *net.UnixConn) {
 	sendFd(c, fd)
 }
 
+// shmServerSeq numbers the fd servers this process creates. The name must
+// be unique per process, not per rank stream: two in-process worlds with
+// the same Seed draw identical seeded streams, and a name taken from them
+// collided on the abstract socket and left the second world's edge on TCP.
+var shmServerSeq atomic.Uint64
+
 // shmServerLazy returns the node's fd server, creating it on first use.
 func (n *Node) shmServerLazy() (*shmServer, error) {
 	n.shmMu.Lock()
@@ -297,7 +303,7 @@ func (n *Node) shmServerLazy() (*shmServer, error) {
 	if n.shmSrv != nil {
 		return n.shmSrv, nil
 	}
-	name := fmt.Sprintf("@ckshm-%d-%d-%x", os.Getpid(), n.rank, n.rand64())
+	name := fmt.Sprintf("@ckshm-%d-%d-%d", os.Getpid(), n.rank, shmServerSeq.Add(1))
 	ln, err := net.ListenUnix("unix", &net.UnixAddr{Name: name, Net: "unix"})
 	if err != nil {
 		return nil, err
@@ -420,15 +426,27 @@ func (n *Node) shmOffer(p *peerConn) error {
 	}
 	if ack.A != 1 || seg == nil {
 		unmapShm(seg)
+		n.noteShmDeclined()
 		return nil // declined: the edge stays on TCP
 	}
 	link, err := newShmLink(seg, ringBytes, arenaBytes, true)
 	if err != nil {
 		unmapShm(seg)
+		n.noteShmDeclined()
 		return nil
 	}
 	n.adoptShmLink(p, link)
 	return nil
+}
+
+// noteShmDeclined counts an edge this node wanted on shm that stays on
+// TCP — its own offer could not be built or was declined, or it could not
+// take up a peer's offer. An edge declined by configuration (ShmOff on
+// this side) is not counted.
+func (n *Node) noteShmDeclined() {
+	if n.shmEnabled() {
+		n.shmDeclined.Add(1)
+	}
 }
 
 // shmAccept runs the higher rank's side: read the offer, and — when shm
@@ -461,6 +479,8 @@ func (n *Node) shmAccept(p *peerConn) error {
 	ack := &Frame{Type: FShmAck}
 	if link != nil {
 		ack.A = 1
+	} else if len(f.Payload) > 0 {
+		n.noteShmDeclined()
 	}
 	if err := writeFrame(p.conn, ack); err != nil {
 		if link != nil {
@@ -566,13 +586,21 @@ func teardownShmLinks(peers []*peerConn) {
 	}
 }
 
-// directPut attempts the one-sided fast path for an FPut: when the peer
+// directPut is the paper's put over a shared segment: when the peer
 // registered this handle's receive buffer (FShmReg) for the current run
-// and the link is up, the payload body is memcpy'd straight into the
-// shared arena and a 48-byte doorbell frame — carrying the sentinel
-// word in C — rides the ring. Zero kernel crossings, zero pooled
-// buffers. False means the caller must fall back to the ordinary frame
-// path (which itself rides the ring when the link is up).
+// and the link is up, every byte but the last word is memcpy'd into the
+// arena, and the payload's last word is release-stored into the
+// sentinel position — where the receiver's poll pass acquire-loads it.
+// No frame, no ring slot, no combiner: the ring only hears of it through
+// putSeq, which wakes a parked reader so it can kick parked PEs. The
+// receiver counts the put when it detects it (Runtime.PutLanded), so the
+// caller must count it sent before calling. False means nothing was
+// written and the caller must fall back to the framed path (which itself
+// rides the ring when the link is up).
+//
+// The memcpy runs outside the link lock, covered by the prod fence:
+// registrations are disjoint arena reservations made by the receiver's
+// bump allocator, so two large puts on one edge overlap.
 func (p *peerConn) directPut(run, id int64, payload []byte) bool {
 	l := p.shm.Load()
 	if l == nil || len(payload) < 8 {
@@ -584,9 +612,6 @@ func (p *peerConn) directPut(run, id int64, payload []byte) bool {
 	if !ok || reg.run != run || reg.size != int64(len(payload)) {
 		return false
 	}
-	last := binary.LittleEndian.Uint64(payload[len(payload)-8:])
-	var hdr [frameHeaderLen + frameFixedBody]byte
-	db := appendFrameHeader(hdr[:0], FPut, run, id, shmPutDoorbell, int64(last), 0, 0)
 	l.mu.Lock()
 	arena := l.outArena
 	if l.dead || reg.off+reg.size > int64(len(arena)) {
@@ -596,27 +621,15 @@ func (p *peerConn) directPut(run, id int64, payload []byte) bool {
 	l.prod.Add(1)
 	l.mu.Unlock()
 	defer l.prod.Done()
-	// Deposit everything but the sentinel word; the word travels in the
-	// doorbell and is release-stored by the receiver AFTER it takes a
-	// work credit, so the poll loop cannot observe completion before the
-	// credit exists (the same PutIssued-before-publish discipline the
-	// streamed TCP path follows). The memcpy runs outside the link lock
-	// — registrations are disjoint arena reservations made by the
-	// receiver's bump allocator, so two large puts on one edge overlap;
-	// only the doorbell pays the ring's ordering point, and the combiner
-	// in writeFrame coalesces a doorbell burst into one flush. The
-	// happens-before chain to the receiver is intact either way: memcpy
-	// precedes the ring write (or the mu-ordered staging append that the
-	// flusher's ring write follows), and the ring's release-store tail /
-	// acquire-load head publishes both.
-	copy(arena[reg.off:reg.off+reg.size-8], payload[:len(payload)-8])
-	return l.writeFrame(db, p.down)
+	body := reg.off + reg.size - 8
+	copy(arena[reg.off:body], payload[:len(payload)-8])
+	raceWirePublish()
+	// noteShmReg only keeps 8-aligned offsets and sizes, and the arena
+	// starts on a page, so the sentinel word is aligned for the atomic.
+	(*atomicU64Ptr)(unsafe.Pointer(&arena[body])).store(binary.LittleEndian.Uint64(payload[len(payload)-8:]))
+	l.out.publishPut()
+	return true
 }
-
-// shmPutDoorbell in an FPut's B field marks a doorbell: the payload is
-// already in the receiver's registered buffer via the shared arena, and
-// only the sentinel word (in C) still needs publishing.
-const shmPutDoorbell = 1
 
 // shmPutReg is one registered put target: where in the outbound arena
 // this handle's receive buffer lives on the peer.
@@ -626,9 +639,11 @@ type shmPutReg struct {
 
 // noteShmReg records a peer's FShmReg registration. Registrations are
 // per (handle, run): a new run's registration overwrites the old, and
-// directPut checks the run before trusting one.
+// directPut checks the run before trusting one. A region that is not
+// 8-aligned cannot take the sentinel's atomic store and is ignored (its
+// puts stay framed); AllocPutRegion never makes one.
 func (p *peerConn) noteShmReg(f Frame) {
-	if f.C < 8 || f.B < 0 || f.B+f.C > int64(maxShmBytes) {
+	if f.C < 8 || f.B < 0 || f.B+f.C > int64(maxShmBytes) || (f.B|f.C)&7 != 0 {
 		return
 	}
 	p.regMu.Lock()

@@ -3,6 +3,7 @@ package netrt
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bufpool"
 )
@@ -83,6 +85,32 @@ func TestShmLinksNegotiated(t *testing.T) {
 	}
 	if l := shmLinkOf(nodes, 0, 1); l.out.tail.load() == 0 {
 		t.Fatal("eager frame did not ride the shm ring")
+	}
+}
+
+// TestShmTwoWorldsSameSeed: two in-process worlds with the same Seed,
+// alive at once, each negotiate shm on every edge and decline none. The
+// fd server's name used to come from the seeded rank stream, so the
+// second world's rank 0 collided with the first's on the abstract socket
+// and its edges silently stayed on TCP.
+func TestShmTwoWorldsSameSeed(t *testing.T) {
+	skipNoShm(t)
+	worlds := [][]*Node{
+		startWorldConfig(t, 3, Config{Seed: 42}),
+		startWorldConfig(t, 3, Config{Seed: 42}),
+	}
+	for w, nodes := range worlds {
+		lazyExchange(t, nodes, 1, 2)
+		for a := 0; a < 3; a++ {
+			for b := 0; b < 3; b++ {
+				if a != b && shmLinkOf(nodes, a, b) == nil {
+					t.Errorf("world %d: edge %d->%d has no shm link", w, a, b)
+				}
+			}
+			if d := nodes[a].Stats().ShmDeclined; d != 0 {
+				t.Errorf("world %d rank %d: %d shm offers declined", w, a, d)
+			}
+		}
 	}
 }
 
@@ -263,78 +291,333 @@ func TestEagerBoundary(t *testing.T) {
 	}
 }
 
-// TestShmDirectPutDoorbell drives the registered-buffer fast path at
-// the transport level: the receiver carves a destination out of the
-// shared arena and registers it, the sender's SendPut then deposits by
-// memcpy and rings a 48-byte doorbell, and the receiver's doorbell hook
-// observes the sentinel word with the body already in place.
-func TestShmDirectPutDoorbell(t *testing.T) {
+// The direct put at the transport level. These tests put from rank 1 to
+// rank 2 of a 3-rank world: that edge opens at first contact and carries
+// no termination traffic (probes and reports ride the 0<->r rings), so
+// its outbound ring moves only if a put rides it, and the reader on it
+// parks as soon as its budget runs out.
+const (
+	dpSender, dpRecv = 1, 2
+	dpOOB            = 0xFFF8_DEAD_BEEF_0001
+)
+
+// directPutRig is one registered arena buffer on the 1->2 edge, with the
+// receiving PE's poll pass reduced to what ckdirect's realDetect does for
+// a direct put: acquire-load the sentinel, PutLanded, re-arm, return the
+// credit. Detection can be held back (gate) and is timestamped.
+type directPutRig struct {
+	nodes   []*Node
+	rts     []*Runtime
+	buf     []byte
+	payload []byte
+
+	gate     atomic.Bool
+	landed   atomic.Int64
+	bodyOK   atomic.Bool
+	lastPoll atomic.Int64 // unix ns of the receiving PE's last poll pass
+	landedAt atomic.Int64 // unix ns of the last detection
+	sank     atomic.Int64 // puts that arrived framed
+}
+
+func newDirectPutRig(t *testing.T, size int) *directPutRig {
+	t.Helper()
 	skipNoShm(t)
-	nodes := startWorld(t, 2)
-	rts := make([]*Runtime, 2)
-	for i, n := range nodes {
-		rt, err := n.NewRuntime(2)
+	g := &directPutRig{nodes: startWorld(t, 3)}
+	lazyExchange(t, g.nodes, dpSender, dpRecv)
+	for i, n := range g.nodes {
+		rt, err := n.NewRuntime(3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rts[i] = rt
 		rt.SetDeliver(func(e Env, pooled []byte) { bufpool.Put(pooled) })
+		g.rts = append(g.rts, rt)
+		if i == dpRecv {
+			rt.SetPutSink(func(int64, []byte) { g.sank.Add(1) })
+		}
 	}
+	g.payload = bytes.Repeat([]byte{0xC7}, size)
+	binary.LittleEndian.PutUint64(g.payload[size-8:], 0x0807060504030201)
+	g.buf = registerArenaBuffer(t, g.rts, dpSender, dpRecv, 7, size)
+	recv := g.rts[dpRecv]
+	sw := sentinelOf(g.buf)
+	g.gate.Store(true)
+	recv.SetPoll(func(pe int, full bool) bool {
+		g.lastPoll.Store(time.Now().UnixNano())
+		if !g.gate.Load() || atomic.LoadUint64(sw) == dpOOB {
+			return false
+		}
+		recv.PutLanded()
+		g.landedAt.Store(time.Now().UnixNano())
+		g.bodyOK.Store(bytes.Equal(g.buf[:size-8], g.payload[:size-8]))
+		atomic.StoreUint64(sw, dpOOB)
+		recv.PutDetected()
+		g.landed.Add(1)
+		return true
+	})
+	return g
+}
 
-	const handleID, size = 7, 64
-	buf, off, ok := rts[1].AllocPutRegion(0, size)
+// registerArenaBuffer carves size bytes for handle id out of the arena
+// rank send deposits into on rank recv, arms its sentinel and registers
+// it; the registration leaves when the receiver's Run starts.
+func registerArenaBuffer(t *testing.T, rts []*Runtime, send, recv int, id int64, size int) []byte {
+	t.Helper()
+	buf, off, ok := rts[recv].AllocPutRegion(send, size)
 	if !ok {
 		t.Fatal("AllocPutRegion failed despite a live shm link")
 	}
-	payload := bytes.Repeat([]byte{0xC7}, size)
-	copy(payload[size-8:], []byte{1, 2, 3, 4, 5, 6, 7, 8}) // sentinel word
-	var last atomic.Uint64
-	var bodyOK atomic.Bool
-	rt1 := rts[1]
-	rt1.SetPutDoorbell(func(id int64, l uint64) {
-		rt1.PutIssued()
-		if id == handleID {
-			last.Store(l)
-			bodyOK.Store(bytes.Equal(buf[:size-8], payload[:size-8]))
-		}
-		rt1.Enqueue(1, func() { rt1.PutDetected() })
+	atomic.StoreUint64(sentinelOf(buf), dpOOB)
+	if !rts[recv].RegisterPutBuffer(send, id, off, int64(size)) {
+		t.Fatal("RegisterPutBuffer failed")
+	}
+	return buf
+}
+
+// awaitReg waits for the sender's connection to record rank recv's
+// registration of handle id.
+func awaitReg(t *testing.T, nodes []*Node, rts []*Runtime, send, recv int, id int64) {
+	t.Helper()
+	p := nodes[send].peerTable()[recv]
+	waitFor(t, "the registration to reach the sender", func() bool {
+		p.regMu.Lock()
+		defer p.regMu.Unlock()
+		_, ok := p.regs[id]
+		return ok && p.regs[id].run == rts[recv].gen
 	})
-	var sank atomic.Int64
-	rt1.SetPutSink(func(id int64, b []byte) { sank.Add(1) })
-	if !rts[1].RegisterPutBuffer(0, handleID, off, size) {
-		t.Fatal("RegisterPutBuffer send failed")
-	}
-	// The registration is a control frame on the TCP stream; wait for
-	// the sender's connection to record it before putting.
-	sender := nodes[0].peerTable()[1]
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sender.regMu.Lock()
-		_, ok := sender.regs[handleID]
-		sender.regMu.Unlock()
-		if ok {
-			break
-		}
+}
+
+func sentinelOf(buf []byte) *uint64 { return (*uint64)(unsafe.Pointer(&buf[len(buf)-8])) }
+
+// waitFor polls cond for up to 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
 		if time.Now().After(deadline) {
-			t.Fatal("registration never reached the sender")
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(100 * time.Microsecond)
 	}
-	rts[0].Enqueue(0, func() { rts[0].SendPut(1, handleID, payload) })
-	runAll(rts)
-	for i, rt := range rts {
-		if errs := rt.Errors(); len(errs) > 0 {
-			t.Fatalf("rank %d: %v", i, errs)
+}
+
+// run starts every runtime with the sender holding one extra credit, so
+// the run cannot halt while the test looks at it, and waits for the
+// registration to reach the sender; release returns the credit and waits
+// for the run to end.
+func (g *directPutRig) run(t *testing.T) (release func()) {
+	t.Helper()
+	sender := g.rts[dpSender]
+	sender.PutIssued()
+	done := make(chan struct{})
+	go func() {
+		runAll(g.rts)
+		close(done)
+	}()
+	awaitReg(t, g.nodes, g.rts, dpSender, dpRecv, 7)
+	return func() {
+		t.Helper()
+		sender.Enqueue(dpSender, sender.PutDetected)
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("run did not terminate")
+		}
+		for i, rt := range g.rts {
+			if errs := rt.Errors(); len(errs) > 0 {
+				t.Fatalf("rank %d: %v", i, errs)
+			}
 		}
 	}
-	if got := last.Load(); got != 0x0807060504030201 {
-		t.Fatalf("doorbell sentinel word %#x, want the payload's last word", got)
+}
+
+// sums is what a termination probe taken now would add up.
+func (g *directPutRig) sums() (s, r int64) {
+	for _, rt := range g.rts {
+		_, rs, rr := rt.localReport()
+		s, r = s+rs, r+rr
 	}
-	if !bodyOK.Load() {
-		t.Fatal("arena body did not match the payload at doorbell time")
+	return s, r
+}
+
+// TestShmDirectPut: a registered put is the paper's put. It writes no
+// byte to the ring; between its publish and its detection the sums a
+// probe would add up differ (the receipt is taken at detection, so
+// termination cannot conclude around a landed, undetected put); and
+// detection balances both the counters and the receiver's credits.
+func TestShmDirectPut(t *testing.T) {
+	g := newDirectPutRig(t, 1024)
+	g.gate.Store(false)
+	l := shmLinkOf(g.nodes, dpSender, dpRecv)
+	tail := l.out.tail.load()
+	release := g.run(t)
+	sender, recv := g.rts[dpSender], g.rts[dpRecv]
+	sender.Enqueue(dpSender, func() { sender.SendPut(dpRecv, 7, g.payload) })
+	waitFor(t, "the sentinel store", func() bool { return atomic.LoadUint64(sentinelOf(g.buf)) != dpOOB })
+	if s, r := g.sums(); s != 1 || r != 0 {
+		t.Fatalf("probe between publish and detection: sent %d, received %d; want 1, 0", s, r)
 	}
-	if sank.Load() != 0 {
-		t.Fatal("registered put fell back to the frame path")
+	g.gate.Store(true)
+	recv.Kick(dpRecv)
+	waitFor(t, "detection", func() bool { return g.landed.Load() == 1 })
+	if s, r := g.sums(); s != r {
+		t.Fatalf("after detection: sent %d, received %d", s, r)
+	}
+	if n := recv.rt.Outstanding(); n != 1 {
+		t.Fatalf("receiver holds %d credits after detection, want only the hold", n)
+	}
+	release()
+	if got := l.out.tail.load(); got != tail {
+		t.Fatalf("a direct put moved the ring tail %d -> %d", tail, got)
+	}
+	if !g.bodyOK.Load() {
+		t.Fatal("arena body did not match the payload at detection")
+	}
+	st := g.nodes[dpSender].Stats()
+	if g.sank.Load() != 0 || st.PutsDirect != 1 || st.PutsFramed != 0 {
+		t.Fatalf("puts direct %d framed %d (sink saw %d), want 1 direct", st.PutsDirect, st.PutsFramed, g.sank.Load())
+	}
+}
+
+// TestShmDirectPutWakesParkedReceiver: the receiving PE has parked and
+// the ring reader is in its futex wait, so nothing polls the sentinel.
+// The put's putSeq bump wakes the reader, the reader kicks the PE, and
+// the PE's full poll detects it — well inside the reader's futex timeout,
+// which has escalated past 10 ms by then.
+func TestShmDirectPutWakesParkedReceiver(t *testing.T) {
+	g := newDirectPutRig(t, 1024)
+	release := g.run(t)
+	in := shmLinkOf(g.nodes, dpRecv, dpSender).in
+	waitFor(t, "the receiver to park", func() bool {
+		last := g.lastPoll.Load()
+		return in.dataWait.load() != 0 && last != 0 && time.Since(time.Unix(0, last)) > 20*time.Millisecond
+	})
+	time.Sleep(40 * time.Millisecond) // futex timeouts 2+4+8+16 ms: the next is 32
+	if in.dataWait.load() == 0 || time.Since(time.Unix(0, g.lastPoll.Load())) < 40*time.Millisecond {
+		t.Fatalf("receiver woke with nothing to do: armed %d, last poll %v ago", in.dataWait.load(), time.Since(time.Unix(0, g.lastPoll.Load())))
+	}
+	var sentAt atomic.Int64
+	sender := g.rts[dpSender]
+	sender.Enqueue(dpSender, func() {
+		sentAt.Store(time.Now().UnixNano())
+		sender.SendPut(dpRecv, 7, g.payload)
+	})
+	waitFor(t, "detection", func() bool { return g.landed.Load() == 1 })
+	if d := time.Duration(g.landedAt.Load() - sentAt.Load()); d > 10*time.Millisecond {
+		t.Fatalf("parked receiver detected the put after %v, want < 10ms", d)
+	}
+	release()
+}
+
+// TestShmDirectPutFramedAfterDrop: once the registration is dropped (the
+// channel's receive end migrated, DropPutBuffer on every rank), puts into
+// the still arena-resident buffer take the framed path — and each put,
+// direct or framed, is counted once on each side.
+func TestShmDirectPutFramedAfterDrop(t *testing.T) {
+	g := newDirectPutRig(t, 1024)
+	recv := g.rts[dpRecv]
+	// A framed arrival's credit discipline (ckdirect's sinks deposit too,
+	// and mark the buffer so detection does not count it again — the
+	// ckdirect tests cover that half): credit here, receipt in handleApp,
+	// credit returned by the "detection" task.
+	recv.SetPutSink(func(int64, []byte) {
+		recv.PutIssued()
+		g.sank.Add(1)
+		recv.Enqueue(dpRecv, recv.PutDetected)
+	})
+	release := g.run(t)
+	sender := g.rts[dpSender]
+	sender.Enqueue(dpSender, func() { sender.SendPut(dpRecv, 7, g.payload) })
+	waitFor(t, "the direct put", func() bool { return g.landed.Load() == 1 })
+	for _, rt := range g.rts {
+		rt.DropPutBuffer(7)
+	}
+	sender.Enqueue(dpSender, func() { sender.SendPut(dpRecv, 7, g.payload) })
+	waitFor(t, "the framed put", func() bool { return g.sank.Load() == 1 })
+	waitFor(t, "matched sums", func() bool { s, r := g.sums(); return s == 2 && r == 2 })
+	release()
+	if st := g.nodes[dpSender].Stats(); st.PutsDirect != 1 || st.PutsFramed != 1 || g.landed.Load() != 1 {
+		t.Fatalf("puts direct %d framed %d detected-direct %d, want 1/1/1", st.PutsDirect, st.PutsFramed, g.landed.Load())
+	}
+}
+
+// TestShmDirectPutSurvivesDie: a rank dies (the in-process kill -9) while
+// the other side's deposits are streaming into the arena. Both runs
+// unwind, Close still gets past every link's producer fence (a put that
+// entered and never left would hang its teardown), and the pool ledger
+// balances.
+func TestShmDirectPutSurvivesDie(t *testing.T) {
+	for _, victim := range []int{0, 1} {
+		t.Run([]string{"sender", "receiver"}[victim], func(t *testing.T) {
+			skipNoShm(t)
+			before := bufpool.Default.Stats()
+			nodes, err := StartLocalConfig(2, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rts := make([]*Runtime, 2)
+			for i, n := range nodes {
+				if rts[i], err = n.NewRuntime(2); err != nil {
+					t.Fatal(err)
+				}
+				rts[i].SetDeliver(func(e Env, pooled []byte) { bufpool.Put(pooled) })
+			}
+			const size = 64 << 10
+			buf := registerArenaBuffer(t, rts, 0, 1, 3, size)
+			rts[1].SetPoll(func(pe int, full bool) bool {
+				if atomic.LoadUint64(sentinelOf(buf)) == dpOOB {
+					return false
+				}
+				rts[1].PutLanded()
+				atomic.StoreUint64(sentinelOf(buf), dpOOB)
+				rts[1].PutDetected()
+				return true
+			})
+			payload := bytes.Repeat([]byte{0x5A}, size)
+			var stream func()
+			stream = func() {
+				for i := 0; i < 16 && !rts[0].Aborted(); i++ {
+					rts[0].SendPut(1, 3, payload)
+				}
+				if !rts[0].Aborted() {
+					rts[0].Enqueue(0, stream)
+				}
+			}
+			rts[0].Enqueue(0, stream)
+			done := make(chan struct{})
+			go func() {
+				runAll(rts)
+				close(done)
+			}()
+			awaitReg(t, nodes, rts, 0, 1, 3)
+			waitFor(t, "deposits to stream", func() bool { return nodes[0].Stats().PutsDirect > 64 })
+			nodes[victim].Die()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("runs hung after the kill")
+			}
+			links := []*shmLink{shmLinkOf(nodes, 0, 1), shmLinkOf(nodes, 1, 0)}
+			closed := make(chan struct{})
+			go func() {
+				for _, n := range nodes {
+					n.Close()
+				}
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(30 * time.Second):
+				t.Fatal("Close hung on a link's producer fence")
+			}
+			for i, l := range links {
+				l.mu.Lock()
+				seg := l.seg
+				l.mu.Unlock()
+				if seg != nil {
+					t.Errorf("rank %d's link was not torn down", i)
+				}
+			}
+			poolSettles(t, before)
+		})
 	}
 }
 

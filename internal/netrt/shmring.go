@@ -14,6 +14,8 @@ import (
 //	offset   0: head (uint64, consumer-owned, free-running position)
 //	offset  64: tail (uint64, producer-owned, free-running position)
 //	offset 128: closed flag (uint64)
+//	offset 136: dataWait, spaceWait (uint32 futex words, see below)
+//	offset 152: putSeq (uint64, bumped by direct puts into the arena)
 //	offset 192: data[capacity]  (capacity is a power of two)
 //
 // head and tail live on separate cache lines so the producer's store
@@ -40,6 +42,14 @@ import (
 // it; the peer clears the word and wakes after publishing. Cross-
 // process, so no FUTEX_PRIVATE_FLAG. On non-Linux hosts the stub wait
 // degrades to a short sleep.
+//
+// putSeq carries no bytes: a direct put (shmLink.directPut) deposits into
+// the arena and release-stores the sentinel there, then bumps the putSeq
+// of the ring that flows the same way and wakes its reader only if the
+// dataWait word is armed. The reader's only job with it is the wake: it
+// counts putSeq as readiness and kicks the local PEs when it moves, so a
+// receiver PE parked past its spin budget wakes into a full poll. A PE
+// that is still spinning finds the sentinel itself.
 //
 // How long a waiter yields before it arms depends on whether the host has
 // cores to yield on (ringYields). Where it has one for every ring reader
@@ -68,6 +78,7 @@ const (
 	shmClosedOff    = 128
 	shmDataWaitOff  = 136
 	shmSpaceWaitOff = 144
+	shmPutSeqOff    = 152
 	ringArmYields   = 512             // yields before arming the futex
 	ringSpinYields  = 8192            // the same, where the host has the cores (ringYields)
 	ringFutexWaitNS = 2 * 1000 * 1000 // first bounded wait: re-check down/closed at 2ms
@@ -93,6 +104,7 @@ type shmRing struct {
 	closed    *atomicU64Ptr
 	dataWait  *atomicU32Ptr // armed by a consumer out of bytes
 	spaceWait *atomicU32Ptr // armed by a producer out of space
+	putSeq    *atomicU64Ptr // bumped by every direct put this way
 	data      []byte
 	mask      uint64
 
@@ -108,6 +120,7 @@ type atomicU64Ptr struct{ v uint64 }
 
 func (a *atomicU64Ptr) load() uint64   { return atomic.LoadUint64(&a.v) }
 func (a *atomicU64Ptr) store(x uint64) { atomic.StoreUint64(&a.v, x) }
+func (a *atomicU64Ptr) add(d uint64)   { atomic.AddUint64(&a.v, d) }
 
 // atomicU32Ptr is the 32-bit variant — futex words are 32 bits.
 type atomicU32Ptr struct{ v uint32 }
@@ -136,6 +149,7 @@ func newShmRing(region []byte) (*shmRing, error) {
 		closed:    (*atomicU64Ptr)(unsafe.Pointer(&region[shmClosedOff])),
 		dataWait:  (*atomicU32Ptr)(unsafe.Pointer(&region[shmDataWaitOff])),
 		spaceWait: (*atomicU32Ptr)(unsafe.Pointer(&region[shmSpaceWaitOff])),
+		putSeq:    (*atomicU64Ptr)(unsafe.Pointer(&region[shmPutSeqOff])),
 		data:      region[shmRingHdrBytes:],
 		mask:      uint64(capacity - 1),
 		yields:    ringArmYields,
@@ -233,13 +247,27 @@ func (r *shmRing) write(b []byte, down <-chan struct{}) bool {
 		}
 		raceWirePublish()
 		r.tail.store(tail + uint64(n))
-		if r.dataWait.load() != 0 {
-			r.dataWait.store(0)
-			futexWake(&r.dataWait.v)
-		}
+		r.wakeReader()
 		b = b[n:]
 	}
 	return true
+}
+
+// publishPut announces a direct put already visible in the arena: bump
+// putSeq, then wake the reader if it armed its word. Arm-then-check on
+// the reader's side against bump-then-check-arm here is the same
+// can't-both-miss pairing as a ring publish.
+func (r *shmRing) publishPut() {
+	r.putSeq.add(1)
+	r.wakeReader()
+}
+
+// wakeReader clears and wakes the consumer's futex word if it is armed.
+func (r *shmRing) wakeReader() {
+	if r.dataWait.load() != 0 {
+		r.dataWait.store(0)
+		futexWake(&r.dataWait.v)
+	}
 }
 
 // shmRingReader adapts the consumer side to io.Reader so the exact
@@ -247,18 +275,31 @@ func (r *shmRing) write(b []byte, down <-chan struct{}) bool {
 // byte-identical dispatch across transports by construction. A read
 // blocks (in await) until at least one byte is available, and reports
 // io.EOF once the link is down or closed with the ring drained.
+//
+// Every Read, and every readiness test while it waits, also looks at the
+// ring's putSeq: when it moved, a direct put landed in the arena and
+// onPut (when set) kicks the receiving PEs.
 type shmRingReader struct {
-	ring *shmRing
-	down <-chan struct{}
+	ring    *shmRing
+	down    <-chan struct{}
+	onPut   func()
+	putSeen uint64
 }
 
 func (rr *shmRingReader) Read(p []byte) (int, error) {
 	r := rr.ring
 	for {
+		if s := r.putSeq.load(); s != rr.putSeen {
+			rr.putSeen = s
+			if rr.onPut != nil {
+				rr.onPut()
+			}
+		}
 		head := r.head.load()
 		avail := r.tail.load() - head
 		if avail == 0 {
-			if !r.await(r.dataWait, func() bool { return r.tail.load() != head }, rr.down) {
+			seen := rr.putSeen
+			if !r.await(r.dataWait, func() bool { return r.tail.load() != head || r.putSeq.load() != seen }, rr.down) {
 				return 0, io.EOF
 			}
 			continue

@@ -39,6 +39,16 @@ type NetStats struct {
 	// ShmFramesCoalesced counts frames that piggybacked on another
 	// producer's ring write instead of taking the combining lock.
 	ShmFramesCoalesced int64
+	// ShmDeclined counts edges this node wanted on shared memory that
+	// stayed on TCP: an offer it could not build, or one declined or not
+	// taken up (ShmOff on this side is not counted).
+	ShmDeclined int64
+	// PutsDirect and PutsFramed split the cross-rank CkDirect puts this
+	// node sent: deposited straight into a registered shm arena buffer,
+	// or shipped as an FPut frame (TCP edges, strided or unregistered
+	// handles, a put that raced its registration, a rehomed channel).
+	PutsDirect int64
+	PutsFramed int64
 	// BatchGrows/BatchShrinks count per-peer writev window moves;
 	// EagerShrinks counts adaptive eager-threshold halvings on
 	// congested edges.
@@ -62,6 +72,9 @@ func (n *Node) Stats() NetStats {
 		TermNudges:         n.nudges.Load(),
 		FramesAfterHalt:    n.afterHalt.Load(),
 		ShmFramesCoalesced: n.shmCoalesced.Load(),
+		ShmDeclined:        n.shmDeclined.Load(),
+		PutsDirect:         n.putsDirect.Load(),
+		PutsFramed:         n.putsFramed.Load(),
 		BatchGrows:         n.batchGrows.Load(),
 		BatchShrinks:       n.batchShrinks.Load(),
 		EagerShrinks:       n.eagerShrinks.Load(),

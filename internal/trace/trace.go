@@ -81,9 +81,11 @@ const (
 	// cumulative) of app frames that arrived after the termination
 	// decision — the protocol's safety property is that it is zero. The
 	// batching counters record the per-peer adaptive writev window and
-	// eager-threshold adjustments, and shm_coalesced the frames (FPut
-	// doorbells above all) staged behind an in-flight shm ring write and
-	// flushed in one combined pass.
+	// eager-threshold adjustments, and shm_coalesced the frames staged
+	// behind an in-flight shm ring write and flushed in one combined pass.
+	// shm_declined counts edges this rank wanted on shared memory that
+	// stayed on TCP; puts_direct / puts_framed split the cross-rank
+	// CkDirect puts it sent into arena deposits and FPut frames.
 	CntNetConnsOpened   = "net.conns_opened"
 	CntNetConnsDialed   = "net.conns_dialed"
 	CntNetConnsAccepted = "net.conns_accepted"
@@ -95,6 +97,9 @@ const (
 	CntNetNudges        = "net.term_nudges"
 	CntNetAfterHalt     = "net.frames_after_halt"
 	CntNetShmCoalesced  = "net.shm_coalesced"
+	CntNetShmDeclined   = "net.shm_declined"
+	CntNetPutsDirect    = "net.puts_direct"
+	CntNetPutsFramed    = "net.puts_framed"
 	CntNetBatchGrows    = "net.batch_grows"
 	CntNetBatchShrinks  = "net.batch_shrinks"
 	CntNetEagerShrinks  = "net.eager_shrinks"
