@@ -3,6 +3,7 @@ package charm
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 
 	"repro/internal/bufpool"
 	"repro/internal/netmodel"
@@ -282,6 +283,19 @@ func (b *netBackend) run() sim.Time {
 
 func (b *netBackend) executed() uint64 { return b.nrt.Executed() }
 
+// runMetrics are the runtime/metrics scalars a live run is bracketed
+// with, in the order runWithMemStats reads them. runtime/metrics reads
+// them without stopping the world; runtime.ReadMemStats stops it, and the
+// two reads it took per run cost a mean 52–58 µs of every ckserve job on
+// each rank (2-rank in-process world, 2 vCPUs).
+var runMetrics = [...]string{
+	"/gc/heap/allocs:objects",
+	"/gc/heap/tiny/allocs:objects",
+	"/gc/heap/allocs:bytes",
+	"/gc/cycles/total:gc-cycles",
+	"/cpu/classes/gc/pause:cpu-seconds",
+}
+
 // runWithMemStats brackets a live-backend run with allocator, GC and
 // wire-pool accounting, recording the deltas as mem.* / pool.* counters.
 // Only the real and net backends call it: their costs are wall-clock
@@ -290,21 +304,37 @@ func (b *netBackend) executed() uint64 { return b.nrt.Executed() }
 // sim backend must never record these — its counter sets are compared
 // wholesale by determinism tests, and allocator behaviour is not
 // deterministic.
+//
+// The mem.* deltas come from runtime/metrics (see DESIGN §9 for what
+// they mean exactly): mem.allocs counts heap objects, tiny ones
+// included; mem.alloc_bytes the bytes of those objects; mem.gcs
+// completed GC cycles; mem.gc_pause_ns the GC's stop-the-world CPU time
+// divided by GOMAXPROCS, which is the pauses' wall time. Small-object
+// counts are published when a span leaves a P's cache, so a delta is
+// exact only to within one span per size class per P at each edge of
+// the run (a GC flushes every cache).
 func (rts *RTS) runWithMemStats(run func() sim.Time) sim.Time {
 	rec := rts.rec
 	if rec == nil {
 		return run()
 	}
+	const n = len(runMetrics)
+	s := make([]metrics.Sample, 2*n)
+	for i, name := range runMetrics {
+		s[i].Name, s[n+i].Name = name, name
+	}
+	before, after := s[:n], s[n:]
 	poolBefore := bufpool.Default.Stats()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	metrics.Read(before)
 	t := run()
-	runtime.ReadMemStats(&after)
+	metrics.Read(after)
 	poolAfter := bufpool.Default.Stats()
-	rec.Incr(trace.CntMemAllocs, int64(after.Mallocs-before.Mallocs))
-	rec.Incr(trace.CntMemBytes, int64(after.TotalAlloc-before.TotalAlloc))
-	rec.Incr(trace.CntMemGCPauseNS, int64(after.PauseTotalNs-before.PauseTotalNs))
-	rec.Incr(trace.CntMemGCs, int64(after.NumGC-before.NumGC))
+	delta := func(i int) int64 { return int64(after[i].Value.Uint64() - before[i].Value.Uint64()) }
+	pause := after[4].Value.Float64() - before[4].Value.Float64()
+	rec.Incr(trace.CntMemAllocs, delta(0)+delta(1))
+	rec.Incr(trace.CntMemBytes, delta(2))
+	rec.Incr(trace.CntMemGCs, delta(3))
+	rec.Incr(trace.CntMemGCPauseNS, int64(pause*1e9/float64(runtime.GOMAXPROCS(0))))
 	rec.Incr(trace.CntPoolGets, poolAfter.Gets-poolBefore.Gets)
 	rec.Incr(trace.CntPoolPuts, poolAfter.Puts-poolBefore.Puts)
 	rec.Incr(trace.CntPoolMisses, poolAfter.Misses-poolBefore.Misses)

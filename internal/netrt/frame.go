@@ -1,16 +1,18 @@
 // Package netrt is the distributed execution backend: it runs the
 // message-driven programs of this repository across multiple OS
-// processes connected by TCP sockets, emulating the paper's network
-// protocol stack in live code. Each process hosts a contiguous block of
-// PEs on a local realrt goroutine runtime; Charm++ messages cross
-// process boundaries as eager frames below a size threshold and as a
-// rendezvous (RTS/CTS/data) exchange above it — the same split the
-// netmodel personalities price — while CkDirect puts become
-// registered-buffer writes: the receiving process deposits the payload
-// directly into the preregistered destination region and release-stores
-// the sentinel word, so the unmodified poll loop in internal/ckdirect
-// detects completion with no callback message, preserving the paper's
-// unsynchronized one-sided semantics.
+// processes connected by TCP sockets — and, between processes on one
+// host, by shared-memory rings — emulating the paper's network protocol
+// stack in live code. Each process hosts a contiguous block of PEs on a
+// local realrt goroutine runtime; Charm++ messages cross process
+// boundaries as eager frames below a size threshold and as a rendezvous
+// (RTS/CTS/data) exchange above it — the same split the netmodel
+// personalities price — while CkDirect puts become registered-buffer
+// writes: the payload lands directly in the preregistered destination
+// region (the sender's memcpy into the shared arena on a shm edge, the
+// receiving process's deposit from the stream otherwise) and the
+// sentinel word is release-stored last, so the unmodified poll loop in
+// internal/ckdirect detects completion with no callback message,
+// preserving the paper's unsynchronized one-sided semantics.
 //
 // The design is SPMD: every process runs the identical program setup, so
 // chare arrays, entry points and CkDirect handles carry the same ordinal
@@ -34,9 +36,12 @@ import (
 	"repro/internal/bufpool"
 )
 
-// Frame types. Control frames (hello/join/peers/probe/report/halt/ping/
-// bye) are runtime-internal and never counted by termination detection;
-// app frames (eager/rts/cts/data/put/cast) carry program traffic.
+// Frame types. App frames (eager/rts/cts/data/put/cast/move/loc) carry
+// program traffic and are what termination detection counts; every other
+// type is runtime control and is never counted. Which transport a frame
+// takes on a shared-memory edge is a separate rule (ridesRing): the ring
+// carries everything but membership and liveness (hello/join/peers/
+// shmoffer/shmack/ping/bye/leave/dialreq), which stay on TCP.
 const (
 	// FHello opens a first-contact worker-to-worker edge: A = the
 	// dialing (lower) rank. The shm offer follows on the same socket.
@@ -87,12 +92,13 @@ const (
 	FLeave
 	// FJob is the coordinator's job announcement in service mode
 	// (internal/serve): A = job sequence number, payload = the encoded
-	// job spec every rank must execute next. Control traffic — it rides
-	// between run generations and is never counted by termination
-	// detection.
+	// job spec every rank must execute next (seq -1, no payload: shut
+	// down). Control traffic, never counted by termination detection; on
+	// a shm edge it rides the ring, ahead of the run's own frames.
 	FJob
 	// FJobDone is a worker's job report back to the coordinator: A = job
-	// sequence number, payload = the encoded per-rank outcome.
+	// sequence number, payload = the encoded per-rank outcome. Control
+	// traffic; rides the ring on a shm edge.
 	FJobDone
 	// FShmOffer proposes a shared-memory link for this edge during
 	// bootstrap: payload = "unixName\ntoken\nhostID", A = ring bytes,
@@ -102,14 +108,15 @@ const (
 	// start, so it never interleaves with app traffic.
 	FShmOffer
 	// FShmAck answers an offer: A = 1 when the receiver mapped the
-	// segment and the edge switches its app frames to the shm rings,
-	// A = 0 when it stays on TCP.
+	// segment and every frame of the edge but membership and liveness
+	// (ridesRing) moves to the shm rings, A = 0 when it stays on TCP.
 	FShmAck
 	// FShmReg advertises a CkDirect destination buffer placed inside
 	// the shm arena, receiver → sender: Run = generation, A = handle
-	// id, B = arena offset, C = byte size. Control traffic on the TCP
-	// stream; a sender holding a registration deposits puts straight
-	// into the mapped arena and sends only a doorbell.
+	// id, B = arena offset, C = byte size. Control traffic on the ring,
+	// held until Run when made during setup; a sender holding one memcpys
+	// its puts straight into the mapped arena and release-stores the
+	// sentinel there — no frame follows the put.
 	FShmReg
 	// FMove ships a migrating array element's packed state from its old
 	// hosting rank to its new one: A = array ordinal, payload = the

@@ -1032,7 +1032,12 @@ func (n *Node) Close() error {
 		// Say goodbye before closing: the FLeave flushes ahead of the
 		// FIN, so a peer still draining its final run can tell planned
 		// teardown from a lost peer. sendOpen — goodbyes go to edges
-		// that exist, never open new ones.
+		// that exist, never open new ones. The goodbye rides TCP and the
+		// frames before it (a serve shutdown announce) may ride the ring,
+		// so the ring is flushed first: the peer reads both before EOF.
+		if l := p.shm.Load(); l != nil {
+			l.flush()
+		}
 		n.sendOpen(r, &Frame{Type: FLeave, A: completed, B: int64(n.rank)})
 		p.close()
 	}

@@ -89,9 +89,9 @@ type peerConn struct {
 	lastRecv atomic.Int64
 
 	// shm, when set, is the shared-memory link negotiated for this edge
-	// at bootstrap: app frames ride its ring (the TCP connection keeps
-	// carrying control traffic, whose EOF is the death signal), and
-	// registered puts deposit into its arena.
+	// at bootstrap: every frame but membership and liveness rides its
+	// ring (ridesRing; the TCP connection keeps those, and its EOF is the
+	// death signal), and registered puts deposit into its arena.
 	shm atomic.Pointer[shmLink]
 
 	// regs records the peer's FShmReg put-buffer registrations (by
@@ -147,26 +147,34 @@ func (p *peerConn) start() {
 }
 
 // ridesRing reports whether a frame type takes the shared-memory ring
-// when the edge has one: program traffic, and the termination frames
-// that account for it. A probe answered through the kernel is answered
-// late exactly when it matters — while PEs and ring readers spin, no P
-// runs dry, and Go reaches the netpoller only from a P with nothing to
-// run (sysmon's 10 ms poll aside), so a TCP probe sat for 0.5–2 ms of a
-// 2 ms job; on the ring the reader that is hot for the app's frames
-// picks it up in the same pass. So does a put-buffer registration
-// (FShmReg): the sender's puts stay framed until it arrives, and through
-// the kernel it arrived milliseconds late, after hundreds of a stencil's
-// puts. The rest of the control traffic stays on TCP, whose EOF remains
-// the instant death signal: nothing depends on its order against ring
-// frames (termination is counter-based, probes are idempotent, a put
-// that outruns its registration is framed, FLeave only follows a
-// finished run).
+// when the edge has one. Everything does except membership and liveness:
+// the bootstrap handshakes (which run on the raw socket before any ring
+// exists), keepalives, and the departure and dial-relay frames, which
+// stay on TCP beside the EOF that is the instant death signal.
+//
+// A frame sent through the kernel is read late exactly when it matters:
+// while PEs and ring readers spin, no P runs dry, and Go reaches the
+// netpoller only from a P with nothing to run (sysmon's 10 ms poll
+// aside). A TCP probe sat for 0.5–2 ms of a 2 ms job, a put-buffer
+// registration (FShmReg) arrived after hundreds of a stencil's puts, and
+// a worker entered a served job's run a mean 380–500 µs after rank 0
+// (22–24 µs with the job announce, FJob, on the ring; 2-rank in-process
+// world, 2 vCPUs). On the ring, the reader that is hot for the app's
+// frames picks each up in the same pass.
+//
+// Nothing depends on the order of a TCP frame against ring frames:
+// termination is counter-based and probes are idempotent, a put that
+// outruns its registration is framed, and FLeave follows a finished run.
+// The one place that needs care is shutdown, where the last ring frames
+// (the serve shutdown announce) must be read before the goodbye's EOF
+// stops the reader: Node.Close flushes the ring before the goodbye, and
+// shmRing.await looks at the ring once more when the link goes down.
 func ridesRing(t byte) bool {
 	switch t {
-	case FEager, FRTS, FCTS, FData, FPut, FCast, FProbe, FReport, FHalt, FShmReg:
-		return true
+	case FHello, FJoin, FPeers, FShmOffer, FShmAck, FPing, FBye, FLeave, FDialReq:
+		return false
 	}
-	return false
+	return true
 }
 
 // send queues an encoded frame, blocking on a full outbox. It reports

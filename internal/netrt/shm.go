@@ -195,6 +195,18 @@ func (l *shmLink) writeFrame(b []byte, down <-chan struct{}) bool {
 	return ok
 }
 
+// flush waits until no producer holds the write token, so every frame
+// writeFrame has accepted — staged ones included — is in the ring. Close
+// calls it before the goodbye: the peer's ring reader stops at the EOF
+// that follows the goodbye, and must find the last frames published.
+func (l *shmLink) flush() {
+	l.mu.Lock()
+	for l.writing && !l.dead {
+		l.drained.Wait()
+	}
+	l.mu.Unlock()
+}
+
 // teardown unmaps this process's view of the segment. It must only run
 // after the link's consumer is gone: the caller waits for the
 // ring-reader goroutine (readerDone). Producers are fenced by the

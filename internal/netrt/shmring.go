@@ -186,6 +186,13 @@ func (r *shmRing) close() {
 // closed/down, so a dead peer that never wakes us still surfaces within
 // the timeout. False means the link died (down closed, or the ring's
 // closed flag set) with ready() still false.
+//
+// A link that died is checked for readiness once more before await gives
+// up: the peer publishes its last frames and only then says goodbye on
+// TCP (or raises the closed flag), so bytes it published can become
+// visible between a failed ready() and the look at down. The serve
+// shutdown announce is such a frame — lost, it leaves a follower waiting
+// for ever.
 func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struct{}) bool {
 	spins, waitNS := 0, int64(ringFutexWaitNS)
 	for {
@@ -193,11 +200,11 @@ func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struc
 			return true
 		}
 		if r.closed.load() != 0 {
-			return false
+			return ready()
 		}
 		select {
 		case <-down:
-			return false
+			return ready()
 		default:
 		}
 		if spins < r.yields {
@@ -274,7 +281,8 @@ func (r *shmRing) wakeReader() {
 // same bufio-fed frame loop that serves a TCP socket serves the ring —
 // byte-identical dispatch across transports by construction. A read
 // blocks (in await) until at least one byte is available, and reports
-// io.EOF once the link is down or closed with the ring drained.
+// io.EOF only once the link is down or closed AND the ring is drained:
+// every byte the peer published before its goodbye is still read.
 //
 // Every Read, and every readiness test while it waits, also looks at the
 // ring's putSeq: when it moved, a direct put landed in the arena and

@@ -38,6 +38,42 @@ func sameChecksums(a, b map[int]string) bool {
 	return true
 }
 
+// TestShutdownAnnounceThenCloseEndsEveryFollower is ckserve's exit
+// order: rank 0 announces the shutdown and closes its node at once. On a
+// shm edge the announce rides the ring and the goodbye after it rides
+// TCP, so each follower must read the announce before the goodbye's EOF
+// stops its ring reader — and return nil, not wait for ever.
+func TestShutdownAnnounceThenCloseEndsEveryFollower(t *testing.T) {
+	const world, rounds = 3, 10
+	for _, shmOff := range []bool{false, true} {
+		for i := 0; i < rounds; i++ {
+			nodes, err := netrt.StartLocalConfig(world, netrt.Config{ShmOff: shmOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, world-1)
+			for _, n := range nodes[1:] {
+				go func() { errs <- Follow(Env{Backend: charm.NetBackend, Net: n, Platform: netmodel.AbeIB}, 1) }()
+			}
+			AnnounceShutdown(Env{Backend: charm.NetBackend, Net: nodes[0], Platform: netmodel.AbeIB})
+			if err := nodes[0].Close(); err != nil {
+				t.Fatal(err)
+			}
+			for r := 1; r < world; r++ {
+				select {
+				case err := <-errs:
+					if err != nil {
+						t.Fatalf("shmOff=%v round %d: follower: %v", shmOff, i, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("shmOff=%v round %d: %d of %d followers returned after announce + Close", shmOff, i, r-1, world-1)
+				}
+			}
+			nettest.CloseAll(t, nodes[1:])
+		}
+	}
+}
+
 // TestNetServeJobsAndKillRecovery is the daemon's tentpole scenario in
 // process: a 3-rank serving mesh runs a stream of jobs, loses a worker
 // rank to the kill -9 chaos tier mid-job, recovers by respawning the
