@@ -1,52 +1,33 @@
 // Command ckbench regenerates the paper's evaluation artifacts: every
 // table and figure of "CkDirect: Unsynchronized One-Sided Communication
 // in a Message-Driven Paradigm" (ICPP 2009), plus the ablations described
-// in DESIGN.md and the real-execution hardware experiment.
+// in DESIGN.md. Every experiment runs in virtual time, so its output is
+// byte-identical run to run.
 //
 // Usage:
 //
 //	ckbench -list
 //	ckbench -exp table1            # one experiment, quick scale
 //	ckbench -exp all -scale paper  # full published configurations
-//	ckbench -exp realhw -json      # wall-clock run, archived as BENCH_realhw.json
+//	ckbench -exp fig3 -format csv  # series for plotting tools
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/bench"
 )
 
-// jsonReport is the archived form of a ckbench run: the tables plus
-// enough host metadata to interpret wall-clock numbers later.
-type jsonReport struct {
-	Experiment string         `json:"experiment"`
-	Scale      string         `json:"scale"`
-	GoVersion  string         `json:"go_version"`
-	OS         string         `json:"os"`
-	Arch       string         `json:"arch"`
-	NumCPU     int            `json:"num_cpu"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Generated  string         `json:"generated"`
-	Tables     []*bench.Table `json:"tables"`
-}
-
 func main() {
 	var (
-		expID      = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		scale      = flag.String("scale", "quick", "quick | paper")
-		format     = flag.String("format", "text", "text | csv")
-		jsonOut    = flag.Bool("json", false, "also write results to BENCH_<exp>.json")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		timings    = flag.Bool("timings", false, "print wall-clock time per experiment")
+		expID   = flag.String("exp", "all", "experiment id (see -list) or 'all'")
+		scale   = flag.String("scale", "quick", "quick | paper")
+		format  = flag.String("format", "text", "text | csv")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		timings = flag.Bool("timings", false, "print wall-clock time per experiment")
 	)
 	flag.Parse()
 	if *format != "text" && *format != "csv" {
@@ -78,24 +59,9 @@ func main() {
 		todo = []bench.Experiment{e}
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	var archive []*bench.Table
 	for _, e := range todo {
 		start := time.Now()
-		tables := e.Run(sc)
-		archive = append(archive, tables...)
-		for _, t := range tables {
+		for _, t := range e.Run(sc) {
 			if *format == "csv" {
 				fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
 			} else {
@@ -106,44 +72,4 @@ func main() {
 			fmt.Printf("  [%s took %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 	}
-
-	if *jsonOut {
-		name := fmt.Sprintf("BENCH_%s.json", *expID)
-		report := jsonReport{
-			Experiment: *expID,
-			Scale:      *scale,
-			GoVersion:  runtime.Version(),
-			OS:         runtime.GOOS,
-			Arch:       runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Generated:  time.Now().UTC().Format(time.RFC3339),
-			Tables:     archive,
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d tables)\n", name, len(archive))
-	}
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ckbench:", err)
-	os.Exit(2)
 }

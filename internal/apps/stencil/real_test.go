@@ -54,8 +54,8 @@ func TestRealBackendMatchesSim(t *testing.T) {
 }
 
 // TestRealBackendImprovement runs both transports for real on the
-// wall-clock and checks completion; the realhw benchmark asserts the
-// direction of the gap at scale.
+// wall-clock and checks completion; timing the gap between them is the
+// repo benchmark's job (benchmark/, stencil-shm).
 func TestRealBackendImprovement(t *testing.T) {
 	cfg := realOracleConfig(Msg)
 	cfg.Backend = charm.RealBackend

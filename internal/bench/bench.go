@@ -6,6 +6,10 @@
 // Every driver takes a Scale: Quick shrinks sweeps so the whole suite
 // runs in seconds (used by tests and `go test -bench`), Paper runs the
 // full published configuration (used by cmd/ckbench).
+//
+// Every experiment is model output: it runs in virtual time, so the same
+// Scale yields byte-identical tables. Wall-clock measurements of the live
+// backends belong to benchmark/, not here.
 package bench
 
 import (
@@ -160,13 +164,6 @@ func All() []Experiment {
 		{"summary", "Reproduction scorecard: headline claims pass/fail", func(s Scale) []*Table { return []*Table{Summary(s)} }},
 		{"fem", "Supplementary: unstructured-mesh FEM from the paper's §1 class", func(s Scale) []*Table { return []*Table{FemFigure(s)} }},
 		{"faults", "Supplementary: recovery cost under transfer loss", func(s Scale) []*Table { return []*Table{FaultFigure(s)} }},
-		{"realhw", "Real-execution backend: wall-clock pingpong + stencil on goroutines", func(s Scale) []*Table { return RealHW(s) }},
-		{"nethw", "Distributed net backend: wall-clock pingpong + stencil across a socket mesh", func(s Scale) []*Table { return NetHW(s) }},
-		{"nethw-shm", "Shared-memory transport between co-located ranks: pingpong + stencil over memfd rings (DESIGN.md §12)", func(s Scale) []*Table { return NetHWShm(s) }},
-		{"allocs", "Allocator pressure of the live backends vs pre-pool baselines (DESIGN.md §9)", func(s Scale) []*Table { return Allocs(s) }},
-		{"serve", "ckserve daemon throughput: warmed mesh vs boot-per-run (DESIGN.md §11)", func(s Scale) []*Table { return ServeBench(s) }},
-		{"lb", "Skewed stencil under measurement-based load balancing (DESIGN.md §13)", func(s Scale) []*Table { return LBBench(s) }},
-		{"scale", "World-size sweep: lazy dialing, tree termination, adaptive batching (DESIGN.md §14)", func(s Scale) []*Table { return ScaleBench(s) }},
 	}
 }
 

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// TestAllExperimentsRunAtQuickScale runs every registered experiment twice:
+// each must produce well-formed tables, and — because the registry holds
+// model output only — the second run must format byte for byte like the
+// first.
 func TestAllExperimentsRunAtQuickScale(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -13,6 +17,9 @@ func TestAllExperimentsRunAtQuickScale(t *testing.T) {
 			tables := e.Run(Quick)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
+			}
+			if first, again := formatAll(tables), formatAll(e.Run(Quick)); first != again {
+				t.Fatalf("not deterministic: first run\n%s\nsecond run\n%s", first, again)
 			}
 			for _, tab := range tables {
 				if len(tab.Rows) == 0 || len(tab.Columns) == 0 {
@@ -32,6 +39,14 @@ func TestAllExperimentsRunAtQuickScale(t *testing.T) {
 			}
 		})
 	}
+}
+
+func formatAll(tables []*Table) string {
+	var b strings.Builder
+	for _, tab := range tables {
+		b.WriteString(tab.Format())
+	}
+	return b.String()
 }
 
 func TestFindAndParseScale(t *testing.T) {

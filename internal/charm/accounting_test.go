@@ -22,7 +22,7 @@ func newLiveRTS(pes int, be Backend, node *netrt.Node) (*RTS, *trace.Recorder) {
 }
 
 // otherPauses is how many stop-the-world pauses not caused by the GC the
-// process has taken (ReadMemStats is one of their causes).
+// process has taken (a runtime.MemStats read is one of their causes).
 func otherPauses() uint64 {
 	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
 	metrics.Read(s)
@@ -36,7 +36,7 @@ func otherPauses() uint64 {
 // TestRunAccountingDoesNotStopTheWorld: the mem.* / pool.* bracket around
 // a live run reads runtime/metrics, so recorded runs — 50 empty real runs
 // and 20 empty runs of a 2-rank net world — add no stop-the-world pause.
-// With runtime.ReadMemStats each run added two per rank.
+// Reading runtime.MemStats instead added two per run per rank.
 func TestRunAccountingDoesNotStopTheWorld(t *testing.T) {
 	nodes, err := netrt.StartLocal(2)
 	if err != nil {

@@ -285,8 +285,8 @@ func (b *netBackend) executed() uint64 { return b.nrt.Executed() }
 
 // runMetrics are the runtime/metrics scalars a live run is bracketed
 // with, in the order runWithMemStats reads them. runtime/metrics reads
-// them without stopping the world; runtime.ReadMemStats stops it, and the
-// two reads it took per run cost a mean 52–58 µs of every ckserve job on
+// them without stopping the world; reading runtime.MemStats stops it, and
+// two such reads per run cost a mean 52–58 µs of every ckserve job on
 // each rank (2-rank in-process world, 2 vCPUs).
 var runMetrics = [...]string{
 	"/gc/heap/allocs:objects",

@@ -43,7 +43,7 @@ func (rc *ReduceChannel) SlotHandle(i int) *Handle { return rc.slots[i] }
 // generation have landed.
 func (m *Manager) CreateReduceChannel(pe, n, width int, op charm.ReduceOp, oob uint64, cb func(ctx *charm.Ctx, vals []float64)) (*ReduceChannel, error) {
 	if m.rt != nil {
-		return nil, m.realRejectExtension("the channel-reduction extension")
+		return nil, rejectSimOnly("the channel-reduction extension")
 	}
 	if n <= 0 || width <= 0 {
 		return nil, fmt.Errorf("ckdirect: reduce channel needs positive contributors and width")

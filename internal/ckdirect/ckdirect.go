@@ -28,6 +28,7 @@ package ckdirect
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/charm"
@@ -196,6 +197,10 @@ type Manager struct {
 	rts    *charm.RTS
 	nextID int
 	polled []pollSet // per PE
+
+	// mirrorMu serializes rehome updates of a mirror PE's poll set (see
+	// onPollSet): hosted PEs' sets are owned by their scheduler loops.
+	mirrorMu sync.Mutex
 
 	// handles registers every created handle by id (id == index). The
 	// distributed backend routes inbound put frames through it: the

@@ -70,7 +70,7 @@ func (m *Manager) readySignalEP() charm.EP {
 // source, completion callback.
 func (m *Manager) CreateGetHandle(localPE int, dst *machine.Region, remotePE int, src *machine.Region, cb func(ctx *charm.Ctx)) (*GetHandle, error) {
 	if m.rt != nil {
-		return nil, m.realRejectExtension("the get extension")
+		return nil, rejectSimOnly("the get extension")
 	}
 	if dst == nil || src == nil {
 		return nil, fmt.Errorf("ckdirect: CreateGetHandle with nil buffer")

@@ -43,7 +43,7 @@ func (h *MulticastHandle) Members() []*Handle { return h.members }
 // returned member handles).
 func (m *Manager) CreateMulticast(sendPE int, src *machine.Region, oob uint64, receivers []MulticastMember) (*MulticastHandle, error) {
 	if m.rt != nil {
-		return nil, m.realRejectExtension("the multicast extension")
+		return nil, rejectSimOnly("the multicast extension")
 	}
 	if len(receivers) == 0 {
 		return nil, fmt.Errorf("ckdirect: multicast with no receivers")

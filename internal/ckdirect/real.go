@@ -2,6 +2,7 @@ package ckdirect
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync/atomic"
 )
@@ -169,9 +170,12 @@ func (m *Manager) realDetect(h *Handle) {
 	m.rt.PutDetected()
 }
 
-// realRejectExtension reports the §6 extension models (gets, multicast,
-// channel reductions) as unavailable on the real backend: they are
-// cost-model studies built on simulator event scheduling.
-func (m *Manager) realRejectExtension(what string) error {
-	return fmt.Errorf("ckdirect: %s is not supported on the real backend", what)
+// ErrSimOnly is what creating a §6 extension channel (get, multicast,
+// channel reduction) returns on a live backend, real or net: those
+// extensions are cost-model studies built on simulator event scheduling.
+var ErrSimOnly = errors.New("sim backend only")
+
+// rejectSimOnly wraps ErrSimOnly with the refused extension's name.
+func rejectSimOnly(what string) error {
+	return fmt.Errorf("ckdirect: %s: %w", what, ErrSimOnly)
 }

@@ -25,7 +25,9 @@ import (
 // poll-set mutations therefore run as tasks on the owning PE, chained
 // through done callbacks; on PEs this process does not host (or under
 // the simulator, which is single-threaded at the cut) the step runs
-// inline. Fields only ever touched inside entry methods or Put calls
+// inline, and its poll-set update takes mirrorMu (onPollSet), because
+// two hosted PEs can reach the same mirror PE at once. Fields only ever
+// touched inside entry methods or Put calls
 // (sendPE, the transfer op) have no concurrent reader at a quiescent
 // cut and are mutated directly; the enqueue chain that resumes the run
 // publishes them.
@@ -38,6 +40,20 @@ func (m *Manager) rehomeStep(pe int, fn func()) {
 		return
 	}
 	m.rts.EnqueueOn(pe, fn)
+}
+
+// onPollSet runs a rehome's update of pe's poll set. A live backend's
+// mirror PE — one this process does not host — has no scheduler loop to
+// own its set, and its rehome steps run inline on whichever hosted PE
+// reached them, so two hosted PEs can update the same mirror set at
+// once; mirrorMu orders them. Hosted PEs' steps already run on the
+// owning loop, and the simulator is single-threaded.
+func (m *Manager) onPollSet(pe int, fn func()) {
+	if m.rt != nil && !m.rts.HostsPE(pe) {
+		m.mirrorMu.Lock()
+		defer m.mirrorMu.Unlock()
+	}
+	fn()
 }
 
 // RehomeRecv moves a channel's receive endpoint to newPE and calls done
@@ -66,8 +82,11 @@ func (m *Manager) RehomeRecv(h *Handle, newPE int, done func()) {
 			}
 		}
 		m.wdDisarm(h)
-		wasPolled := h.inPollQ
-		m.pollRemove(h) // uses the old PE's poll set; must precede the move
+		var wasPolled bool
+		m.onPollSet(oldPE, func() {
+			wasPolled = h.inPollQ
+			m.pollRemove(h) // uses the old PE's poll set; must precede the move
+		})
 		h.recvPE = newPE
 		if m.rt != nil {
 			h.recvCtx = m.rts.CtxOn(newPE)
@@ -93,7 +112,7 @@ func (m *Manager) RehomeRecv(h *Handle, newPE int, done func()) {
 		m.rehomeStep(newPE, func() {
 			m.writeSentinel(h)
 			if wasPolled {
-				m.pollInsert(h)
+				m.onPollSet(newPE, func() { m.pollInsert(h) })
 			}
 			if rec := m.rts.Recorder(); rec != nil && m.rts.HostsPE(newPE) {
 				rec.Incr(trace.CntLBRehomedRecv, 1)

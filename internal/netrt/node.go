@@ -142,8 +142,15 @@ type Node struct {
 	// FLeave or FBye from the torn-down mesh AFTER the rejoin reset
 	// cleared deadErr — adopting it would poison the fresh mesh and
 	// abort the re-run at creation). Atomic so dispatch reads it
-	// lock-free on the per-frame hot path.
+	// lock-free on the per-frame hot path; that check can pass just
+	// before a Rejoin bumps the epoch, so every handler that records a
+	// departure (peerDown, onBye, onLeave) checks again under mu.
 	epoch atomic.Int64
+	// departHold is a test seam: when set, onBye and onLeave call it on
+	// entry — past dispatch's lock-free epoch check, before mu — and
+	// defer the function it returns, so a test can hold a departure
+	// across a Rejoin and learn when the handler finished.
+	departHold atomic.Pointer[func() (done func())]
 	// dead records peers whose connection (or first-contact dial) broke
 	// in the current epoch — direct observations only: an FBye names the
 	// messenger, not the dead rank, and is deliberately not recorded
@@ -796,8 +803,17 @@ func (n *Node) peerDown(p *peerConn, op string, err error) {
 // keeps the relay from looping (a relayed FBye arriving back at rank 0
 // finds deadErr already set).
 func (n *Node) onBye(p *peerConn, f Frame) {
+	if hold := n.departHold.Load(); hold != nil {
+		defer (*hold)()()
+	}
 	ne := &NetError{Rank: n.rank, Peer: int(f.A), Op: "peer-abort", Err: errors.New(string(f.Payload))}
 	n.mu.Lock()
+	if p.epoch != n.epoch.Load() {
+		// A Rejoin landed after dispatch's check: the abort belongs to
+		// the torn-down mesh.
+		n.mu.Unlock()
+		return
+	}
 	first := n.deadErr == nil
 	if first {
 		n.deadErr = ne
@@ -901,6 +917,9 @@ func (n *Node) detach(rt *Runtime) {
 // it arrived on stays loud. Only rank 0 relays and only what it heard
 // firsthand, so the relay cannot loop.
 func (n *Node) onLeave(p *peerConn, f Frame) {
+	if hold := n.departHold.Load(); hold != nil {
+		defer (*hold)()()
+	}
 	leaver := int(f.B)
 	firsthand := leaver == p.rank
 	if !firsthand && p.rank != 0 {
@@ -912,6 +931,12 @@ func (n *Node) onLeave(p *peerConn, f Frame) {
 	ne := &NetError{Rank: n.rank, Peer: leaver, Op: "leave",
 		Err: fmt.Errorf("peer exited after run generation %d", f.A)}
 	n.mu.Lock()
+	if p.epoch != n.epoch.Load() {
+		// A Rejoin landed after dispatch's check: the leave is the old
+		// mesh's teardown, and the fresh mesh must not inherit it.
+		n.mu.Unlock()
+		return
+	}
 	if n.deadErr == nil {
 		n.deadErr = ne
 	}

@@ -369,3 +369,68 @@ func TestPeerLossAbortsRun(t *testing.T) {
 		t.Error("next run on a dead mesh did not pre-abort")
 	}
 }
+
+// TestStaleDepartureIgnoredAfterRejoin holds rank 0's handler for a
+// departure from the old mesh — an FBye, or the FLeave of rank 1's Rejoin
+// teardown — after dispatch's lock-free epoch check has passed it. Both
+// ranks then Rejoin, and only then does the handler run. The departure
+// belongs to the torn-down mesh, so the next run must start and finish
+// instead of aborting at attach.
+func TestStaleDepartureIgnoredAfterRejoin(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		depart func(nodes []*Node)
+	}{
+		{"bye", func(nodes []*Node) {
+			nodes[1].sendOpen(0, &Frame{Type: FBye, A: 1, Payload: []byte("rank 1 aborted")})
+		}},
+		{"leave", func([]*Node) {}}, // rank 1's Rejoin sends it
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := startWorldConfig(t, 2, Config{Recover: true})
+			entered, release, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			var held atomic.Bool
+			hold := func() func() {
+				if !held.CompareAndSwap(false, true) {
+					return func() {} // only the first departure is held
+				}
+				close(entered)
+				<-release
+				return func() { close(finished) }
+			}
+			nodes[0].departHold.Store(&hold)
+			var releaseOnce sync.Once
+			releaseHandler := func() { releaseOnce.Do(func() { close(release) }) }
+			t.Cleanup(releaseHandler)
+
+			tc.depart(nodes)
+			rejoined1 := make(chan error, 1)
+			go func() { rejoined1 <- nodes[1].Rejoin() }()
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatal("rank 0 never handled the departure")
+			}
+			if err := nodes[0].Rejoin(); err != nil {
+				t.Fatalf("rank 0 rejoin: %v", err)
+			}
+			if err := <-rejoined1; err != nil {
+				t.Fatalf("rank 1 rejoin: %v", err)
+			}
+			releaseHandler()
+			select {
+			case <-finished:
+			case <-time.After(10 * time.Second):
+				t.Fatal("held handler never finished")
+			}
+			nodes[0].mu.Lock()
+			dead := nodes[0].deadErr
+			nodes[0].mu.Unlock()
+			if dead != nil {
+				// The next run would abort at attach (and its peer hang).
+				t.Fatalf("the rejoined mesh inherited the old mesh's departure: %v", dead)
+			}
+			exchangeOne(t, nodes)
+		})
+	}
+}

@@ -59,6 +59,10 @@ func (n *Node) Rejoin() error {
 		return errors.New("netrt: nothing to rejoin")
 	}
 
+	if n.rank == 0 && n.cfg.OnRespawn != nil {
+		n.settleStar()
+	}
+
 	// Snapshot who died before the reset clears the record. Only direct
 	// observations land in n.dead, so this names crashed rank(s), not
 	// the messengers of the abort cascade — but only those this rank
@@ -129,6 +133,30 @@ func (n *Node) Rejoin() error {
 		return fmt.Errorf("netrt: rejoin: %w", err)
 	}
 	return n.startPeers()
+}
+
+// settleStar is the coordinator's wait, before a Rejoin snapshots n.dead
+// for the respawn hook, for every worker edge of the current mesh to say
+// which way it ended: a survivor entering its own Rejoin sends an FLeave
+// first (onLeave quiets the edge), a dead rank's socket just breaks
+// (peerDown records it). Without the wait a death that reached rank 0
+// only as a relayed FBye can still be unread on the victim's socket at
+// the snapshot, and the hook — which, unlike the self-spawn exit probe,
+// acts on the snapshot alone — never respawns it. Bounded by reapGrace:
+// an edge still open then is left to the gather to time out, as before.
+func (n *Node) settleStar() {
+	deadline := time.Now().Add(reapGrace)
+	for r, p := range n.peerTable() {
+		for p != nil && !p.quiet.Load() && time.Now().Before(deadline) {
+			n.mu.Lock()
+			dead := n.dead[r]
+			n.mu.Unlock()
+			if dead {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 // respawnDead is the coordinator's first rejoin step: bring replacement
