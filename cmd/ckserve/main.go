@@ -24,8 +24,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/charm"
-	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/serve"
 )
@@ -54,10 +54,10 @@ func daemonMain() {
 		parallel    = flag.Int("parallel", 1, "concurrent jobs (real backend only; net runs one at a time)")
 		reportWait  = flag.Duration("report.wait", 60*time.Second, "how long rank 0 waits for worker job reports")
 	)
-	netCfg := netrt.RegisterFlags()
+	netCfg := netrt.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	plat, err := platform(*platName)
+	plat, err := apps.ParsePlatform(*platName)
 	if err != nil {
 		fatal(err)
 	}
@@ -132,16 +132,6 @@ func daemonMain() {
 			os.Exit(1)
 		}
 	}
-}
-
-func platform(name string) (*netmodel.Platform, error) {
-	switch name {
-	case "abe", "ib":
-		return netmodel.AbeIB, nil
-	case "bgp":
-		return netmodel.SurveyorBGP, nil
-	}
-	return nil, fmt.Errorf("unknown platform %q", name)
 }
 
 func fatal(err error) {

@@ -20,86 +20,43 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/apps/fem"
 	"repro/internal/apps/matmul"
 	"repro/internal/apps/openatom"
 	"repro/internal/apps/stencil"
-	"repro/internal/chaos"
 	"repro/internal/charm"
 	"repro/internal/lb"
-	"repro/internal/netmodel"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 func main() {
+	l := apps.NewLauncher("cktrace", apps.Modes)
 	var (
-		appName     = flag.String("app", "stencil", "stencil | matmul | openatom | fem")
-		platName    = flag.String("platform", "abe", "abe | bgp")
-		pes         = flag.Int("pes", 8, "processing elements")
-		modeName    = flag.String("mode", "ckd", "msg | ckd")
-		out         = flag.String("out", "", "write Chrome trace JSON here instead of the summary")
-		backendName = flag.String("backend", "sim", "sim (timeline + spans) | real (wall clock, counter summary)")
-		faultSpec   = flag.String("faults", "", `fault-plan spec, e.g. "drop:rate=0.01" (see internal/faults)`)
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for noise and fault randomness")
-		noise       = flag.Bool("noise", false, "inject CPU-noise bursts")
-		reliable    = flag.Bool("reliable", false, "enable ack/retransmit message reliability")
-		watchdog    = flag.String("watchdog", "off", "CkDirect stall watchdog: off | report | recover")
-		lbEvery     = flag.Int("lb.every", 0, "run a load-balancing round every N barriers (stencil only; 0 disables)")
-		lbStrategy  = flag.String("lb.strategy", "greedy", "rebalancing strategy: greedy | none")
-		skew        = flag.Float64("skew", 0, "artificial imbalance: the first half of the chare array wastes this many times extra compute (stencil only)")
+		appName    = flag.String("app", "stencil", "stencil | matmul | openatom | fem")
+		pes        = flag.Int("pes", 8, "processing elements")
+		out        = flag.String("out", "", "write Chrome trace JSON here instead of the summary")
+		lbEvery    = flag.Int("lb.every", 0, "run a load-balancing round every N barriers (stencil only; 0 disables)")
+		lbStrategy = flag.String("lb.strategy", "greedy", "rebalancing strategy: greedy | none")
+		skew       = flag.Float64("skew", 0, "artificial imbalance: the first half of the chare array wastes this many times extra compute (stencil only)")
 	)
-	flag.Parse()
-
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	switch be {
-	case charm.SimBackend:
-	case charm.RealBackend:
+	l.Parse()
+	be, plat, sc := l.Backend, l.Platform, l.Chaos
+	if be == charm.RealBackend && *out != "" {
 		// The timeline recorder replays virtual time; on the live backend
 		// cktrace reports the runtime's trace counters instead.
-		if *out != "" {
-			fatal(fmt.Errorf("-out (Chrome trace JSON) needs the sim backend's virtual timeline"))
-		}
-		if *faultSpec != "" || *noise || *reliable || *watchdog != "off" {
-			fatal(fmt.Errorf("chaos scenarios (faults, noise, reliability, watchdog) are sim-only"))
-		}
-	default:
-		fatal(fmt.Errorf("the net backend is multi-process; run the apps directly (e.g. stencil -backend=net) and read the counters from each rank's report"))
-	}
-
-	var plat *netmodel.Platform
-	switch *platName {
-	case "abe", "ib":
-		plat = netmodel.AbeIB
-	case "bgp":
-		plat = netmodel.SurveyorBGP
-	default:
-		fatal(fmt.Errorf("unknown platform %q", *platName))
-	}
-	ckd := *modeName == "ckd"
-	if !ckd && *modeName != "msg" {
-		fatal(fmt.Errorf("unknown mode %q", *modeName))
+		l.Fatal(fmt.Errorf("-out (Chrome trace JSON) needs the sim backend's virtual timeline"))
 	}
 	if (*lbEvery > 0 || *skew > 0) && *appName != "stencil" {
-		fatal(fmt.Errorf("-lb.every/-skew trace the stencil workload only"))
+		l.Fatal(fmt.Errorf("-lb.every/-skew trace the stencil workload only"))
 	}
 	if *lbEvery > 0 {
 		if s, err := lb.ParseStrategy(*lbStrategy); err != nil {
-			fatal(err)
+			l.Fatal(err)
 		} else if s == nil {
-			fatal(fmt.Errorf("-lb.every needs a strategy (try -lb.strategy=greedy)"))
+			l.Fatal(fmt.Errorf("-lb.every needs a strategy (try -lb.strategy=greedy)"))
 		}
-	}
-
-	sc, err := chaos.Options{
-		Seed: *faultSeed, Noise: *noise, Faults: *faultSpec,
-		Reliable: *reliable, Watchdog: *watchdog,
-	}.Build()
-	if err != nil {
-		fatal(err)
 	}
 
 	var tl *trace.Timeline
@@ -111,12 +68,8 @@ func main() {
 	var counters map[string]int64
 	switch *appName {
 	case "stencil":
-		mode := stencil.Msg
-		if ckd {
-			mode = stencil.Ckd
-		}
 		res := stencil.Run(stencil.Config{
-			Platform: plat, Mode: mode, PEs: *pes, Virtualization: 4,
+			Platform: plat, Mode: l.Mode, PEs: *pes, Virtualization: 4,
 			NX: 128, NY: 128, NZ: 64, Iters: 3, Warmup: 1,
 			Backend: be, Timeline: tl, Chaos: sc,
 			LBEvery: *lbEvery, LBStrategy: *lbStrategy,
@@ -125,55 +78,36 @@ func main() {
 		total = res.IterTime * sim.Time(res.Iters)
 		errs, counters = res.Errors, res.Counters
 	case "matmul":
-		mode := matmul.Msg
-		if ckd {
-			mode = matmul.Ckd
-		}
 		res := matmul.Run(matmul.Config{
-			Platform: plat, Mode: mode, PEs: *pes, N: 512,
+			Platform: plat, Mode: l.Mode, PEs: *pes, N: 512,
 			Iters: 2, Warmup: 1, Backend: be, Timeline: tl, Chaos: sc,
 		})
 		total = res.IterTime * sim.Time(res.Iters)
 		errs, counters = res.Errors, res.Counters
 	case "openatom":
-		mode := openatom.Msg
-		if ckd {
-			mode = openatom.Ckd
-		}
 		res := openatom.Run(openatom.Config{
-			Platform: plat, Mode: mode, PEs: *pes,
+			Platform: plat, Mode: openatom.Mode(l.Mode), PEs: *pes,
 			NStates: 32, NPlanes: 4, Grain: 8, Points: 256,
 			Steps: 2, Warmup: 1, Backend: be, Timeline: tl, Chaos: sc,
 		})
 		total = res.StepTime * sim.Time(res.Steps)
 		errs, counters = res.Errors, res.Counters
 	case "fem":
-		mode := fem.Msg
-		if ckd {
-			mode = fem.Ckd
-		}
 		res := fem.Run(fem.Config{
-			Platform: plat, Mode: mode, PEs: *pes, Virtualization: 2,
+			Platform: plat, Mode: l.Mode, PEs: *pes, Virtualization: 2,
 			NX: 128, NY: 128, Iters: 3, Warmup: 1,
 			Backend: be, Timeline: tl, Chaos: sc,
 		})
 		total = res.IterTime * sim.Time(res.Iters)
 		errs, counters = res.Errors, res.Counters
 	default:
-		fatal(fmt.Errorf("unknown app %q", *appName))
+		l.Fatal(fmt.Errorf("unknown app %q", *appName))
 	}
-	for _, e := range errs {
-		fmt.Fprintf(os.Stderr, "cktrace: runtime violation: %v\n", e)
-	}
-	defer func() {
-		if len(errs) > 0 {
-			os.Exit(1)
-		}
-	}()
+	defer l.Exit(errs)
 
 	if be == charm.RealBackend {
 		fmt.Printf("%s on %d PEs (%s parameters), mode %s, real backend: measured window %v\n",
-			*appName, *pes, plat.Name, *modeName, total)
+			*appName, *pes, plat.Name, l.Mode, total)
 		printCounters(counters)
 		return
 	}
@@ -181,11 +115,11 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			l.Fatal(err)
 		}
 		defer f.Close()
 		if err := tl.WriteChromeTrace(f); err != nil {
-			fatal(err)
+			l.Fatal(err)
 		}
 		fmt.Printf("wrote %d spans to %s\n", len(tl.Spans()), *out)
 		return
@@ -200,7 +134,7 @@ func main() {
 		}
 	}
 	fmt.Printf("%s on %d PEs of %s, mode %s: %d spans, horizon %v (measured window %v)\n",
-		*appName, *pes, plat.Name, *modeName, len(spans), horizon, total)
+		*appName, *pes, plat.Name, l.Mode, len(spans), horizon, total)
 	fmt.Println("\nPE utilization over the whole run:")
 	for pe := 0; pe < *pes; pe++ {
 		u := tl.Utilization(pe, horizon)
@@ -265,9 +199,4 @@ func barString(n int) string {
 		b[i] = '#'
 	}
 	return string(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cktrace:", err)
-	os.Exit(2)
 }

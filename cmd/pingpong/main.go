@@ -5,150 +5,79 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/apps/pingpong"
-	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/netmodel"
-	"repro/internal/netrt"
 )
 
 func main() {
+	l := apps.NewLauncher("pingpong", apps.Net|apps.Kill)
 	var (
-		platName    = flag.String("platform", "abe", "abe | bgp")
-		modeName    = flag.String("mode", "ckdirect", "charm-msg | ckdirect | mpi | mpi-put | mpi-alt")
-		sizesArg    = flag.String("sizes", "100,1000,5000,10000,20000,30000,40000,70000,100000,500000", "comma-separated payload sizes in bytes")
-		iters       = flag.Int("iters", 1000, "round trips to average over")
-		backendName = flag.String("backend", "sim", "sim (modelled network) | real (goroutines + shared memory) | net (multiple OS processes over TCP)")
-		faultSpec   = flag.String("faults", "", `fault-plan spec, e.g. "drop:rate=0.01" (see internal/faults)`)
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for noise and fault randomness")
-		noise       = flag.Bool("noise", false, "inject CPU-noise bursts")
-		reliable    = flag.Bool("reliable", false, "enable ack/retransmit message reliability")
-		watchdog    = flag.String("watchdog", "off", "CkDirect stall watchdog: off | report | recover")
-		killSpec    = flag.String("chaos.kill", "", `kill -9 a worker rank mid-run: "RANK@STEP" (net backend only; the benchmark recovers and restarts)`)
+		modeName = flag.String("mode", "ckdirect", "charm-msg | ckdirect | mpi | mpi-put | mpi-alt")
+		sizesArg = flag.String("sizes", "100,1000,5000,10000,20000,30000,40000,70000,100000,500000", "comma-separated payload sizes in bytes")
+		iters    = flag.Int("iters", 1000, "round trips to average over")
 	)
-	netCfg := netrt.RegisterFlags()
-	flag.Parse()
-
-	plat, err := platform(*platName)
+	l.Parse()
+	mode, err := parseMode(*modeName)
 	if err != nil {
-		fatal(err)
+		l.Fatal(err)
 	}
-	mode, err := mode(*modeName)
-	if err != nil {
-		fatal(err)
+	if l.Backend != charm.SimBackend && mode != pingpong.CharmMsg && mode != pingpong.CkDirect {
+		l.Fatal(fmt.Errorf("mode %v models a foreign MPI stack and is sim-only (use charm-msg or ckdirect with -backend=%v)", mode, l.Backend))
 	}
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	if be != charm.SimBackend {
-		if *faultSpec != "" || *noise || *reliable || *watchdog != "off" {
-			fatal(fmt.Errorf("-faults/-noise/-reliable/-watchdog model simulated failures and are sim-only (drop them or use -backend=sim)"))
-		}
-		if mode != pingpong.CharmMsg && mode != pingpong.CkDirect {
-			fatal(fmt.Errorf("mode %v models a foreign MPI stack and is sim-only (use charm-msg or ckdirect with -backend=%v)", mode, be))
-		}
-	}
-	sc, err := chaos.Options{
-		Seed: *faultSeed, Noise: *noise, Faults: *faultSpec,
-		Reliable: *reliable, Watchdog: *watchdog,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	kill, err := chaos.ParseKill(*killSpec)
-	if err != nil {
-		fatal(err)
-	}
-	if kill != nil {
-		if be != charm.NetBackend {
-			fatal(fmt.Errorf("-chaos.kill exercises rank-death recovery and needs -backend=net"))
-		}
-		if strings.Contains(*sizesArg, ",") {
-			fatal(fmt.Errorf("-chaos.kill fires once per process; run it with a single -sizes value"))
-		}
-		netCfg.Recover = true
-	}
-	var node *netrt.Node
-	if be == charm.NetBackend {
-		if node, err = netrt.Start(*netCfg); err != nil {
-			fatal(err)
-		}
-	}
-	// Worker ranks relay traffic and validate their side; the report
-	// (and the exit status of the whole world) belongs to rank 0.
-	quiet := node != nil && node.IsWorker()
-	if !quiet {
-		fmt.Printf("pingpong on %s, mode %v, %d iterations\n", plat.Name, mode, *iters)
-		fmt.Printf("%12s %14s\n", "size (B)", "RTT (us)")
-	}
-	broken := false
+	var sizes []int
 	for _, field := range strings.Split(*sizesArg, ",") {
 		size, err := strconv.Atoi(strings.TrimSpace(field))
 		if err != nil {
-			fatal(fmt.Errorf("bad size %q: %v", field, err))
+			l.Fatal(fmt.Errorf("bad size %q: %v", field, err))
 		}
+		sizes = append(sizes, size)
+	}
+	if l.Kill != nil && len(sizes) > 1 {
+		l.Fatal(errors.New("-chaos.kill fires once per process; run it with a single -sizes value"))
+	}
+	l.Start()
+	if !l.Quiet() {
+		fmt.Printf("pingpong on %s, mode %v, %d iterations\n", l.Platform.Name, mode, *iters)
+		fmt.Printf("%12s %14s\n", "size (B)", "RTT (us)")
+	}
+	var errs []error
+	for _, size := range sizes {
 		cfg := pingpong.Config{
-			Platform: plat,
+			Platform: l.Platform,
 			Mode:     mode,
 			Size:     size,
 			Iters:    *iters,
 			Virtual:  size > 65536,
-			Backend:  be,
-			Net:      node,
-			Chaos:    sc,
-			Kill:     kill,
+			Backend:  l.Backend,
+			Net:      l.Node,
+			Chaos:    l.Chaos,
+			Kill:     l.Kill,
 		}
+		// Pingpong takes no checkpoints: after a rank death the mesh
+		// rebuilds around the respawned rank and the benchmark restarts
+		// from iteration zero.
 		var res pingpong.Result
-		if kill != nil {
-			// Pingpong takes no checkpoints: after the mesh rebuilds
-			// around the respawned rank, the benchmark restarts from
-			// iteration zero.
-			res.Errors = charm.RunWithRecovery(node, charm.DefaultRecoveryAttempts, func() []error {
-				res = pingpong.Run(cfg)
-				return res.Errors
-			})
-		} else {
+		for _, e := range l.Run(func() []error {
 			res = pingpong.Run(cfg)
+			return res.Errors
+		}) {
+			errs = append(errs, fmt.Errorf("size %d: %w", size, e))
 		}
-		if !quiet {
+		if !l.Quiet() {
 			fmt.Printf("%12d %14.3f\n", size, res.RTTMicros())
 		}
-		for _, e := range res.Errors {
-			fmt.Fprintf(os.Stderr, "pingpong: size %d: runtime violation: %v\n", size, e)
-			broken = true
-		}
 	}
-	if node != nil {
-		// Close reaps self-spawned workers; a worker that exited non-zero
-		// (its local validation failed) must fail the launcher too.
-		if err := node.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "pingpong:", err)
-			broken = true
-		}
-	}
-	if broken {
-		os.Exit(1)
-	}
+	l.Exit(errs)
 }
 
-func platform(name string) (*netmodel.Platform, error) {
-	switch name {
-	case "abe", "infiniband", "ib":
-		return netmodel.AbeIB, nil
-	case "bgp", "bluegene", "surveyor":
-		return netmodel.SurveyorBGP, nil
-	}
-	return nil, fmt.Errorf("unknown platform %q (want abe|bgp)", name)
-}
-
-func mode(name string) (pingpong.Mode, error) {
+func parseMode(name string) (pingpong.Mode, error) {
 	switch name {
 	case "charm-msg", "msg":
 		return pingpong.CharmMsg, nil
@@ -162,9 +91,4 @@ func mode(name string) (pingpong.Mode, error) {
 		return pingpong.MPIAlt, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q", name)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pingpong:", err)
-	os.Exit(2)
 }

@@ -5,184 +5,87 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
+	"repro/internal/apps"
 	"repro/internal/apps/stencil"
-	"repro/internal/chaos"
 	"repro/internal/charm"
 	"repro/internal/lb"
-	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/trace"
 )
 
 func main() {
+	l := apps.NewLauncher("stencil", apps.Net|apps.Ckpt|apps.Kill|apps.Compare|apps.Modes)
 	var (
-		platName    = flag.String("platform", "abe", "abe | bgp")
-		pes         = flag.Int("pes", 64, "processing elements")
-		domain      = flag.String("domain", "1024x1024x512", "global domain NXxNYxNZ")
-		vr          = flag.Int("vr", 8, "virtualization ratio (chares per PE)")
-		iters       = flag.Int("iters", 3, "measured iterations")
-		warmup      = flag.Int("warmup", 1, "warmup iterations")
-		modeName    = flag.String("mode", "ckd", "msg | ckd")
-		compare     = flag.Bool("compare", false, "run both modes and report the improvement")
-		validate    = flag.Bool("validate", false, "move real data and check against the serial reference (small domains)")
-		backendName = flag.String("backend", "sim", "sim (modelled network) | real (goroutines + shared memory) | net (multiple OS processes over TCP)")
-		traceFile   = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
-		faultSpec   = flag.String("faults", "", `fault-plan spec, e.g. "drop:rate=0.01" (see internal/faults)`)
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed for noise and fault randomness")
-		noise       = flag.Bool("noise", false, "inject CPU-noise bursts")
-		reliable    = flag.Bool("reliable", false, "enable ack/retransmit message reliability")
-		watchdog    = flag.String("watchdog", "off", "CkDirect stall watchdog: off | report | recover")
-		lbEvery     = flag.Int("lb.every", 0, "run a load-balancing round every N reduction barriers, 0 disables")
-		lbStrategy  = flag.String("lb.strategy", "greedy", "rebalancing strategy: greedy | none")
-		skew        = flag.Float64("skew", 0, "artificial imbalance: the first half of the chare array wastes this many times extra compute")
-		ckptEvery   = flag.Int("ckpt.every", 0, "checkpoint every N reduction barriers, 0 disables (net backend only)")
-		ckptDir     = flag.String("ckpt.dir", "", "checkpoint directory, shared by every rank (net backend only)")
-		killSpec    = flag.String("chaos.kill", "", `kill -9 a worker rank mid-run: "RANK@STEP" (net backend only; the world recovers and reruns)`)
+		pes        = flag.Int("pes", 64, "processing elements")
+		domain     = flag.String("domain", "1024x1024x512", "global domain NXxNYxNZ")
+		vr         = flag.Int("vr", 8, "virtualization ratio (chares per PE)")
+		iters      = flag.Int("iters", 3, "measured iterations")
+		warmup     = flag.Int("warmup", 1, "warmup iterations")
+		validate   = flag.Bool("validate", false, "move real data and check against the serial reference (small domains)")
+		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
+		lbEvery    = flag.Int("lb.every", 0, "run a load-balancing round every N reduction barriers, 0 disables")
+		lbStrategy = flag.String("lb.strategy", "greedy", "rebalancing strategy: greedy | none")
+		skew       = flag.Float64("skew", 0, "artificial imbalance: the first half of the chare array wastes this many times extra compute")
 	)
-	netCfg := netrt.RegisterFlags()
-	flag.Parse()
-
-	plat, err := platform(*platName)
-	if err != nil {
-		fatal(err)
-	}
+	l.Parse()
 	nx, ny, nz, err := parseDomain(*domain)
 	if err != nil {
-		fatal(err)
+		l.Fatal(err)
 	}
-	be, err := charm.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	if be != charm.SimBackend {
-		if *faultSpec != "" || *noise || *reliable || *watchdog != "off" {
-			fatal(fmt.Errorf("-faults/-noise/-reliable/-watchdog model simulated failures and are sim-only (drop them or use -backend=sim)"))
-		}
-		if *traceFile != "" {
-			fatal(fmt.Errorf("-trace records the virtual timeline and is sim-only (drop it or use -backend=sim)"))
-		}
-	}
-	sc, err := chaos.Options{
-		Seed: *faultSeed, Noise: *noise, Faults: *faultSpec,
-		Reliable: *reliable, Watchdog: *watchdog,
-	}.Build()
-	if err != nil {
-		fatal(err)
-	}
-	kill, err := chaos.ParseKill(*killSpec)
-	if err != nil {
-		fatal(err)
+	if *traceFile != "" && l.Backend != charm.SimBackend {
+		l.Fatal(errors.New("-trace records the virtual timeline and is sim-only (drop it or use -backend=sim)"))
 	}
 	if *lbEvery > 0 {
-		s, err := lb.ParseStrategy(*lbStrategy)
-		if err != nil {
-			fatal(err)
-		}
-		if s == nil {
-			fatal(fmt.Errorf("-lb.every needs a real -lb.strategy (got %q)", *lbStrategy))
+		if s, err := lb.ParseStrategy(*lbStrategy); err != nil {
+			l.Fatal(err)
+		} else if s == nil {
+			l.Fatal(fmt.Errorf("-lb.every needs a real -lb.strategy (got %q)", *lbStrategy))
 		}
 	}
-	if (*ckptEvery > 0) != (*ckptDir != "") {
-		fatal(fmt.Errorf("-ckpt.every and -ckpt.dir go together (got every=%d, dir=%q)", *ckptEvery, *ckptDir))
-	}
-	recovery := *ckptEvery > 0 || kill != nil
-	if recovery {
-		if be != charm.NetBackend {
-			fatal(fmt.Errorf("-ckpt.* and -chaos.kill exercise rank-death recovery and need -backend=net"))
-		}
-		if *compare {
-			fatal(fmt.Errorf("-compare reruns both modes on one mesh and cannot combine with recovery flags (pick one -mode)"))
-		}
-		// Keep every rank's listener open past bootstrap so Rejoin can
-		// rebuild the mesh around a respawned rank.
-		netCfg.Recover = true
-	}
-	var node *netrt.Node
-	if be == charm.NetBackend {
-		if node, err = netrt.Start(*netCfg); err != nil {
-			fatal(err)
-		}
-	}
-	// Worker ranks compute and validate their PE block; the report (and
-	// the exit status of the whole world) belongs to rank 0.
-	quiet := node != nil && node.IsWorker()
+	l.Start()
 	cfg := stencil.Config{
-		Platform: plat,
+		Platform: l.Platform,
+		Mode:     l.Mode,
 		PEs:      *pes, Virtualization: *vr,
 		NX: nx, NY: ny, NZ: nz,
 		Iters: *iters, Warmup: *warmup,
 		Validate: *validate,
-		Backend:  be,
-		Net:      node,
-		Chaos:    sc,
-		Kill:     kill,
+		Backend:  l.Backend,
+		Net:      l.Node,
+		Chaos:    l.Chaos,
+		Ckpt:     l.Ckpt,
+		Kill:     l.Kill,
 		LBEvery:  *lbEvery, LBStrategy: *lbStrategy,
 		Skew: *skew,
 	}
-	if *ckptEvery > 0 {
-		cfg.Ckpt = &charm.CkptOptions{Dir: *ckptDir, Every: *ckptEvery}
-	}
-	var tl *trace.Timeline
 	if *traceFile != "" {
-		tl = trace.NewTimeline(0)
-		cfg.Timeline = tl
+		cfg.Timeline = trace.NewTimeline(0)
 	}
-	defer func() {
-		if tl == nil {
-			return
-		}
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := tl.WriteChromeTrace(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d spans to %s (open in chrome://tracing or Perfetto)\n",
-			len(tl.Spans()), *traceFile)
-	}()
-	if *compare {
+	if l.Compare {
 		msg, ckd, pct := stencil.Improvement(cfg)
-		if !quiet {
+		if !l.Quiet() {
 			fmt.Printf("stencil %s on %d PEs of %s, chare grid %v (%d chares)\n",
-				*domain, *pes, plat.Name, msg.ChareGrid, msg.Chares)
+				*domain, *pes, l.Platform.Name, msg.ChareGrid, msg.Chares)
 			fmt.Printf("  msg: %v per iteration\n", msg.IterTime)
 			fmt.Printf("  ckd: %v per iteration\n", ckd.IterTime)
 			fmt.Printf("  improvement: %.2f%%\n", pct)
 		}
-		printNetStats(node)
-		reportErrors("stencil", closeNode(node, append(msg.Errors, ckd.Errors...)))
+		finish(l, cfg.Timeline, *traceFile, append(msg.Errors, ckd.Errors...))
 		return
 	}
-	switch *modeName {
-	case "msg":
-		cfg.Mode = stencil.Msg
-	case "ckd":
-		cfg.Mode = stencil.Ckd
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *modeName))
-	}
 	var res stencil.Result
-	if recovery {
-		// Every rank's driver retries through the same recovery loop:
-		// on a recoverable rank death the mesh rebuilds (respawning the
-		// victim), and the re-run resumes from the newest committed
-		// checkpoint — or from scratch when none was taken.
-		res.Errors = charm.RunWithRecovery(node, charm.DefaultRecoveryAttempts, func() []error {
-			res = stencil.Run(cfg)
-			return res.Errors
-		})
-	} else {
+	errs := l.Run(func() []error {
 		res = stencil.Run(cfg)
-	}
-	if !quiet {
+		return res.Errors
+	})
+	if !l.Quiet() {
 		fmt.Printf("stencil %s, mode %v, %d PEs: %v per iteration (%d chares, grid %v)\n",
 			*domain, cfg.Mode, *pes, res.IterTime, res.Chares, res.ChareGrid)
 		if *validate {
@@ -191,8 +94,8 @@ func main() {
 			// the whole of it; the residual crosses ranks via reductions and
 			// matches the sim run exactly.
 			label := "field checksum"
-			if node != nil {
-				label = fmt.Sprintf("rank %d field checksum share", node.Rank())
+			if l.Node != nil {
+				label = fmt.Sprintf("rank %d field checksum share", l.Node.Rank())
 			}
 			fmt.Printf("  residual %.6g, %s %.6f\n", res.Residual, label, res.FieldSum)
 		}
@@ -206,8 +109,26 @@ func main() {
 				res.Counters[trace.CntLBForwards])
 		}
 	}
-	printNetStats(node)
-	reportErrors("stencil", closeNode(node, res.Errors))
+	finish(l, cfg.Timeline, *traceFile, errs)
+}
+
+// finish writes the -trace timeline, prints the net-stats line and
+// exits through the launcher.
+func finish(l *apps.Launcher, tl *trace.Timeline, traceFile string, errs []error) {
+	if tl != nil {
+		f, err := os.Create(traceFile)
+		if err != nil {
+			l.Fatal(err)
+		}
+		defer f.Close()
+		if err := tl.WriteChromeTrace(f); err != nil {
+			l.Fatal(err)
+		}
+		fmt.Printf("wrote %d spans to %s (open in chrome://tracing or Perfetto)\n",
+			len(tl.Spans()), traceFile)
+	}
+	printNetStats(l.Node)
+	l.Exit(errs)
 }
 
 // printNetStats emits one machine-readable mesh-counter line per rank
@@ -231,42 +152,6 @@ func printNetStats(node *netrt.Node) {
 		s.TermNudges, s.FramesAfterHalt, s.DialReqs, s.ShmDeclined, s.PutsDirect, s.PutsFramed)
 }
 
-// closeNode tears the net-backend mesh down (reaping self-spawned
-// workers) and folds any teardown failure — e.g. a worker whose local
-// validation exited non-zero — into the run's error list.
-func closeNode(node *netrt.Node, errs []error) []error {
-	if node == nil {
-		return errs
-	}
-	if err := node.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errs
-}
-
-// reportErrors surfaces runtime contract violations and unrecovered
-// faults on stderr and exits non-zero, so scripted runs cannot mistake a
-// broken simulation for a result.
-func reportErrors(prog string, errs []error) {
-	if len(errs) == 0 {
-		return
-	}
-	for _, e := range errs {
-		fmt.Fprintf(os.Stderr, "%s: runtime violation: %v\n", prog, e)
-	}
-	os.Exit(1)
-}
-
-func platform(name string) (*netmodel.Platform, error) {
-	switch name {
-	case "abe", "ib":
-		return netmodel.AbeIB, nil
-	case "bgp":
-		return netmodel.SurveyorBGP, nil
-	}
-	return nil, fmt.Errorf("unknown platform %q", name)
-}
-
 func parseDomain(s string) (nx, ny, nz int, err error) {
 	parts := strings.Split(s, "x")
 	if len(parts) != 3 {
@@ -280,9 +165,4 @@ func parseDomain(s string) (nx, ny, nz int, err error) {
 		}
 	}
 	return dims[0], dims[1], dims[2], nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "stencil:", err)
-	os.Exit(2)
 }

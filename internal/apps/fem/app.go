@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/apps"
 	"repro/internal/charm"
 	"repro/internal/ckdirect"
 	"repro/internal/machine"
@@ -22,14 +23,12 @@ type app struct {
 	rts  *charm.RTS
 	mgr  *ckdirect.Manager
 	arr  *charm.Array
-	ck   *charm.Checkpointer
 
-	iterEP, partialEP, ckptEP charm.EP
-	chares                    []*chare
-	barriers                  []sim.Time
-	lastResidual              float64
-	totalIters                int
-	channels                  int
+	iterEP, partialEP charm.EP
+	chares            []*chare
+	lastResidual      float64
+	totalIters        int
+	channels          int
 }
 
 // contributor identifies one source of a shared vertex's sum: the owning
@@ -71,7 +70,8 @@ func (c *chare) Pup(p charm.Puper) {
 	p.Float64s(&c.u)
 }
 
-func (a *app) build() {
+func (a *app) build(d *apps.Driver) *charm.Array {
+	a.rts, a.mgr = d.RTS, d.Mgr
 	a.totalIters = a.cfg.Warmup + a.cfg.Iters + 1
 	parts := a.part.Parts
 	a.arr = a.rts.NewArray("fem", func(ix charm.Index) int {
@@ -90,49 +90,15 @@ func (a *app) build() {
 	a.partialEP = a.arr.EntryMethod("partial", func(ctx *charm.Ctx, msg *charm.Message) {
 		ctx.Obj().(*chare).onPartial(ctx, msg.Tag, msg.Data)
 	})
-	a.ckptEP = a.arr.EntryMethod("ckpt", func(ctx *charm.Ctx, msg *charm.Message) {
-		// One element reaching the cut; the last local one writes this
-		// rank's snapshot. The extra barrier round resumes iteration
-		// only after every rank's snapshot is durable.
-		a.ck.ElementSave(msg.Tag)
-		a.arr.ContributeFrom(ctx.Index(), 1, 0)
-	})
-	a.arr.SetReductionClient(charm.Sum, func(ctx *charm.Ctx, vals []float64) {
-		if a.ck != nil && a.ck.InCheckpoint() {
-			// The checkpoint barrier completed: every rank's snapshot is
-			// on disk, so the commit record may name the step.
-			if _, err := a.ck.Commit(); err != nil {
-				a.rts.ReportError(fmt.Errorf("fem: checkpoint commit: %w", err))
-				return
-			}
-			a.afterBarrier(ctx, len(a.barriers))
-			return
-		}
-		a.barriers = append(a.barriers, ctx.Now())
-		a.lastResidual = vals[1]
-		step := len(a.barriers)
-		// The kill -9 chaos tier fires here: the root client is the one
-		// place with a globally ordered step count.
-		a.cfg.Kill.Fire(step, a.cfg.Net)
-		if a.ck != nil && a.ck.Due(step) && step < a.totalIters {
-			a.ck.Begin(step)
-			ctx.Broadcast(a.arr, a.ckptEP, &charm.Message{Size: 8, Tag: step})
-			return
-		}
-		a.afterBarrier(ctx, step)
-	})
 	if a.cfg.Mode == Ckd {
 		a.buildChannels()
 	}
+	return a.arr
 }
 
-// afterBarrier broadcasts the next iteration (or nothing, ending the
-// run) once step barriers — iteration barriers, not checkpoint rounds —
-// have completed.
-func (a *app) afterBarrier(ctx *charm.Ctx, step int) {
-	if step < a.totalIters {
-		ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
-	}
+// iterateAll broadcasts one iteration to every part.
+func (a *app) iterateAll(ctx *charm.Ctx) {
+	ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
 }
 
 func (a *app) buildChare(p int) *chare {
@@ -244,12 +210,6 @@ func (a *app) buildChannels() {
 			c.out[nb] = h
 		}
 	}
-}
-
-func (a *app) start() {
-	a.rts.StartAt(0, func(ctx *charm.Ctx) {
-		ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
-	})
 }
 
 // iterate runs the local element accumulation and ships the boundary

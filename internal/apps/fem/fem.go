@@ -1,11 +1,9 @@
 package fem
 
 import (
-	"fmt"
-
+	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/ckdirect"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/sim"
@@ -13,21 +11,13 @@ import (
 )
 
 // Mode selects the shared-vertex exchange transport.
-type Mode int
+type Mode = apps.Mode
 
 // Transport variants.
 const (
-	Msg Mode = iota
-	Ckd
+	Msg = apps.Msg
+	Ckd = apps.Ckd
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == Msg {
-		return "msg"
-	}
-	return "ckd"
-}
 
 // Config parameterizes a run.
 type Config struct {
@@ -69,32 +59,24 @@ type Config struct {
 // Result reports timing and validation data.
 type Result struct {
 	Config
+	apps.Outcome
 	Parts    int
 	PartGrid [2]int
-	IterTime sim.Time
 	Residual float64
 	Field    []float64 // final vertex values (validate mode)
 	// SharedConsistent reports whether every part held bit-identical
 	// values for shared vertices at the end (validate mode).
 	SharedConsistent bool
 	Channels         int
-	TotalEvents      uint64
-	// Errors holds runtime contract violations and unrecovered faults
-	// (chaos runs only; fault-free runs panic instead).
-	Errors []error
-	// Counters is the final trace-counter snapshot (fault/retry
-	// accounting; used by determinism regression tests).
-	Counters map[string]int64
 }
 
 // Improvement runs both transports and returns the percentage gain.
 func Improvement(cfg Config) (msg, ckd Result, pct float64) {
-	cfg.Mode = Msg
-	msg = Run(cfg)
-	cfg.Mode = Ckd
-	ckd = Run(cfg)
-	pct = (1 - float64(ckd.IterTime)/float64(msg.IterTime)) * 100
-	return
+	return apps.Improvement(func(m Mode) (Result, sim.Time) {
+		cfg.Mode = m
+		r := Run(cfg)
+		return r, r.IterTime
+	})
 }
 
 // partGrid factors parts into a near-square (gx, gy) that divides the
@@ -134,115 +116,24 @@ func Run(cfg Config) Result {
 	mesh := NewRectMesh(cfg.NX, cfg.NY)
 	part := PartitionRect(mesh, cfg.NX, cfg.NY, grid[0], grid[1])
 
-	if cfg.Backend != charm.SimBackend {
-		if cfg.Chaos != nil {
-			panic("fem: chaos scenarios are sim-only")
-		}
-		if cfg.Timeline != nil {
-			panic("fem: timeline recording is sim-only")
-		}
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Net == nil {
-		panic("fem: net backend needs Config.Net (a started netrt node)")
-	}
-	eng := sim.NewEngine()
-	mach, net := cfg.Platform.BuildMachine(eng, cfg.PEs)
-	rts := charm.NewRTS(eng, mach, net, cfg.Platform, trace.NewRecorder(),
-		charm.Options{
-			Checked:         true,
-			VirtualPayloads: !cfg.Validate && cfg.Backend == charm.SimBackend,
-			Backend:         cfg.Backend,
-			Net:             cfg.Net,
-		})
-	if cfg.Timeline != nil {
-		rts.SetTimeline(cfg.Timeline)
-	}
-	a := &app{cfg: cfg, mesh: mesh, part: part, grid: grid, rts: rts}
-	if cfg.Mode == Ckd {
-		a.mgr = ckdirect.NewManager(rts)
-	}
-	cfg.Chaos.Apply(rts, a.mgr)
-	a.build()
-	if cfg.Ckpt.Enabled() {
-		a.ck = charm.NewCheckpointer(rts, cfg.Ckpt)
-		a.ck.Attach(a.arr)
-		if a.mgr != nil {
-			a.ck.SetRegionHooks(a.mgr)
-		}
-		// Roll back to the newest committed cut (a fresh run finds none
-		// and starts from step zero). Restore happens after build: the
-		// SPMD setup is identical to the checkpointed run's, so element
-		// state overlays in place.
-		step, err := a.ck.Restore()
-		if err != nil {
-			return Result{
-				Config: cfg, Parts: part.Parts, PartGrid: grid,
-				Errors:   []error{fmt.Errorf("fem: restore checkpoint: %w", err)},
-				Counters: rts.Recorder().Counters(),
-			}
-		}
-		a.barriers = make([]sim.Time, step)
-	}
-	a.start()
-	rts.Run()
-	errs := rts.Errors()
-	if len(errs) > 0 && cfg.Chaos == nil && cfg.Backend != charm.NetBackend {
-		// Under net, failures (including a dead peer's NetError) return
-		// through Result.Errors — the launcher decides, not a panic.
-		panic(fmt.Sprintf("fem: runtime contract violation: %v", errs[0]))
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Validate && len(errs) == 0 {
-		// Each process can check exactly the parts it hosts; the serial
-		// reference is the shared oracle.
-		errs = append(errs, a.validateLocal()...)
-	}
-	if cfg.Backend == charm.NetBackend && !rts.HostsPE(0) {
-		// A worker process: barriers and timing live on PE 0's rank.
-		// Local validation already ran; report what this rank knows — its
-		// own parts' vertices (the rest NaN).
-		res := Result{
-			Config: cfg, Parts: part.Parts, PartGrid: grid,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-		if cfg.Validate && len(errs) == 0 {
+	a := &app{cfg: cfg, mesh: mesh, part: part, grid: grid}
+	o, ok := apps.Run(apps.Spec{
+		Name: "fem", Platform: cfg.Platform, PEs: cfg.PEs,
+		Backend: cfg.Backend, Net: cfg.Net, Timeline: cfg.Timeline,
+		Chaos: cfg.Chaos, Ckpt: cfg.Ckpt, Kill: cfg.Kill,
+		Validate: cfg.Validate, CkDirect: cfg.Mode == Ckd,
+		Warmup: cfg.Warmup, Iters: cfg.Iters, Unit: "iterations", Width: 2,
+		Build: a.build, Iterate: a.iterateAll, Verify: a.validateLocal,
+		Reduced: func(_ *charm.Ctx, vals []float64) bool { a.lastResidual = vals[1]; return true },
+	})
+	res := Result{Config: cfg, Outcome: o, Parts: part.Parts, PartGrid: grid, Channels: a.channels}
+	if ok {
+		res.Residual = a.lastResidual
+		if cfg.Validate {
+			// A net worker's own parts' vertices, the rest NaN.
 			res.Field = a.gather()
 			res.SharedConsistent = a.sharedConsistent()
 		}
-		return res
-	}
-	want := cfg.Warmup + cfg.Iters + 1
-	if len(a.barriers) < want {
-		if len(errs) == 0 {
-			if cfg.Chaos == nil {
-				panic(fmt.Sprintf("fem: only %d/%d iterations completed", len(a.barriers), want))
-			}
-			errs = []error{chaos.StallError(rts.Recorder().Counters(),
-				fmt.Sprintf("%d/%d iterations", len(a.barriers), want))}
-		}
-		// A faulted run that lost work: hand back what is known instead of
-		// tearing the process down — the caller decides based on Errors.
-		return Result{
-			Config: cfg, Parts: part.Parts, PartGrid: grid,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-	}
-	measured := a.barriers[cfg.Warmup+cfg.Iters] - a.barriers[cfg.Warmup]
-	res := Result{
-		Config:      cfg,
-		Parts:       part.Parts,
-		PartGrid:    grid,
-		IterTime:    measured / sim.Time(cfg.Iters),
-		Residual:    a.lastResidual,
-		Channels:    a.channels,
-		TotalEvents: rts.Executed(),
-		Errors:      errs,
-		Counters:    rts.Recorder().Counters(),
-	}
-	if cfg.Validate {
-		res.Field = a.gather()
-		res.SharedConsistent = a.sharedConsistent()
 	}
 	return res
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/apps"
 	"repro/internal/charm"
 	"repro/internal/ckdirect"
 	"repro/internal/linalg"
@@ -27,12 +28,9 @@ type app struct {
 	rts  *charm.RTS
 	mgr  *ckdirect.Manager
 	arr  *charm.Array
-	ck   *charm.Checkpointer
 
-	iterEP, shardEP, ckptEP charm.EP
-	chares                  []*chare
-	barriers                []sim.Time
-	totalIters              int
+	iterEP, shardEP charm.EP
+	chares          []*chare
 
 	// Block geometry (elements).
 	rowsA, colsA int // A block: N/gx x N/gz
@@ -77,7 +75,8 @@ type chare struct {
 	pendingCAdds int
 }
 
-func (a *app) build() {
+func (a *app) build(d *apps.Driver) *charm.Array {
+	a.rts, a.mgr = d.RTS, d.Mgr
 	gx, gy, gz := a.grid[0], a.grid[1], a.grid[2]
 	n := a.cfg.N
 	a.rowsA, a.colsA = n/gx, n/gz
@@ -86,7 +85,6 @@ func (a *app) build() {
 	a.shardARows = a.rowsA / gy
 	a.shardBRows = a.rowsB / gx
 	a.stripRows = a.rowsC / gz
-	a.totalIters = a.cfg.Warmup + a.cfg.Iters + 1
 
 	a.arr = a.rts.NewArray("matmul", func(ix charm.Index) int {
 		lin := ix[0] + gx*(ix[1]+gy*ix[2])
@@ -120,48 +118,15 @@ func (a *app) build() {
 		src := msg.Tag >> 4
 		c.onShard(ctx, kind, src, msg.Data, msg.Size)
 	})
-	a.ckptEP = a.arr.EntryMethod("ckpt", func(ctx *charm.Ctx, msg *charm.Message) {
-		// One element reaching the cut; the last local one writes this
-		// rank's snapshot. The extra barrier round resumes iteration
-		// only after every rank's snapshot is durable.
-		a.ck.ElementSave(msg.Tag)
-		a.arr.ContributeFrom(ctx.Index(), 1)
-	})
-	a.arr.SetReductionClient(charm.Sum, func(ctx *charm.Ctx, vals []float64) {
-		if a.ck != nil && a.ck.InCheckpoint() {
-			// The checkpoint barrier completed: every rank's snapshot is
-			// on disk, so the commit record may name the step.
-			if _, err := a.ck.Commit(); err != nil {
-				a.rts.ReportError(fmt.Errorf("matmul: checkpoint commit: %w", err))
-				return
-			}
-			a.afterBarrier(ctx, len(a.barriers))
-			return
-		}
-		a.barriers = append(a.barriers, ctx.Now())
-		step := len(a.barriers)
-		// The kill -9 chaos tier fires here: the root client is the one
-		// place with a globally ordered step count.
-		a.cfg.Kill.Fire(step, a.cfg.Net)
-		if a.ck != nil && a.ck.Due(step) && step < a.totalIters {
-			a.ck.Begin(step)
-			ctx.Broadcast(a.arr, a.ckptEP, &charm.Message{Size: 8, Tag: step})
-			return
-		}
-		a.afterBarrier(ctx, step)
-	})
 	if a.cfg.Mode == Ckd {
 		a.buildChannels()
 	}
+	return a.arr
 }
 
-// afterBarrier broadcasts the next iteration (or nothing, ending the
-// run) once step barriers — multiply barriers, not checkpoint rounds —
-// have completed.
-func (a *app) afterBarrier(ctx *charm.Ctx, step int) {
-	if step < a.totalIters {
-		ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
-	}
+// iterateAll broadcasts one multiply to every chare.
+func (a *app) iterateAll(ctx *charm.Ctx) {
+	ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
 }
 
 // Pup checkpoints the chare's state: the accumulated strip of C. The
@@ -345,12 +310,6 @@ func (a *app) buildChannels() {
 			c.cOut[dz] = h
 		}
 	}
-}
-
-func (a *app) start() {
-	a.rts.StartAt(0, func(ctx *charm.Ctx) {
-		ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
-	})
 }
 
 // iterate starts one multiply on this chare: ship the A and B shards to

@@ -23,11 +23,12 @@
 package matmul
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/ckdirect"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/sim"
@@ -35,21 +36,13 @@ import (
 )
 
 // Mode selects the communication variant.
-type Mode int
+type Mode = apps.Mode
 
 // Matmul variants.
 const (
-	Msg Mode = iota
-	Ckd
+	Msg = apps.Msg
+	Ckd = apps.Ckd
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == Msg {
-		return "msg"
-	}
-	return "ckd"
-}
 
 // Config parameterizes a run.
 type Config struct {
@@ -89,27 +82,20 @@ type Config struct {
 // Result reports timing and validation data.
 type Result struct {
 	Config
-	Grid        [3]int
-	IterTime    sim.Time
-	MaxError    float64   // |C - reference| in validate mode
-	C           []float64 // assembled product, row-major (validate mode)
-	TotalEvents uint64
-	// Errors holds runtime contract violations and unrecovered faults
-	// (chaos runs only; fault-free runs panic instead).
-	Errors []error
-	// Counters is the final trace-counter snapshot.
-	Counters map[string]int64
+	apps.Outcome
+	Grid     [3]int
+	MaxError float64   // |C - reference| in validate mode
+	C        []float64 // assembled product, row-major (validate mode)
 }
 
 // Improvement runs both variants and returns the percentage improvement
 // of CKD over MSG in iteration time (Figure 3's gap).
 func Improvement(cfg Config) (msg, ckd Result, pct float64) {
-	cfg.Mode = Msg
-	msg = Run(cfg)
-	cfg.Mode = Ckd
-	ckd = Run(cfg)
-	pct = (1 - float64(ckd.IterTime)/float64(msg.IterTime)) * 100
-	return
+	return apps.Improvement(func(m Mode) (Result, sim.Time) {
+		cfg.Mode = m
+		r := Run(cfg)
+		return r, r.IterTime
+	})
 }
 
 // chooseGrid factors pes into a near-cubic (gx, gy, gz) by repeated
@@ -123,135 +109,52 @@ func chooseGrid(pes int) [3]int {
 	return g
 }
 
+// Check reports the parameter error Run panics on: a non-positive PE
+// count, or an N that the PE grid (or its shard split) does not divide.
+func (cfg Config) Check() error {
+	if cfg.PEs <= 0 {
+		return errors.New("matmul: PEs must be positive")
+	}
+	grid := chooseGrid(cfg.PEs)
+	for d := 0; d < 3; d++ {
+		if cfg.N%grid[d] != 0 || cfg.N/grid[d] < 1 {
+			return fmt.Errorf("matmul: N=%d not divisible by grid %v", cfg.N, grid)
+		}
+	}
+	if (cfg.N/grid[0])%grid[1] != 0 || (cfg.N/grid[2])%grid[0] != 0 || (cfg.N/grid[0])%grid[2] != 0 {
+		return fmt.Errorf("matmul: N=%d incompatible with grid %v shard split", cfg.N, grid)
+	}
+	return nil
+}
+
 // Run executes one matmul configuration.
 func Run(cfg Config) Result {
-	if cfg.PEs <= 0 {
-		panic("matmul: PEs must be positive")
-	}
 	if cfg.N <= 0 {
 		cfg.N = 2048
 	}
 	if cfg.Iters <= 0 {
 		cfg.Iters = 2
 	}
-	grid := chooseGrid(cfg.PEs)
-	for d := 0; d < 3; d++ {
-		if cfg.N%grid[d] != 0 || cfg.N/grid[d] < 1 {
-			panic(fmt.Sprintf("matmul: N=%d not divisible by grid %v", cfg.N, grid))
-		}
+	if err := cfg.Check(); err != nil {
+		panic(err.Error())
 	}
-	// The shard subdivisions must also divide the blocks evenly.
-	if (cfg.N/grid[0])%grid[1] != 0 || (cfg.N/grid[2])%grid[0] != 0 || (cfg.N/grid[0])%grid[2] != 0 {
-		panic(fmt.Sprintf("matmul: N=%d incompatible with grid %v shard split", cfg.N, grid))
-	}
-
-	if cfg.Backend != charm.SimBackend {
-		if cfg.Chaos != nil {
-			panic("matmul: chaos scenarios are sim-only")
-		}
-		if cfg.Timeline != nil {
-			panic("matmul: timeline recording is sim-only")
-		}
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Net == nil {
-		panic("matmul: net backend needs Config.Net (a started netrt node)")
-	}
-	eng := sim.NewEngine()
-	mach, net := cfg.Platform.BuildMachine(eng, cfg.PEs)
-	rts := charm.NewRTS(eng, mach, net, cfg.Platform, trace.NewRecorder(),
-		charm.Options{
-			Checked:         true,
-			VirtualPayloads: !cfg.Validate && cfg.Backend == charm.SimBackend,
-			Backend:         cfg.Backend,
-			Net:             cfg.Net,
-		})
-
-	if cfg.Timeline != nil {
-		rts.SetTimeline(cfg.Timeline)
-	}
-	a := &app{cfg: cfg, grid: grid, rts: rts}
-	if cfg.Mode == Ckd {
-		a.mgr = ckdirect.NewManager(rts)
-	}
-	cfg.Chaos.Apply(rts, a.mgr)
-	a.build()
-	if cfg.Ckpt.Enabled() {
-		a.ck = charm.NewCheckpointer(rts, cfg.Ckpt)
-		a.ck.Attach(a.arr)
-		if a.mgr != nil {
-			a.ck.SetRegionHooks(a.mgr)
-		}
-		// Roll back to the newest committed cut (a fresh run finds none
-		// and starts from step zero). Restore happens after build: the
-		// SPMD setup is identical to the checkpointed run's, so element
-		// state and registered-buffer bytes overlay in place.
-		step, err := a.ck.Restore()
-		if err != nil {
-			return Result{
-				Config: cfg, Grid: grid,
-				Errors:   []error{fmt.Errorf("matmul: restore checkpoint: %w", err)},
-				Counters: rts.Recorder().Counters(),
-			}
-		}
-		a.barriers = make([]sim.Time, step)
-	}
-	a.start()
-	rts.Run()
-	errs := rts.Errors()
-	if len(errs) > 0 && cfg.Chaos == nil && cfg.Backend != charm.NetBackend {
-		// Under net, failures (including a dead peer's NetError) return
-		// through Result.Errors — the launcher decides, not a panic.
-		panic(fmt.Sprintf("matmul: runtime contract violation: %v", errs[0]))
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Validate && len(errs) == 0 {
-		// Each process can check exactly the chares it hosts; the serial
-		// reference is the shared oracle.
-		errs = append(errs, a.verifyLocal()...)
-	}
-	if cfg.Backend == charm.NetBackend && !rts.HostsPE(0) {
-		// A worker process: barriers and timing live on PE 0's rank. Local
-		// verification already ran; report what this rank knows — its own
-		// strips of C (the rest NaN).
-		res := Result{
-			Config: cfg, Grid: grid,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-		if cfg.Validate && len(errs) == 0 {
-			res.C = a.gatherC()
-		}
-		return res
-	}
-	want := cfg.Warmup + cfg.Iters + 1
-	if len(a.barriers) < want {
-		if len(errs) == 0 {
-			if cfg.Chaos == nil {
-				panic(fmt.Sprintf("matmul: only %d/%d iterations completed", len(a.barriers), want))
-			}
-			errs = []error{chaos.StallError(rts.Recorder().Counters(),
-				fmt.Sprintf("%d/%d iterations", len(a.barriers), want))}
-		}
-		return Result{
-			Config: cfg, Grid: grid,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-	}
-	measured := a.barriers[cfg.Warmup+cfg.Iters] - a.barriers[cfg.Warmup]
-	res := Result{
-		Config:      cfg,
-		Grid:        grid,
-		IterTime:    measured / sim.Time(cfg.Iters),
-		TotalEvents: rts.Executed(),
-		Errors:      errs,
-		Counters:    rts.Recorder().Counters(),
-	}
-	if cfg.Validate {
+	a := &app{cfg: cfg, grid: chooseGrid(cfg.PEs)}
+	o, ok := apps.Run(apps.Spec{
+		Name: "matmul", Platform: cfg.Platform, PEs: cfg.PEs,
+		Backend: cfg.Backend, Net: cfg.Net, Timeline: cfg.Timeline,
+		Chaos: cfg.Chaos, Ckpt: cfg.Ckpt, Kill: cfg.Kill,
+		Validate: cfg.Validate, CkDirect: cfg.Mode == Ckd,
+		Warmup: cfg.Warmup, Iters: cfg.Iters, Unit: "iterations", Width: 1,
+		Build: a.build, Iterate: a.iterateAll, Verify: a.verifyLocal,
+	})
+	res := Result{Config: cfg, Outcome: o, Grid: a.grid}
+	if ok && cfg.Validate {
 		if cfg.Backend != charm.NetBackend {
 			// Under net no single process holds the whole product;
-			// verifyLocal covered the hosted strips above.
+			// verifyLocal covered the hosted strips.
 			res.MaxError = a.verify()
 		}
+		// A net worker's strips of C, the rest NaN.
 		res.C = a.gatherC()
 	}
 	return res

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"repro/internal/apps"
 	"repro/internal/charm"
 	"repro/internal/ckdirect"
 	"repro/internal/machine"
@@ -31,10 +32,8 @@ type app struct {
 	// PC entry points.
 	pointsEP, armEP, correctionEP charm.EP
 
-	stepTimes   []sim.Time
 	lastOverlap float64
 	channels    int
-	totalSteps  int
 	phase       int
 	lambda      float64
 }
@@ -84,10 +83,10 @@ func (c *pcChare) Pup(p charm.Puper) {
 
 func (a *app) transferBytes() int { return a.cfg.Points * 16 }
 
-func (a *app) build() {
+func (a *app) build(d *apps.Driver) *charm.Array {
+	a.rts, a.mgr = d.RTS, d.Mgr
 	cfg := &a.cfg
 	a.nblocks = cfg.NStates / cfg.Grain
-	a.totalSteps = cfg.Warmup + cfg.Steps + 1
 	a.lambda = 1
 
 	totalGS := cfg.NStates * cfg.NPlanes
@@ -140,6 +139,10 @@ func (a *app) build() {
 	if cfg.Mode != Msg {
 		a.buildChannels()
 	}
+	if testPostBuild != nil {
+		testPostBuild(a.rts)
+	}
+	return a.gs
 }
 
 // destinations lists the PCs a GS state feeds: every PC whose left block
@@ -171,9 +174,6 @@ func (a *app) registerGSEntries() {
 	})
 	a.backEP = a.gs.EntryMethod("back", func(ctx *charm.Ctx, msg *charm.Message) {
 		ctx.Obj().(*gsChare).onBack(ctx, msg)
-	})
-	a.gs.SetReductionClient(charm.Sum, func(ctx *charm.Ctx, vals []float64) {
-		a.onGSBarrier(ctx)
 	})
 }
 
@@ -260,12 +260,6 @@ func (c *pcChare) slotFor(s int, backing []byte) {
 	}
 }
 
-func (a *app) start() {
-	a.rts.StartAt(0, func(ctx *charm.Ctx) {
-		a.beginStep(ctx)
-	})
-}
-
 // beginStep launches one time step.
 func (a *app) beginStep(ctx *charm.Ctx) {
 	if a.cfg.Scope == FullStep {
@@ -293,16 +287,12 @@ func (a *app) beginPCPhase(ctx *charm.Ctx) {
 
 // onGSBarrier dispatches on the driver phase: the GS array's reduction is
 // used both as the phase-A barrier and as the step barrier.
-func (a *app) onGSBarrier(ctx *charm.Ctx) {
-	switch a.phase {
-	case phaseA:
+func (a *app) onGSBarrier(ctx *charm.Ctx, _ []float64) bool {
+	if a.phase == phaseA {
 		a.beginPCPhase(ctx)
-	case phaseStep:
-		a.stepTimes = append(a.stepTimes, ctx.Now())
-		if len(a.stepTimes) < a.totalSteps {
-			a.beginStep(ctx)
-		}
+		return false
 	}
+	return true
 }
 
 // ---- GS behaviour ----

@@ -35,10 +35,9 @@ package openatom
 import (
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/ckdirect"
-	"repro/internal/machine"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/sim"
@@ -48,11 +47,12 @@ import (
 // Mode selects the GS→PC transport.
 type Mode int
 
-// Transport variants.
+// Transport variants: the two every app compares, plus the naive
+// polling variant.
 const (
-	Msg Mode = iota
-	Ckd
-	CkdNaive
+	Msg      = Mode(apps.Msg)
+	Ckd      = Mode(apps.Ckd)
+	CkdNaive = Ckd + 1
 )
 
 // String names the mode.
@@ -165,7 +165,7 @@ type Result struct {
 	Channels    int // CkDirect channels created (0 for Msg)
 	TotalEvents uint64
 	// Errors holds runtime contract violations and unrecovered faults
-	// (chaos runs only; fault-free runs panic instead).
+	// (net and chaos runs only; fault-free runs panic instead).
 	Errors []error
 	// Counters is the final trace-counter snapshot.
 	Counters map[string]int64
@@ -174,12 +174,11 @@ type Result struct {
 // Improvement runs baseline and CkDirect variants and returns the
 // percentage step-time improvement (Figures 4 and 5).
 func Improvement(cfg Config) (msg, ckd Result, pct float64) {
-	cfg.Mode = Msg
-	msg = Run(cfg)
-	cfg.Mode = Ckd
-	ckd = Run(cfg)
-	pct = (1 - float64(ckd.StepTime)/float64(msg.StepTime)) * 100
-	return
+	return apps.Improvement(func(m apps.Mode) (Result, sim.Time) {
+		cfg.Mode = Mode(m)
+		r := Run(cfg)
+		return r, r.StepTime
+	})
 }
 
 // testPostBuild, when set (tests), runs after the arrays and channels are
@@ -193,105 +192,22 @@ func Run(cfg Config) Result {
 	if cfg.PEs <= 0 {
 		panic("openatom: PEs must be positive")
 	}
-	if cfg.Backend != charm.SimBackend {
-		if cfg.Chaos != nil {
-			panic("openatom: chaos scenarios are sim-only")
-		}
-		if cfg.Timeline != nil {
-			panic("openatom: timeline recording is sim-only")
-		}
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Net == nil {
-		panic("openatom: net backend needs Config.Net (a started netrt node)")
-	}
-	eng := sim.NewEngine()
-	plat := cfg.Platform
-	cores := plat.CoresPerNode
-	if cfg.CoresPerNode > 0 {
-		cores = cfg.CoresPerNode
-	}
-	mach, net := buildMachine(eng, plat, cfg.PEs, cores)
-	rts := charm.NewRTS(eng, mach, net, plat, trace.NewRecorder(),
-		charm.Options{
-			Checked:         true,
-			VirtualPayloads: !cfg.Validate && cfg.Backend == charm.SimBackend,
-			Backend:         cfg.Backend,
-			Net:             cfg.Net,
-		})
-
-	if cfg.Timeline != nil {
-		rts.SetTimeline(cfg.Timeline)
-	}
-	a := &app{cfg: cfg, rts: rts}
-	if cfg.Mode != Msg {
-		a.mgr = ckdirect.NewManager(rts)
-	}
-	cfg.Chaos.Apply(rts, a.mgr)
-	a.build()
-	if testPostBuild != nil {
-		testPostBuild(rts)
-	}
-	a.start()
-	rts.Run()
-	errs := rts.Errors()
-	if len(errs) > 0 && cfg.Chaos == nil && cfg.Backend != charm.NetBackend {
-		// Under net, failures (including a dead peer's NetError) return
-		// through Result.Errors — the launcher decides, not a panic.
-		panic(fmt.Sprintf("openatom: runtime contract violation: %v", errs[0]))
-	}
-	if cfg.Backend == charm.NetBackend && !rts.HostsPE(0) {
-		// A worker process: step times and the overlap live on PE 0's
-		// rank. Report what this rank knows — its hosted elements'
-		// coefficient sums (the rest NaN).
-		res := Result{
-			Config: cfg, Channels: a.channels,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-		if cfg.Validate && len(errs) == 0 {
+	a := &app{cfg: cfg}
+	o, ok := apps.Run(apps.Spec{
+		Name: "openatom", Platform: cfg.Platform, CoresPerNode: cfg.CoresPerNode, PEs: cfg.PEs,
+		Backend: cfg.Backend, Net: cfg.Net, Timeline: cfg.Timeline, Chaos: cfg.Chaos,
+		Validate: cfg.Validate, CkDirect: cfg.Mode != Msg,
+		Warmup: cfg.Warmup, Iters: cfg.Steps, Unit: "steps",
+		Build: a.build, Iterate: a.beginStep, Reduced: a.onGSBarrier,
+	})
+	res := Result{Config: cfg, StepTime: o.IterTime, Channels: a.channels,
+		TotalEvents: o.TotalEvents, Errors: o.Errors, Counters: o.Counters}
+	if ok {
+		// A net worker's hosted elements' coefficient sums, the rest NaN.
+		res.Overlap, res.Checksum = a.lastOverlap, a.checksum()
+		if cfg.Validate {
 			res.Field = a.gather()
-			res.Checksum = a.checksum()
 		}
-		return res
-	}
-	want := cfg.Warmup + cfg.Steps + 1
-	if len(a.stepTimes) < want {
-		if len(errs) == 0 {
-			if cfg.Chaos == nil {
-				panic(fmt.Sprintf("openatom: only %d/%d steps completed", len(a.stepTimes), want))
-			}
-			errs = []error{chaos.StallError(rts.Recorder().Counters(),
-				fmt.Sprintf("%d/%d steps", len(a.stepTimes), want))}
-		}
-		return Result{
-			Config: cfg,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-	}
-	measured := a.stepTimes[cfg.Warmup+cfg.Steps] - a.stepTimes[cfg.Warmup]
-	res := Result{
-		Config:      cfg,
-		StepTime:    measured / sim.Time(cfg.Steps),
-		Overlap:     a.lastOverlap,
-		Checksum:    a.checksum(),
-		Channels:    a.channels,
-		TotalEvents: rts.Executed(),
-		Errors:      errs,
-		Counters:    rts.Recorder().Counters(),
-	}
-	if cfg.Validate {
-		res.Field = a.gather()
 	}
 	return res
-}
-
-func buildMachine(eng *sim.Engine, plat *netmodel.Platform, pes, cores int) (*machine.Machine, *netmodel.Net) {
-	nodes := (pes + cores - 1) / cores
-	m := machine.New(eng, machine.Config{
-		PEs:          pes,
-		CoresPerNode: cores,
-		Topology:     plat.TopologyFor(nodes),
-	})
-	return m, netmodel.NewNet(eng, m, plat.PerHopUS, plat.IntraNodeFactor)
 }

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/charm"
 	"repro/internal/ckdirect"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Mode selects the communication stack under test.
@@ -113,17 +113,11 @@ func Run(cfg Config) Result {
 		panic("pingpong: non-positive size")
 	}
 	if cfg.Backend != charm.SimBackend {
-		if cfg.Chaos != nil {
-			panic("pingpong: chaos scenarios are sim-only")
-		}
 		if cfg.Mode != CharmMsg && cfg.Mode != CkDirect {
 			panic(fmt.Sprintf("pingpong: mode %v is sim-only (the real and net backends run charm-msg and ckdirect)", cfg.Mode))
 		}
 		cfg.Virtual = false
 		cfg.Size = (cfg.Size + 7) &^ 7
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Net == nil {
-		panic("pingpong: net backend needs Config.Net (a started netrt node)")
 	}
 	switch cfg.Mode {
 	case CharmMsg:
@@ -142,25 +136,27 @@ func peers(plat *netmodel.Platform) (a, b, pes int) {
 	return 0, plat.CoresPerNode, plat.CoresPerNode + 1
 }
 
-func runCharm(cfg Config) Result {
-	eng := sim.NewEngine()
-	peA, peB, pes := peers(cfg.Platform)
-	mach, net := cfg.Platform.BuildMachine(eng, pes)
-	rts := charm.NewRTS(eng, mach, net, cfg.Platform, trace.NewRecorder(), charm.Options{Backend: cfg.Backend, Net: cfg.Net})
-	cfg.Chaos.Apply(rts, nil)
-
-	arr := rts.NewArray("pingpong", func(ix charm.Index) int {
-		if ix[0] == 0 {
-			return peA
-		}
-		return peB
+// runCharmRuntime drives a Charm-runtime arm through the shared
+// lifecycle. Its two barrier stamps are the first ping and the last
+// pong, so the one timed "iteration" is the whole chain.
+func runCharmRuntime(cfg Config, ckd bool, build func(d *apps.Driver) *charm.Array, start func(ctx *charm.Ctx)) Result {
+	_, _, pes := peers(cfg.Platform)
+	o, _ := apps.Run(apps.Spec{
+		Name: "pingpong", Platform: cfg.Platform, PEs: pes,
+		Backend: cfg.Backend, Net: cfg.Net, Chaos: cfg.Chaos, CkDirect: ckd,
+		Iters: 1, Unit: "ends of the ping chain", Build: build, Iterate: start,
 	})
-	e0 := &endpoint{Left: cfg.Iters}
-	arr.Insert(charm.Idx1(0), e0)
-	arr.Insert(charm.Idx1(1), &endpoint{})
+	return Result{Config: cfg, RTT: o.IterTime / sim.Time(cfg.Iters), Errors: o.Errors, Counters: o.Counters}
+}
 
-	var start, end sim.Time
-	var pingEP, pongEP charm.EP
+func runCharm(cfg Config) Result {
+	peA, peB, _ := peers(cfg.Platform)
+	var (
+		d              *apps.Driver
+		arr            *charm.Array
+		pingEP, pongEP charm.EP
+		e0             = &endpoint{Left: cfg.Iters}
+	)
 	// Each endpoint reuses one preallocated message — the Charm++ idiom of
 	// keeping a persistent message for a regular exchange. Strict
 	// alternation makes this safe: a side's previous send is fully
@@ -177,34 +173,44 @@ func runCharm(cfg Config) Result {
 		pingMsg.Data = pattern(cfg.Size, 7)
 		pongMsg.Data = pattern(cfg.Size, 11)
 	}
-	pingEP = arr.EntryMethod("ping", func(ctx *charm.Ctx, msg *charm.Message) {
-		if live {
-			checkMsg(msg, pingMsg.Data, msg.Tag == 1)
-		}
-		ctx.Send(arr, charm.Idx1(0), pongEP, pongMsg)
-	})
-	pongEP = arr.EntryMethod("pong", func(ctx *charm.Ctx, msg *charm.Message) {
-		if live {
-			checkMsg(msg, pongMsg.Data, e0.Left == 1)
-		}
-		e0.Left--
-		// The kill -9 chaos tier fires here: the pong callback is the
-		// benchmark's globally ordered progress observer.
-		cfg.Kill.Fire(cfg.Iters-e0.Left, cfg.Net)
-		if e0.Left == 0 {
-			end = ctx.Now()
-			return
-		}
-		pingMsg.Tag = e0.Left // the ping tagged 1 is the last
-		ctx.Send(arr, charm.Idx1(1), pingEP, pingMsg)
-	})
-	rts.StartAt(peA, func(ctx *charm.Ctx) {
-		start = ctx.Now()
+	build := func(drv *apps.Driver) *charm.Array {
+		d = drv
+		arr = d.RTS.NewArray("pingpong", func(ix charm.Index) int {
+			if ix[0] == 0 {
+				return peA
+			}
+			return peB
+		})
+		arr.Insert(charm.Idx1(0), e0)
+		arr.Insert(charm.Idx1(1), &endpoint{})
+		pingEP = arr.EntryMethod("ping", func(ctx *charm.Ctx, msg *charm.Message) {
+			if live {
+				checkMsg(msg, pingMsg.Data, msg.Tag == 1)
+			}
+			ctx.Send(arr, charm.Idx1(0), pongEP, pongMsg)
+		})
+		pongEP = arr.EntryMethod("pong", func(ctx *charm.Ctx, msg *charm.Message) {
+			if live {
+				checkMsg(msg, pongMsg.Data, e0.Left == 1)
+			}
+			e0.Left--
+			// The kill -9 chaos tier fires here: the pong callback is the
+			// benchmark's globally ordered progress observer.
+			cfg.Kill.Fire(cfg.Iters-e0.Left, cfg.Net)
+			if e0.Left == 0 {
+				d.Mark(ctx)
+				return
+			}
+			pingMsg.Tag = e0.Left // the ping tagged 1 is the last
+			ctx.Send(arr, charm.Idx1(1), pingEP, pingMsg)
+		})
+		return nil
+	}
+	return runCharmRuntime(cfg, false, build, func(ctx *charm.Ctx) {
+		d.Mark(ctx)
 		pingMsg.Tag = e0.Left
 		ctx.Send(arr, charm.Idx1(1), pingEP, pingMsg)
 	})
-	rts.Run()
-	return finish(cfg, rts, start, end)
 }
 
 // pattern is a size-byte message payload distinct per direction.
@@ -228,69 +234,64 @@ func checkMsg(msg *charm.Message, want []byte, last bool) {
 }
 
 func runCkDirect(cfg Config) Result {
-	eng := sim.NewEngine()
-	peA, peB, pes := peers(cfg.Platform)
-	mach, net := cfg.Platform.BuildMachine(eng, pes)
-	rts := charm.NewRTS(eng, mach, net, cfg.Platform, trace.NewRecorder(), charm.Options{Checked: true, Backend: cfg.Backend, Net: cfg.Net})
-	mgr := ckdirect.NewManager(rts)
-	cfg.Chaos.Apply(rts, mgr)
-
+	peA, peB, _ := peers(cfg.Platform)
 	const oob = 0xFFF8BADF00D00001
-	alloc := func(pe int) *machine.Region {
-		size := cfg.Size
-		if size < 8 {
-			size = 8
+	var (
+		d                          *apps.Driver
+		sendA, recvB, sendB, recvA *machine.Region
+		hAB, hBA                   *ckdirect.Handle
+	)
+	build := func(drv *apps.Driver) *charm.Array {
+		d = drv
+		mgr := d.Mgr
+		alloc := func(pe int) *machine.Region {
+			return d.RTS.Machine().AllocRegion(pe, max(cfg.Size, 8), cfg.Virtual)
 		}
-		return mach.AllocRegion(pe, size, cfg.Virtual)
+		sendA, recvB = alloc(peA), alloc(peB) // A -> B channel buffers
+		sendB, recvA = alloc(peB), alloc(peA) // B -> A channel buffers
+		fill(sendA)
+		fill(sendB)
+		left := cfg.Iters
+		var err error
+		// B's callback: data from A arrived; re-arm and pong back.
+		hAB, err = mgr.CreateHandle(peB, recvB, oob, func(ctx *charm.Ctx) {
+			mgr.Ready(hAB)
+			must(mgr.Put(hBA))
+		})
+		must(err)
+		// A's callback: pong arrived; count and ping again.
+		hBA, err = mgr.CreateHandle(peA, recvA, oob, func(ctx *charm.Ctx) {
+			mgr.Ready(hBA)
+			left--
+			cfg.Kill.Fire(cfg.Iters-left, cfg.Net)
+			if left == 0 {
+				d.Mark(ctx)
+				return
+			}
+			must(mgr.Put(hAB))
+		})
+		must(err)
+		must(mgr.AssocLocal(hAB, peA, sendA))
+		must(mgr.AssocLocal(hBA, peB, sendB))
+		return nil
 	}
-	sendA, recvB := alloc(peA), alloc(peB) // A -> B channel buffers
-	sendB, recvA := alloc(peB), alloc(peA) // B -> A channel buffers
-	fill(sendA)
-	fill(sendB)
-
-	var start, end sim.Time
-	left := cfg.Iters
-	var hAB, hBA *ckdirect.Handle
-	var err error
-	// B's callback: data from A arrived; re-arm and pong back.
-	hAB, err = mgr.CreateHandle(peB, recvB, oob, func(ctx *charm.Ctx) {
-		mgr.Ready(hAB)
-		must(mgr.Put(hBA))
+	res := runCharmRuntime(cfg, true, build, func(ctx *charm.Ctx) {
+		d.Mark(ctx)
+		must(d.Mgr.Put(hAB))
 	})
-	must(err)
-	// A's callback: pong arrived; count and ping again.
-	hBA, err = mgr.CreateHandle(peA, recvA, oob, func(ctx *charm.Ctx) {
-		mgr.Ready(hBA)
-		left--
-		cfg.Kill.Fire(cfg.Iters-left, cfg.Net)
-		if left == 0 {
-			end = ctx.Now()
-			return
-		}
-		must(mgr.Put(hAB))
-	})
-	must(err)
-	must(mgr.AssocLocal(hAB, peA, sendA))
-	must(mgr.AssocLocal(hBA, peB, sendB))
-
-	rts.StartAt(peA, func(ctx *charm.Ctx) {
-		start = ctx.Now()
-		must(mgr.Put(hAB))
-	})
-	rts.Run()
-	if cfg.Backend != charm.SimBackend && len(rts.Errors()) == 0 {
+	if cfg.Backend != charm.SimBackend && len(res.Errors) == 0 {
 		// The bytes really moved: both receive buffers must hold the peer's
 		// payload (minus the final word, which each side's callback already
 		// re-armed back to the out-of-band pattern). Under net each process
 		// can check only the receive buffer it hosts.
-		if rts.HostsPE(peB) {
+		if d.RTS.HostsPE(peB) {
 			checkPayload(recvB, sendA)
 		}
-		if rts.HostsPE(peA) {
+		if d.RTS.HostsPE(peA) {
 			checkPayload(recvA, sendB)
 		}
 	}
-	return finish(cfg, rts, start, end)
+	return res
 }
 
 // checkPayload asserts a received CkDirect payload matches the source,
@@ -385,46 +386,10 @@ func runMPI(cfg Config) Result {
 		})
 	}
 	eng.Run()
-	return result(cfg, start, end)
-}
-
-func result(cfg Config, start, end sim.Time) Result {
 	if end <= start {
 		panic(fmt.Sprintf("pingpong: run did not complete (%v..%v, mode %v)", start, end, cfg.Mode))
 	}
 	return Result{Config: cfg, RTT: (end - start) / sim.Time(cfg.Iters)}
-}
-
-// finish is result for the Charm-runtime modes: it surfaces runtime
-// errors, and under a chaos scenario an unfinished run returns them
-// instead of panicking (a lost, unrecovered transfer breaks the ping
-// chain by design — the watchdog/reliability reports say why).
-func finish(cfg Config, rts *charm.RTS, start, end sim.Time) Result {
-	errs := rts.Errors()
-	counters := rts.Recorder().Counters()
-	if len(errs) > 0 && cfg.Chaos == nil && cfg.Backend != charm.NetBackend {
-		// Under net, failures (including a dead peer's NetError) return
-		// through Result.Errors — the launcher decides, not a panic.
-		panic(fmt.Sprintf("pingpong: runtime contract violation: %v", errs[0]))
-	}
-	if end <= start {
-		if len(errs) == 0 {
-			if cfg.Backend == charm.NetBackend && !rts.HostsPE(0) {
-				// A worker process: the timing endpoints live on PE 0's
-				// rank; this rank relayed traffic and is simply done.
-				return Result{Config: cfg, Counters: counters}
-			}
-			if cfg.Chaos == nil {
-				panic(fmt.Sprintf("pingpong: run did not complete (%v..%v, mode %v)", start, end, cfg.Mode))
-			}
-			errs = []error{chaos.StallError(counters, "an unfinished ping chain")}
-		}
-		return Result{Config: cfg, Errors: errs, Counters: counters}
-	}
-	res := result(cfg, start, end)
-	res.Errors = errs
-	res.Counters = counters
-	return res
 }
 
 func fill(r *machine.Region) { fillBytes(r.Bytes(), 7) }

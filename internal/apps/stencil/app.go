@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/charm"
 	"repro/internal/ckdirect"
-	"repro/internal/lb"
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
@@ -39,16 +39,14 @@ const oobPattern uint64 = 0x7FF8DEADF00D0001
 type app struct {
 	cfg  Config
 	grid [3]int
+	d    *apps.Driver
 	rts  *charm.RTS
 	mgr  *ckdirect.Manager
 	arr  *charm.Array
-	ck   *charm.Checkpointer
-	bal  *lb.Balancer
 
-	iterEP, faceEP, ckptEP charm.EP
-	chares                 []*chare
+	iterEP, faceEP charm.EP
+	chares         []*chare
 
-	barriers     []sim.Time
 	lastResidual float64
 	totalIters   int
 }
@@ -127,7 +125,8 @@ func (c *chare) faceBytes(d int) int {
 	return u * v * 8
 }
 
-func (a *app) build() {
+func (a *app) build(drv *apps.Driver) *charm.Array {
+	a.d, a.rts, a.mgr = drv, drv.RTS, drv.Mgr
 	a.totalIters = a.cfg.Warmup + a.cfg.Iters + 1
 	a.arr = a.rts.NewArray("stencil", a.peOf)
 	cx, cy, cz := a.grid[0], a.grid[1], a.grid[2]
@@ -167,78 +166,10 @@ func (a *app) build() {
 		c := ctx.Obj().(*chare)
 		c.onFace(ctx, msg.Tag, msg.Data)
 	})
-	a.ckptEP = a.arr.EntryMethod("ckpt", func(ctx *charm.Ctx, msg *charm.Message) {
-		// One element reaching the cut; the last local one writes this
-		// rank's snapshot. The extra barrier round resumes iteration
-		// only after every rank's snapshot is durable.
-		a.ck.ElementSave(msg.Tag)
-		a.arr.ContributeFrom(ctx.Index(), 1, 0)
-	})
-	a.arr.SetReductionClient(charm.Sum, func(ctx *charm.Ctx, vals []float64) {
-		if a.ck != nil && a.ck.InCheckpoint() {
-			// The checkpoint barrier completed: every rank's snapshot is
-			// on disk, so the commit record may name the step.
-			if _, err := a.ck.Commit(); err != nil {
-				a.rts.ReportError(fmt.Errorf("stencil: checkpoint commit: %w", err))
-				return
-			}
-			a.afterBarrier(ctx, len(a.barriers))
-			return
-		}
-		if a.bal != nil && a.bal.InBalance() {
-			// The balancing round's extra reduction completed: every
-			// move is applied and every channel rehomed, globally.
-			// Resume the interrupted step; it is not a barrier.
-			a.bal.Finish()
-			a.afterBarrier(ctx, len(a.barriers))
-			return
-		}
-		a.barriers = append(a.barriers, ctx.Now())
-		a.lastResidual = vals[1]
-		step := len(a.barriers)
-		// The kill -9 chaos tier fires here: the root client is the one
-		// place with a globally ordered step count.
-		a.cfg.Kill.Fire(step, a.cfg.Net)
-		if a.ck != nil && a.ck.Due(step) && step < a.totalIters {
-			a.ck.Begin(step)
-			ctx.Broadcast(a.arr, a.ckptEP, &charm.Message{Size: 8, Tag: step})
-			return
-		}
-		if a.bal != nil && a.bal.Due(step) && step < a.totalIters {
-			// A checkpoint due at the same step won above; the balancer
-			// waits for its next period.
-			a.bal.Begin(ctx)
-			return
-		}
-		a.afterBarrier(ctx, step)
-	})
-
 	if a.cfg.Mode == Ckd {
 		a.buildChannels()
 	}
-
-	if a.cfg.LBEvery > 0 {
-		strat, err := lb.ParseStrategy(a.cfg.LBStrategy)
-		if err != nil {
-			panic(err)
-		}
-		if strat == nil {
-			panic("stencil: LBEvery set without an LBStrategy")
-		}
-		bal, err := lb.New(a.rts, lb.Options{
-			Every:    a.cfg.LBEvery,
-			Strategy: strat,
-			// The app's contributions are {1, residual}; the balancing
-			// round's must match that width.
-			Contrib:   []float64{1, 0},
-			OnMigrate: a.onMigrate,
-		})
-		if err != nil {
-			panic(err)
-		}
-		bal.Attach(a.arr)
-		a.bal = bal
-	}
+	return a.arr
 }
 
 // onMigrate follows one chare to its new PE: placement bookkeeping plus
@@ -334,13 +265,9 @@ func (a *app) neighborOf(c *chare, d int) *chare {
 	return a.arr.Obj(charm.Idx3(ni, nj, nk)).(*chare)
 }
 
-// afterBarrier broadcasts the next iteration (or nothing, ending the
-// run) once step barriers — iterate barriers, not checkpoint rounds —
-// have completed.
-func (a *app) afterBarrier(ctx *charm.Ctx, step int) {
-	if step < a.totalIters {
-		ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
-	}
+// iterateAll broadcasts one iteration to every chare.
+func (a *app) iterateAll(ctx *charm.Ctx) {
+	ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
 }
 
 // Pup checkpoints the chare's state: the current field. next is
@@ -348,12 +275,6 @@ func (a *app) afterBarrier(ctx *charm.Ctx, step int) {
 // and got/sent are zero at every barrier cut.
 func (c *chare) Pup(p charm.Puper) {
 	p.Float64s(&c.cur)
-}
-
-func (a *app) start() {
-	a.rts.StartAt(0, func(ctx *charm.Ctx) {
-		ctx.Broadcast(a.arr, a.iterEP, &charm.Message{Size: 8})
-	})
 }
 
 // iterate begins one iteration on a chare: extract the boundary faces of
@@ -431,8 +352,8 @@ func (c *chare) computeAndBarrier(ctx *charm.Ctx) {
 		if a.cfg.Backend != charm.SimBackend {
 			spinFor(extra)
 		}
-		if a.bal != nil {
-			a.bal.Account(a.arr.Ord(), c.idx, c.pe, extra)
+		if a.d.LB != nil {
+			a.d.LB.Account(a.arr.Ord(), c.idx, c.pe, extra)
 		}
 	}
 	residual := 0.0

@@ -11,11 +11,12 @@
 package stencil
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/ckdirect"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/sim"
@@ -23,21 +24,13 @@ import (
 )
 
 // Mode selects the communication variant.
-type Mode int
+type Mode = apps.Mode
 
 // Stencil variants.
 const (
-	Msg Mode = iota // Charm++ messages
-	Ckd             // CkDirect channels
+	Msg = apps.Msg // Charm++ messages
+	Ckd = apps.Ckd // CkDirect channels
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	if m == Msg {
-		return "msg"
-	}
-	return "ckd"
-}
 
 // Config parameterizes a stencil run.
 type Config struct {
@@ -96,31 +89,23 @@ type Config struct {
 // Result reports timing and, in validate mode, the solution.
 type Result struct {
 	Config
-	ChareGrid   [3]int
-	Chares      int
-	IterTime    sim.Time // average measured iteration time
-	Residual    float64  // last iteration's global residual (validate mode)
-	FieldSum    float64  // checksum of the final field (validate mode)
-	Field       []float64
-	TotalEvents uint64
-	// Errors holds runtime contract violations and unrecovered faults
-	// (chaos runs only; fault-free runs panic instead).
-	Errors []error
-	// Counters is the final trace-counter snapshot (fault/retry
-	// accounting; used by determinism regression tests).
-	Counters map[string]int64
+	apps.Outcome
+	ChareGrid [3]int
+	Chares    int
+	Residual  float64 // last iteration's global residual (validate mode)
+	FieldSum  float64 // checksum of the final field (validate mode)
+	Field     []float64
 }
 
 // Improvement runs both variants of a configuration and returns the
 // percentage improvement of CKD over MSG in average iteration time — the
 // quantity plotted in Figure 2.
 func Improvement(cfg Config) (msg, ckd Result, pct float64) {
-	cfg.Mode = Msg
-	msg = Run(cfg)
-	cfg.Mode = Ckd
-	ckd = Run(cfg)
-	pct = (1 - float64(ckd.IterTime)/float64(msg.IterTime)) * 100
-	return
+	return apps.Improvement(func(m Mode) (Result, sim.Time) {
+		cfg.Mode = m
+		r := Run(cfg)
+		return r, r.IterTime
+	})
 }
 
 // chooseGrid picks a chare grid (cx, cy, cz) with cx*cy*cz >= want,
@@ -145,10 +130,23 @@ func chooseGrid(want, nx, ny, nz int) [3]int {
 	return c
 }
 
+// Check reports the parameter error Run panics on: a non-positive PE
+// count or virtualization, or a domain too small to give every PE a
+// chare.
+func (cfg Config) Check() error {
+	if cfg.PEs <= 0 || cfg.Virtualization <= 0 {
+		return errors.New("stencil: PEs and Virtualization must be positive")
+	}
+	if grid := chooseGrid(cfg.PEs*cfg.Virtualization, cfg.NX, cfg.NY, cfg.NZ); grid[0]*grid[1]*grid[2] < cfg.PEs {
+		return fmt.Errorf("stencil: domain %dx%dx%d too small for %d PEs", cfg.NX, cfg.NY, cfg.NZ, cfg.PEs)
+	}
+	return nil
+}
+
 // Run executes one stencil configuration.
 func Run(cfg Config) Result {
-	if cfg.PEs <= 0 || cfg.Virtualization <= 0 {
-		panic("stencil: PEs and Virtualization must be positive")
+	if err := cfg.Check(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Iters <= 0 {
 		cfg.Iters = 3
@@ -156,126 +154,25 @@ func Run(cfg Config) Result {
 	if cfg.Warmup < 0 {
 		cfg.Warmup = 0
 	}
-	grid := chooseGrid(cfg.PEs*cfg.Virtualization, cfg.NX, cfg.NY, cfg.NZ)
-	total := grid[0] * grid[1] * grid[2]
-	if total < cfg.PEs {
-		panic(fmt.Sprintf("stencil: domain %dx%dx%d too small for %d PEs",
-			cfg.NX, cfg.NY, cfg.NZ, cfg.PEs))
-	}
-
-	if cfg.Backend != charm.SimBackend {
-		if cfg.Chaos != nil {
-			panic("stencil: chaos scenarios are sim-only")
-		}
-		if cfg.Timeline != nil {
-			panic("stencil: timeline recording is sim-only")
-		}
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Net == nil {
-		panic("stencil: net backend needs Config.Net (a started netrt node)")
-	}
-	eng := sim.NewEngine()
-	mach, net := cfg.Platform.BuildMachine(eng, cfg.PEs)
-	rts := charm.NewRTS(eng, mach, net, cfg.Platform, trace.NewRecorder(),
-		charm.Options{
-			Checked:         true,
-			VirtualPayloads: !cfg.Validate && cfg.Backend == charm.SimBackend,
-			Backend:         cfg.Backend,
-			Net:             cfg.Net,
-		})
-	if cfg.Timeline != nil {
-		rts.SetTimeline(cfg.Timeline)
-	}
-
-	a := &app{cfg: cfg, grid: grid, rts: rts}
-	if cfg.Mode == Ckd {
-		a.mgr = ckdirect.NewManager(rts)
-	}
-	cfg.Chaos.Apply(rts, a.mgr)
-	a.build()
-	if cfg.Ckpt.Enabled() {
-		a.ck = charm.NewCheckpointer(rts, cfg.Ckpt)
-		a.ck.Attach(a.arr)
-		if a.mgr != nil {
-			a.ck.SetRegionHooks(a.mgr)
-		}
-		// Roll back to the newest committed cut (a fresh run finds none
-		// and starts from step zero). Restore happens after build: the
-		// SPMD setup is identical to the checkpointed run's, so element
-		// state and registered-buffer bytes overlay in place.
-		step, err := a.ck.Restore()
-		if err != nil {
-			return Result{
-				Config: cfg, ChareGrid: grid, Chares: total,
-				Errors:   []error{fmt.Errorf("stencil: restore checkpoint: %w", err)},
-				Counters: rts.Recorder().Counters(),
-			}
-		}
-		// Barrier count is the global step cursor: pre-seeding it makes
-		// the next completed barrier step+1. (Recovered runs report no
-		// meaningful timing — the pre-seeded entries are zero.)
-		a.barriers = make([]sim.Time, step)
-	}
-	a.start()
-	rts.Run()
-	errs := rts.Errors()
-	if len(errs) > 0 && cfg.Chaos == nil && cfg.Backend != charm.NetBackend {
-		// Under net, failures (including a dead peer's NetError) return
-		// through Result.Errors — the launcher decides, not a panic.
-		panic(fmt.Sprintf("stencil: runtime contract violation: %v", errs[0]))
-	}
-	if cfg.Backend == charm.NetBackend && cfg.Validate && len(errs) == 0 {
-		// Each process can check exactly the cells it hosts; the serial
-		// reference is the shared oracle.
-		errs = append(errs, a.validateLocal()...)
-	}
-	if cfg.Backend == charm.NetBackend && !rts.HostsPE(0) {
-		// A worker process: barriers and timing live on PE 0's rank. Local
-		// validation already ran; report what this rank knows — its own
-		// block of the field (the rest NaN) and its checksum share.
-		res := Result{
-			Config: cfg, ChareGrid: grid, Chares: total,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-		if cfg.Validate && len(errs) == 0 {
-			res.FieldSum = a.fieldSum()
+	a := &app{cfg: cfg, grid: chooseGrid(cfg.PEs*cfg.Virtualization, cfg.NX, cfg.NY, cfg.NZ)}
+	o, ok := apps.Run(apps.Spec{
+		Name: "stencil", Platform: cfg.Platform, PEs: cfg.PEs,
+		Backend: cfg.Backend, Net: cfg.Net, Timeline: cfg.Timeline,
+		Chaos: cfg.Chaos, Ckpt: cfg.Ckpt, Kill: cfg.Kill,
+		Validate: cfg.Validate, CkDirect: cfg.Mode == Ckd,
+		Warmup: cfg.Warmup, Iters: cfg.Iters, Unit: "barriers", Width: 2,
+		LBEvery: cfg.LBEvery, LBStrategy: cfg.LBStrategy, OnMigrate: a.onMigrate,
+		Build: a.build, Iterate: a.iterateAll, Verify: a.validateLocal,
+		Reduced: func(_ *charm.Ctx, vals []float64) bool { a.lastResidual = vals[1]; return true },
+	})
+	res := Result{Config: cfg, Outcome: o, ChareGrid: a.grid, Chares: a.grid[0] * a.grid[1] * a.grid[2]}
+	if ok {
+		// A net worker knows only its own block of the field (the rest
+		// NaN) and its share of the checksum.
+		res.Residual, res.FieldSum = a.lastResidual, a.fieldSum()
+		if cfg.Validate {
 			res.Field = gatherField(a)
 		}
-		return res
-	}
-
-	k := len(a.barriers)
-	if k < cfg.Warmup+cfg.Iters+1 {
-		if len(errs) == 0 {
-			if cfg.Chaos == nil {
-				panic(fmt.Sprintf("stencil: only %d barriers completed", k))
-			}
-			errs = []error{chaos.StallError(rts.Recorder().Counters(),
-				fmt.Sprintf("%d/%d barriers", k, cfg.Warmup+cfg.Iters+1))}
-		}
-		// A faulted run that lost work: hand back what is known instead of
-		// tearing the process down — the caller decides based on Errors.
-		return Result{
-			Config: cfg, ChareGrid: grid, Chares: total,
-			Errors: errs, Counters: rts.Recorder().Counters(),
-			TotalEvents: rts.Executed(),
-		}
-	}
-	measured := a.barriers[cfg.Warmup+cfg.Iters] - a.barriers[cfg.Warmup]
-	res := Result{
-		Config:      cfg,
-		ChareGrid:   grid,
-		Chares:      total,
-		IterTime:    measured / sim.Time(cfg.Iters),
-		Residual:    a.lastResidual,
-		FieldSum:    a.fieldSum(),
-		TotalEvents: rts.Executed(),
-		Errors:      errs,
-		Counters:    rts.Recorder().Counters(),
-	}
-	if cfg.Validate {
-		res.Field = gatherField(a)
 	}
 	return res
 }

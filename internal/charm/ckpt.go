@@ -37,8 +37,9 @@ const keepSnapshots = 2
 // Checkpointer drives coordinated checkpoints for one run. The protocol
 // rides the app's reduction barriers, so it needs no new wire frames:
 //
-//  1. The root reduction client, at a step where Due(step) is true,
-//     broadcasts the app's checkpoint entry method instead of the next
+//  1. The root reduction client — the one sequencer every app runs
+//     under, installed by apps.Run — at a step where Due(step) is
+//     true, broadcasts the checkpoint entry method instead of the next
 //     iterate.
 //  2. Every element's checkpoint handler calls ElementSave(step) and
 //     contributes to an extra barrier round. The LAST local element to

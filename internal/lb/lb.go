@@ -16,12 +16,13 @@ import (
 // periodically — at a reduction barrier the application already runs —
 // executes one balancing round:
 //
-//  1. The root reduction client, at a step where Due(step) is true,
-//     calls Begin and broadcasts the balancing entry method instead of
-//     the next iterate (the same pattern the checkpointer uses, so the
-//     cut inherits its quiescence argument: every put of the step is
-//     consumed, every channel re-armed, and no new app traffic can
-//     start until the root resumes).
+//  1. The root reduction client — apps.Run's sequencer, where a
+//     checkpoint due at the same step wins — at a step where Due(step)
+//     is true, calls Begin and broadcasts the balancing entry method
+//     instead of the next iterate (the pattern the checkpointer uses,
+//     so the cut inherits its quiescence argument: every put of the
+//     step is consumed, every channel re-armed, and no new app traffic
+//     can start until the root resumes).
 //  2. Every element's handler calls ElementBarrier. The last local
 //     element to arrive gathers this rank's per-element loads from the
 //     meter shards and ships them to the root (PE 0).

@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// RegisterFlags binds the standard -net.* flag set and returns the
-// Config they populate. Call before flag.Parse; pass the filled Config
-// to Start once flags are parsed.
+// RegisterFlags binds the standard -net.* flags on fs and returns the
+// Config they populate. Call before fs.Parse; pass the filled Config to
+// Start once flags are parsed.
 //
 // Every world bootstraps the same way — workers join rank 0's
 // coordinator star, worker-to-worker edges open at first contact — and
@@ -25,11 +25,11 @@ import (
 //	-net.shmarena  per-direction shm put-arena bytes
 //	-net.seed   base seed for the node's deterministic RNG streams
 //	-net.termfanout  termination-tree fanout (default 8)
-func RegisterFlags() *Config {
+func RegisterFlags(fs *flag.FlagSet) *Config {
 	cfg := &Config{}
-	flag.IntVar(&cfg.Rank, "net.rank", -1, "net backend: this process's rank (-1 = self-spawn workers)")
-	flag.IntVar(&cfg.World, "net.world", 1, "net backend: number of processes")
-	flag.Func("net.peers", "net backend: comma-separated listen addresses, one per rank (static launch; the first is the coordinator)", func(s string) error {
+	fs.IntVar(&cfg.Rank, "net.rank", -1, "net backend: this process's rank (-1 = self-spawn workers)")
+	fs.IntVar(&cfg.World, "net.world", 1, "net backend: number of processes")
+	fs.Func("net.peers", "net backend: comma-separated listen addresses, one per rank (static launch; the first is the coordinator)", func(s string) error {
 		cfg.Peers = nil
 		for _, a := range strings.Split(s, ",") {
 			if a = strings.TrimSpace(a); a != "" {
@@ -38,17 +38,17 @@ func RegisterFlags() *Config {
 		}
 		return nil
 	})
-	flag.StringVar(&cfg.Coord, "net.coord", "", "net backend: coordinator address (rank 0 listens, workers dial in)")
-	flag.IntVar(&cfg.EagerMax, "net.eager", DefaultEagerMax, "net backend: eager/rendezvous threshold in bytes")
+	fs.StringVar(&cfg.Coord, "net.coord", "", "net backend: coordinator address (rank 0 listens, workers dial in)")
+	fs.IntVar(&cfg.EagerMax, "net.eager", DefaultEagerMax, "net backend: eager/rendezvous threshold in bytes")
 	// Config's zero value enables shm, so the flag inverts into ShmOff.
-	flag.BoolFunc("net.shm", "net backend: shared-memory transport between co-located ranks (default true)", func(s string) error {
+	fs.BoolFunc("net.shm", "net backend: shared-memory transport between co-located ranks (default true)", func(s string) error {
 		v, err := strconv.ParseBool(s)
 		cfg.ShmOff = !v
 		return err
 	})
-	flag.IntVar(&cfg.ShmRingBytes, "net.shmring", 0, "net backend: per-direction shm ring bytes (0 = 1 MiB default)")
-	flag.IntVar(&cfg.ShmArenaBytes, "net.shmarena", 0, "net backend: per-direction shm put-arena bytes (0 = 4 MiB default)")
-	flag.Uint64Var(&cfg.Seed, "net.seed", 0, "net backend: base RNG seed for backoff jitter and shm tokens (0 = built-in)")
-	flag.IntVar(&cfg.TermFanout, "net.termfanout", DefaultTermFanout, "net backend: termination-tree fanout (children per interior rank)")
+	fs.IntVar(&cfg.ShmRingBytes, "net.shmring", 0, "net backend: per-direction shm ring bytes (0 = 1 MiB default)")
+	fs.IntVar(&cfg.ShmArenaBytes, "net.shmarena", 0, "net backend: per-direction shm put-arena bytes (0 = 4 MiB default)")
+	fs.Uint64Var(&cfg.Seed, "net.seed", 0, "net backend: base RNG seed for backoff jitter and shm tokens (0 = built-in)")
+	fs.IntVar(&cfg.TermFanout, "net.termfanout", DefaultTermFanout, "net backend: termination-tree fanout (children per interior rank)")
 	return cfg
 }

@@ -83,14 +83,6 @@ type Config struct {
 	// size; worlds of at most TermFanout+1 ranks degenerate to the flat
 	// star protocol exactly.
 	TermFanout int
-	// StallTimeout widens the hosted runtime's no-progress watchdog (0
-	// = the realrt default). A many-rank in-process world on a few
-	// cores is legitimately slow — a PE can wait minutes for a peer's
-	// halo face while every other rank time-slices the same CPU — so
-	// deliberately oversubscribed runs (the scale bench) widen the
-	// window instead of letting a healthy-but-starved run be declared
-	// deadlocked.
-	StallTimeout time.Duration
 }
 
 // DefaultTermFanout is the default width of the k-ary termination tree.

@@ -110,7 +110,6 @@ func (n *Node) NewRuntime(npes int) (*Runtime, error) {
 
 		afterHalt0: n.afterHalt.Load(),
 	}
-	rt.rt.StallTimeout = n.cfg.StallTimeout
 	if n.world > 1 {
 		// The standing hold credit; see the type comment. Taken as a
 		// realrt Hold so the stall watchdog knows an idle rank parked

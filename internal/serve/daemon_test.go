@@ -185,6 +185,12 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := srv.Submit(Spec{Kind: "stencil", Kill: "1@2"}); !errors.As(err, &bad) {
 		t.Fatalf("kill on real backend: got %v, want ErrBadSpec", err)
 	}
+	if _, err := srv.Submit(Spec{Kind: "stencil", PEs: 64, NX: 2, NY: 2, NZ: 2}); !errors.As(err, &bad) {
+		t.Fatalf("stencil domain too small for its PEs: got %v, want ErrBadSpec", err)
+	}
+	if _, err := srv.Submit(Spec{Kind: "matmul", PEs: 8, N: 6}); !errors.As(err, &bad) {
+		t.Fatalf("matmul n the PE grid's shard split does not divide: got %v, want ErrBadSpec", err)
+	}
 
 	// Occupy the executor with a long job, then flood the depth-1
 	// queue: at most one of the quick submissions can be queued, so at

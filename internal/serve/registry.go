@@ -272,7 +272,7 @@ func normalizeStencil(env Env, s *Spec) error {
 	if s.Skew < 0 || s.Skew > 1e6 {
 		return fmt.Errorf("skew out of range [0, 1e6]")
 	}
-	return nil
+	return stencil.Config{PEs: s.PEs, Virtualization: s.Virtualization, NX: s.NX, NY: s.NY, NZ: s.NZ}.Check()
 }
 
 func runStencil(env Env, s Spec) (Outcome, []error) {
@@ -320,25 +320,10 @@ func normalizeMatmul(env Env, s *Spec) error {
 	if s.Iters == 0 {
 		s.Iters = 2
 	}
-	// Mirror matmul.Run's geometry requirements so an incompatible
-	// request is a 400, not a failed job: N must divide evenly by the
-	// near-cubic grid chosen for PEs, including the shard subdivisions.
-	g := [3]int{1, 1, 1}
-	for i := 0; g[0]*g[1]*g[2] < s.PEs; i++ {
-		g[i%3] *= 2
-	}
-	for d := 0; d < 3; d++ {
-		if s.N%g[d] != 0 || s.N/g[d] < 1 {
-			return fmt.Errorf("n=%d not divisible by the PE grid %v (try a power of two)", s.N, g)
-		}
-	}
-	if (s.N/g[0])%g[1] != 0 || (s.N/g[2])%g[0] != 0 || (s.N/g[0])%g[2] != 0 {
-		return fmt.Errorf("n=%d incompatible with the PE grid %v shard split (try a power of two)", s.N, g)
-	}
 	if s.Size != 0 || s.NX != 0 || s.NY != 0 || s.NZ != 0 || s.Virtualization != 0 || s.LBEvery != 0 || s.LBStrategy != "" || s.Skew != 0 {
 		return fmt.Errorf("matmul takes pes/n/iters/warmup/validate/mode only")
 	}
-	return nil
+	return matmul.Config{PEs: s.PEs, N: s.N}.Check()
 }
 
 func runMatmul(env Env, s Spec) (Outcome, []error) {
