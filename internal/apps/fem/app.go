@@ -358,12 +358,32 @@ func (a *app) sharedConsistent() bool {
 	return true
 }
 
+// shape is every input of the fem serial reference: the mesh and its
+// partition follow from the quad grid and the part grid.
+type shape struct {
+	nx, ny, gx, gy int
+	dt             float64
+	iters          int
+}
+
+// oracle caches SerialReference for the last shape a net run validated.
+var oracle apps.Oracle[shape]
+
+// reference is SerialReference for this run's shape through the cache;
+// the slice is shared and read-only.
+func (a *app) reference() []float64 {
+	k := shape{a.cfg.NX, a.cfg.NY, a.grid[0], a.grid[1], a.cfg.DT, a.totalIters}
+	return oracle.Get(k, func() []float64 {
+		return SerialReference(a.mesh, a.part, a.cfg.DT, a.totalIters)
+	})
+}
+
 // validateLocal checks the hosted parts' vertex values against the
 // serial reference — the distributed backend's validation path, where
 // no single process holds the whole field but every process shares the
 // oracle.
 func (a *app) validateLocal() []error {
-	ref := SerialReference(a.mesh, a.part, a.cfg.DT, a.totalIters)
+	ref := a.reference()
 	var errs []error
 	for _, c := range a.chares {
 		if !a.rts.HostsPE(c.pe) {

@@ -143,7 +143,7 @@ func runCharmRuntime(cfg Config, ckd bool, build func(d *apps.Driver) *charm.Arr
 	_, _, pes := peers(cfg.Platform)
 	o, _ := apps.Run(apps.Spec{
 		Name: "pingpong", Platform: cfg.Platform, PEs: pes,
-		Backend: cfg.Backend, Net: cfg.Net, Chaos: cfg.Chaos, CkDirect: ckd,
+		Backend: cfg.Backend, Net: cfg.Net, Chaos: cfg.Chaos, Kill: cfg.Kill, CkDirect: ckd,
 		Iters: 1, Unit: "ends of the ping chain", Build: build, Iterate: start,
 	})
 	return Result{Config: cfg, RTT: o.IterTime / sim.Time(cfg.Iters), Errors: o.Errors, Counters: o.Counters}
@@ -196,7 +196,7 @@ func runCharm(cfg Config) Result {
 			e0.Left--
 			// The kill -9 chaos tier fires here: the pong callback is the
 			// benchmark's globally ordered progress observer.
-			cfg.Kill.Fire(cfg.Iters-e0.Left, cfg.Net)
+			d.Fire(cfg.Iters - e0.Left)
 			if e0.Left == 0 {
 				d.Mark(ctx)
 				return
@@ -263,7 +263,7 @@ func runCkDirect(cfg Config) Result {
 		hBA, err = mgr.CreateHandle(peA, recvA, oob, func(ctx *charm.Ctx) {
 			mgr.Ready(hBA)
 			left--
-			cfg.Kill.Fire(cfg.Iters-left, cfg.Net)
+			d.Fire(cfg.Iters - left)
 			if left == 0 {
 				d.Mark(ctx)
 				return

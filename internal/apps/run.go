@@ -6,9 +6,9 @@
 // flight per channel. Run builds the runtime around an app, applies
 // chaos, attaches and restores the checkpointer, installs the root
 // reduction client that sequences checkpoint, load balancing and the
-// kill -9 tier between iterations, and folds the run into one result
-// policy. The app supplies only its build, its iteration, what it reads
-// from a barrier and its checks.
+// kill -9 tier between iterations, ends the run at its last barrier, and
+// folds the run into one result policy. The app supplies only its
+// build, its iteration, what it reads from a barrier and its checks.
 package apps
 
 import (
@@ -128,10 +128,39 @@ type Driver struct {
 	ckptEP  charm.EP
 	contrib []float64
 	stamps  []sim.Time
+	killed  bool // this run fired the kill -9 tier
 }
 
-// Mark stamps one barrier by hand, for an app without a barrier array.
-func (d *Driver) Mark(ctx *charm.Ctx) { d.stamps = append(d.stamps, ctx.Now()) }
+// Mark stamps one barrier by hand, for an app without a barrier array;
+// the last one ends the run (see barrier).
+func (d *Driver) Mark(ctx *charm.Ctx) {
+	d.stamps = append(d.stamps, ctx.Now())
+	if len(d.stamps) == d.total() {
+		d.exit()
+	}
+}
+
+// Fire fires the kill -9 tier (Spec.Kill) if step is its step, for an
+// app that counts its own progress; the barrier sequencer fires it for
+// the rest.
+func (d *Driver) Fire(step int) {
+	if d.s.Kill.Fire(step, d.s.Net) {
+		d.killed = true
+	}
+}
+
+// exit ends a completed run on the root (charm.RTS.Exit), the analogue of
+// the CkExit a Charm++ program calls after its last iteration. It is safe
+// by the argument the checkpoint and balancing rounds rest on: the last
+// step barrier completes only after every element has consumed its last
+// exchange, so no app message or put is in flight. A run that killed a
+// rank does not exit: a victim's silence must abort it through the
+// peer-loss path, never look like a finished run.
+func (d *Driver) exit() {
+	if !d.killed {
+		d.RTS.Exit()
+	}
+}
 
 func (d *Driver) total() int { return d.s.Warmup + d.s.Iters + 1 }
 
@@ -255,7 +284,7 @@ func (d *Driver) sequence() {
 // step. A step barrier is stamped and fires the kill -9 tier, then
 // starts a due checkpoint, else a due balancing round (a checkpoint due
 // at the same step wins; the balancer waits for its next period), else
-// the next iteration.
+// the next iteration; the last step barrier ends the run instead.
 func (d *Driver) barrier(ctx *charm.Ctx, vals []float64) {
 	switch {
 	case d.ck != nil && d.ck.InCheckpoint():
@@ -274,7 +303,7 @@ func (d *Driver) barrier(ctx *charm.Ctx, vals []float64) {
 		}
 		d.stamps = append(d.stamps, ctx.Now())
 		step := len(d.stamps)
-		d.s.Kill.Fire(step, d.s.Net)
+		d.Fire(step)
 		if step < d.total() && d.ck != nil && d.ck.Due(step) {
 			d.ck.Begin(step)
 			ctx.Broadcast(d.arr, d.ckptEP, &charm.Message{Size: 8, Tag: step})
@@ -287,6 +316,8 @@ func (d *Driver) barrier(ctx *charm.Ctx, vals []float64) {
 	}
 	if len(d.stamps) < d.total() {
 		d.s.Iterate(ctx)
+	} else {
+		d.exit()
 	}
 }
 

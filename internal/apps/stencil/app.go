@@ -420,7 +420,7 @@ func (a *app) fieldSum() float64 {
 // reference — the distributed backend's validation path, where no single
 // process holds the whole domain but every process shares the oracle.
 func (a *app) validateLocal() []error {
-	ref := SerialReference(a.cfg.NX, a.cfg.NY, a.cfg.NZ, a.totalIters)
+	ref := reference(a.cfg.NX, a.cfg.NY, a.cfg.NZ, a.totalIters)
 	var errs []error
 	for _, c := range a.chares {
 		if !a.rts.HostsPE(c.pe) {

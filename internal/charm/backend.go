@@ -270,6 +270,9 @@ func (b *netBackend) run() sim.Time {
 		rec.Incr(trace.CntNetTickRounds, s.TermTickRounds)
 		rec.Incr(trace.CntNetNudges, s.TermNudges)
 		rec.Incr(trace.CntNetAfterHalt, late)
+		if b.nrt.Exited() {
+			rec.Incr(trace.CntNetExits, 1)
+		}
 		rec.Incr(trace.CntNetShmCoalesced, s.ShmFramesCoalesced)
 		rec.Incr(trace.CntNetShmDeclined, s.ShmDeclined)
 		rec.Incr(trace.CntNetPutsDirect, s.PutsDirect)

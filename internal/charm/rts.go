@@ -250,6 +250,26 @@ func (rts *RTS) Errors() []error {
 // the final time.
 func (rts *RTS) Run() sim.Time { return rts.be.run() }
 
+// Exit ends the run from its root, the analogue of Charm++'s CkExit. The
+// caller — the root's last step barrier, in practice — vouches that no
+// message or put of the run is still in flight or still to be sent.
+// Under net, rank 0 then halts every rank at once instead of waiting for
+// quiescence detection to prove it (netrt.Runtime.Exit). Under sim and
+// real Exit does nothing: their quiescence is exact and costs nothing.
+// Called on a net rank other than the root it is a contract violation
+// (netrt.ErrExitOffRoot): reported under Checked, a panic otherwise.
+func (rts *RTS) Exit() {
+	if rts.netrt == nil {
+		return
+	}
+	if err := rts.netrt.Exit(); err != nil {
+		if !rts.opts.Checked {
+			panic(err)
+		}
+		rts.ReportError(err)
+	}
+}
+
 // Executed counts completed scheduler dispatches (simulator events under
 // sim, scheduler tasks under real).
 func (rts *RTS) Executed() uint64 { return rts.be.executed() }

@@ -53,21 +53,23 @@ type inboundJoin struct {
 }
 
 // lazyEnqueue stashes one encoded frame for a rank whose edge does not
-// exist yet and kicks establishment. Ownership of b transfers on true.
-func (n *Node) lazyEnqueue(rank int, b []byte) bool {
+// exist yet and kicks establishment. A frame of mesh epoch e >= 0 is
+// refused once the node has moved past e (sendIn). Ownership of b
+// transfers on true.
+func (n *Node) lazyEnqueue(rank int, b []byte, e int64) bool {
 	s := &n.lazySlots[rank]
 	s.mu.Lock()
 	// The edge may have published while we took the slot lock.
 	if t := n.peerTable(); t != nil && t[rank] != nil {
 		s.mu.Unlock()
-		return t[rank].send(b)
+		return (e < 0 || t[rank].epoch == e) && t[rank].send(b)
 	}
 	n.mu.Lock()
 	closing := n.closing
 	dead := n.dead[rank]
 	epoch := n.epoch.Load()
 	n.mu.Unlock()
-	if closing || dead {
+	if closing || dead || e >= 0 && e != epoch {
 		s.mu.Unlock()
 		return false
 	}

@@ -136,13 +136,16 @@ type Node struct {
 	// abort the re-run at creation). Atomic so dispatch reads it
 	// lock-free on the per-frame hot path; that check can pass just
 	// before a Rejoin bumps the epoch, so every handler that records a
-	// departure (peerDown, onBye, onLeave) checks again under mu.
+	// departure (peerDown, onBye, onLeave) or acts on a run (onHalt,
+	// onProbe, onReport) checks again under the lock Rejoin resets its
+	// state under.
 	epoch atomic.Int64
-	// departHold is a test seam: when set, onBye and onLeave call it on
-	// entry — past dispatch's lock-free epoch check, before mu — and
-	// defer the function it returns, so a test can hold a departure
-	// across a Rejoin and learn when the handler finished.
-	departHold atomic.Pointer[func() (done func())]
+	// handlerHold is a test seam: when set, onBye, onLeave, onHalt,
+	// onProbe and onReport call it on entry — past dispatch's lock-free
+	// epoch check, before any lock — and defer the function it returns, so
+	// a test can hold a frame across a Rejoin and learn when the handler
+	// finished.
+	handlerHold atomic.Pointer[func() (done func())]
 	// dead records peers whose connection (or first-contact dial) broke
 	// in the current epoch — direct observations only: an FBye names the
 	// messenger, not the dead rank, and is deliberately not recorded
@@ -151,6 +154,13 @@ type Node struct {
 	// (the star), which is why the rejoin coordinator's own record is
 	// the one that matters.
 	dead map[int]bool
+	// haltedThrough is the highest generation whose halt arrived before
+	// this rank attached it (-1: none). Only the root's Exit can do that —
+	// quiescence needs every rank's report, so it never halts a run that
+	// is not attached — and a rank that hosts no element of an app may
+	// still be building the run when the root exits it. attach halts any
+	// generation at or below it.
+	haltedThrough int64
 
 	// jobC carries service-mode job traffic (FJob announcements on a
 	// worker, FJobDone reports on the coordinator) from the connection
@@ -277,7 +287,7 @@ func start(cfg Config, oneProcess bool) (*Node, error) {
 	if cfg.TermFanout == 0 {
 		cfg.TermFanout = DefaultTermFanout
 	}
-	n := &Node{rank: cfg.Rank, world: world, eagerMax: cfg.EagerMax, completedGen: -1,
+	n := &Node{rank: cfg.Rank, world: world, eagerMax: cfg.EagerMax, completedGen: -1, haltedThrough: -1,
 		cfg: cfg, oneProcess: oneProcess, dead: make(map[int]bool),
 		termFanout: cfg.TermFanout, termAggs: make(map[termKey]*probeAgg)}
 	if n.rank < 0 {
@@ -559,9 +569,15 @@ func (n *Node) startPeers() error {
 // The wire bytes live in a pooled buffer owned by the peer writer (or,
 // before the edge exists, the lazy stash) from the moment the send is
 // accepted.
-func (n *Node) sendTo(rank int, f *Frame) bool {
+func (n *Node) sendTo(rank int, f *Frame) bool { return n.sendIn(-1, rank, f) }
+
+// sendIn is sendTo for a frame that speaks for mesh epoch e — one a
+// handler forwards on behalf of the connection it read from. Once a
+// Rejoin has moved this node past e the frame is dropped rather than
+// carried by the rebuilt mesh. e < 0 sends on whichever mesh is current.
+func (n *Node) sendIn(e int64, rank int, f *Frame) bool {
 	p, stash := n.routePeer(rank)
-	if p == nil && !stash {
+	if p == nil && !stash || p != nil && e >= 0 && p.epoch != e {
 		return false
 	}
 	b, err := encodeFramePooled(f)
@@ -569,7 +585,7 @@ func (n *Node) sendTo(rank int, f *Frame) bool {
 		bufpool.Put(b)
 		panic(fmt.Sprintf("netrt: %v", err))
 	}
-	return n.routeSend(rank, p, b)
+	return n.routeSend(rank, p, b, e)
 }
 
 // sendOpen queues a frame for a peer rank only if the edge is already
@@ -606,7 +622,7 @@ func (n *Node) sendEnv(rank int, typ byte, run int64, env *Env) bool {
 	b := bufpool.Get(frameWireLen(size))[:0]
 	b = appendFrameHeader(b, typ, run, 0, 0, 0, 0, size)
 	b = AppendEnv(b, env)
-	return n.routeSend(rank, p, b)
+	return n.routeSend(rank, p, b, -1)
 }
 
 // routePeer resolves a destination rank: an open connection, or
@@ -624,9 +640,9 @@ func (n *Node) routePeer(rank int) (*peerConn, bool) {
 }
 
 // routeSend delivers an encoded frame: via the open connection, or into
-// the peer's lazy-dial stash. Ownership of b transfers on true; on
-// false the pooled buffer is returned here.
-func (n *Node) routeSend(rank int, p *peerConn, b []byte) bool {
+// the peer's lazy-dial stash (of mesh epoch e, when e >= 0). Ownership
+// of b transfers on true; on false the pooled buffer is returned here.
+func (n *Node) routeSend(rank int, p *peerConn, b []byte, e int64) bool {
 	if p != nil {
 		if !p.send(b) {
 			bufpool.Put(b)
@@ -634,7 +650,7 @@ func (n *Node) routeSend(rank int, p *peerConn, b []byte) bool {
 		}
 		return true
 	}
-	if !n.lazyEnqueue(rank, b) {
+	if !n.lazyEnqueue(rank, b, e) {
 		bufpool.Put(b)
 		return false
 	}
@@ -662,7 +678,7 @@ func (n *Node) dispatch(p *peerConn, f Frame) bool {
 	case FReport:
 		n.onReport(p, f)
 	case FHalt:
-		n.onHalt(f)
+		n.onHalt(p, f)
 	case FDialReq:
 		n.onDialReq(f)
 	case FBye:
@@ -689,6 +705,35 @@ func (n *Node) current(gen int64) *Runtime {
 	defer n.mu.Unlock()
 	if n.attached != nil && n.attached.gen == gen {
 		return n.attached
+	}
+	return nil
+}
+
+// runFor is current for a frame read from p: nil as well when a Rejoin
+// has moved past p's epoch. The check and the lookup share one hold of
+// mu, the lock the epoch bumps under, so a runtime it returns was
+// attached in p's mesh — a stale frame never reaches a rerun.
+func (n *Node) runFor(p *peerConn, gen int64) *Runtime {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if p.epoch != n.epoch.Load() || n.attached == nil || n.attached.gen != gen {
+		return nil
+	}
+	return n.attached
+}
+
+// haltFor is runFor for a halt: a halt for a generation this rank has
+// not attached yet is recorded for attach instead (haltedThrough).
+func (n *Node) haltFor(p *peerConn, gen int64) *Runtime {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	switch {
+	case p.epoch != n.epoch.Load():
+		return nil
+	case n.attached != nil && n.attached.gen == gen:
+		return n.attached
+	case gen > n.completedGen && gen > n.haltedThrough:
+		n.haltedThrough = gen
 	}
 	return nil
 }
@@ -795,7 +840,7 @@ func (n *Node) peerDown(p *peerConn, op string, err error) {
 // keeps the relay from looping (a relayed FBye arriving back at rank 0
 // finds deadErr already set).
 func (n *Node) onBye(p *peerConn, f Frame) {
-	if hold := n.departHold.Load(); hold != nil {
+	if hold := n.handlerHold.Load(); hold != nil {
 		defer (*hold)()()
 	}
 	ne := &NetError{Rank: n.rank, Peer: int(f.A), Op: "peer-abort", Err: errors.New(string(f.Payload))}
@@ -847,6 +892,7 @@ func (n *Node) attach(rt *Runtime) {
 	n.mu.Lock()
 	n.attached = rt
 	dead := n.deadErr
+	exited := rt.gen <= n.haltedThrough
 	var flush []bufFrame
 	keep := n.buffered[:0]
 	for _, bf := range n.buffered {
@@ -860,6 +906,12 @@ func (n *Node) attach(rt *Runtime) {
 	n.mu.Unlock()
 	if dead != nil && !rt.aborted.Load() {
 		rt.abort(dead)
+	}
+	if exited {
+		// The root exited this run before it attached here (see
+		// haltedThrough): it has nothing left to do on this rank, and a
+		// buffered frame replayed below counts as after the halt.
+		rt.halt(true)
 	}
 	for _, bf := range flush {
 		rt.handleApp(bf.rank, bf.f, false)
@@ -909,7 +961,7 @@ func (n *Node) detach(rt *Runtime) {
 // it arrived on stays loud. Only rank 0 relays and only what it heard
 // firsthand, so the relay cannot loop.
 func (n *Node) onLeave(p *peerConn, f Frame) {
-	if hold := n.departHold.Load(); hold != nil {
+	if hold := n.handlerHold.Load(); hold != nil {
 		defer (*hold)()()
 	}
 	leaver := int(f.B)

@@ -398,7 +398,7 @@ func TestStaleDepartureIgnoredAfterRejoin(t *testing.T) {
 				<-release
 				return func() { close(finished) }
 			}
-			nodes[0].departHold.Store(&hold)
+			nodes[0].handlerHold.Store(&hold)
 			var releaseOnce sync.Once
 			releaseHandler := func() { releaseOnce.Do(func() { close(release) }) }
 			t.Cleanup(releaseHandler)

@@ -91,6 +91,7 @@ func (n *Node) Rejoin() error {
 	n.dead = make(map[int]bool)
 	n.nextGen = 0
 	n.completedGen = -1
+	n.haltedThrough = -1
 	n.mu.Unlock()
 	// Termination-tree windows and stashed first-contact frames belong
 	// to the dead epoch: the aborted run's frames are gone either way.

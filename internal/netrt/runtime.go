@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -32,6 +33,8 @@ type Runtime struct {
 	started      atomic.Bool
 	holdReleased atomic.Bool
 	halted       atomic.Bool // the hold was released by the termination decision
+	decided      atomic.Bool // rank 0: the decision is taken (Exit or quiescence), the halt sent
+	exited       atomic.Bool // the decision was the root's Exit, not quiescence
 	aborted      atomic.Bool
 	afterHalt0   int64 // node.afterHalt when this run was created
 
@@ -601,7 +604,7 @@ func (rt *Runtime) coordinate() {
 	var lastS, lastR int64 = -1, -1
 	floor := termFloorMin
 	byEvent := true
-	for {
+	for !rt.decided.Load() {
 		epoch++
 		n.probeRounds.Add(1)
 		if byEvent {
@@ -648,7 +651,7 @@ func (rt *Runtime) coordinate() {
 			if stable >= 1 {
 				// Two consecutive matching epochs (this one and the one that
 				// set lastS/lastR): globally terminated.
-				rt.haltAll(kids)
+				rt.decide(false)
 				return
 			}
 			confirm = allIdle && s == r
@@ -676,8 +679,8 @@ func (rt *Runtime) coordinate() {
 }
 
 // termSleep parks the coordinator until its wake token rings or d
-// passes; false means the run is over (stopped or aborted) and the
-// coordinator must exit.
+// passes; false means the run is over (stopped, aborted or decided) and
+// the coordinator must exit.
 func (rt *Runtime) termSleep(alarm *time.Timer, d time.Duration) bool {
 	if !alarm.Stop() {
 		select {
@@ -692,7 +695,7 @@ func (rt *Runtime) termSleep(alarm *time.Timer, d time.Duration) bool {
 	case <-rt.wakeC:
 	case <-alarm.C:
 	}
-	return !rt.aborted.Load()
+	return !rt.aborted.Load() && !rt.decided.Load()
 }
 
 // epochComplete reports whether every root-child subtree has answered
@@ -708,20 +711,58 @@ func (rt *Runtime) epochComplete(epoch int64, kids []int) bool {
 	return true
 }
 
-// haltAll announces termination down the tree and releases the local
-// hold; interior ranks forward the halt to their own children.
-func (rt *Runtime) haltAll(kids []int) {
+// ErrExitOffRoot is the contract violation Exit reports on a rank other
+// than 0: only the root knows that the whole run is finished.
+var ErrExitOffRoot = errors.New("Exit off the root rank: only rank 0 ends a run")
+
+// Exit ends the run from its root at once, the analogue of Charm++'s
+// CkExit: the halt goes down the termination tree without waiting for a
+// quiescence wave. The caller vouches that no app frame of this run is in
+// flight or still to be sent — an app's last step barrier proves it, as
+// it does for a checkpoint or balancing round — and a frame that arrives
+// anyway is counted after the halt, an invariant error under Checked.
+// Only rank 0 may call it: elsewhere it ends nothing and returns a
+// NetError wrapping ErrExitOffRoot. Whichever of Exit and the
+// coordinator's own decision comes first halts the run; the other sends
+// nothing.
+func (rt *Runtime) Exit() error {
+	if rt.node.rank != 0 {
+		return &NetError{Rank: rt.node.rank, Peer: -1, Op: "invariant", Err: ErrExitOffRoot}
+	}
+	rt.decide(true)
+	return nil
+}
+
+// Exited reports whether the run ended by the root's Exit rather than by
+// quiescence detection.
+func (rt *Runtime) Exited() bool { return rt.exited.Load() }
+
+// decide takes the termination decision on rank 0, once: it announces
+// the halt down the tree and releases the local hold. Interior ranks
+// forward the halt to their own children (onHalt). The frame's A field
+// says whether the decision was an Exit.
+func (rt *Runtime) decide(exit bool) {
+	if !rt.decided.CompareAndSwap(false, true) {
+		return
+	}
 	f := Frame{Type: FHalt, Run: rt.gen}
-	for _, r := range kids {
+	if exit {
+		f.A = 1
+	}
+	for _, r := range termChildren(0, rt.node.termFanout, rt.node.world) {
 		rt.node.sendTo(r, &f)
 	}
-	rt.halt()
+	rt.halt(exit)
+	rt.wake() // a coordinator between rounds sees the decision and stops
 }
 
 // halt is the termination decision arriving at this rank: from here on
 // an app frame for this run is a protocol violation (handleApp counts
 // it), and the hold is released so Run returns.
-func (rt *Runtime) halt() {
+func (rt *Runtime) halt(exit bool) {
+	if exit {
+		rt.exited.Store(true)
+	}
 	rt.halted.Store(true)
 	rt.release()
 }

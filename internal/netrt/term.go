@@ -88,34 +88,47 @@ func (n *Node) localTermFrame(run, epoch int64) Frame {
 // aggregation window and forwards the probe to its children — their
 // reports cannot overtake this forward (every edge, ring or socket,
 // delivers FIFO), so the window always exists when they arrive.
+//
+// Like every termination handler it speaks for the mesh epoch of the
+// connection the frame came in on: the epoch is checked again under
+// termMu, the lock Rejoin clears the windows and the nudge debt under
+// (after bumping the epoch), and whatever it sends goes out by sendIn,
+// which drops a frame of a torn-down mesh.
 func (n *Node) onProbe(p *peerConn, f Frame) {
+	if hold := n.handlerHold.Load(); hold != nil {
+		defer (*hold)()()
+	}
+	kids := termChildren(n.rank, n.termFanout, n.world)
+	key := termKey{run: f.Run, epoch: f.A}
+	n.termMu.Lock()
+	if p.epoch != n.epoch.Load() {
+		n.termMu.Unlock()
+		return
+	}
 	// Answering a probe puts this rank in debt of one nudge (payNudge).
 	// The debt is recorded before the local state is sampled, so an idle
 	// edge the sample just missed is certain to find it.
-	n.termMu.Lock()
 	n.nudgeRun = f.Run
 	n.nudgeOwed.Store(true)
+	if len(kids) > 0 {
+		// A new round obsoletes older ones (the root abandoned them): prune
+		// so an aborted run's windows don't accumulate.
+		for k := range n.termAggs {
+			if k.run < key.run || (k.run == key.run && k.epoch < key.epoch) {
+				delete(n.termAggs, k)
+			}
+		}
+		n.termAggs[key] = &probeAgg{need: len(kids), idle: true}
+	}
 	n.termMu.Unlock()
-	kids := termChildren(n.rank, n.termFanout, n.world)
 	if len(kids) == 0 {
 		rep := n.localTermFrame(f.Run, f.A)
-		n.sendTo(termParent(n.rank, n.termFanout), &rep)
+		n.sendIn(p.epoch, termParent(n.rank, n.termFanout), &rep)
 		return
 	}
-	key := termKey{run: f.Run, epoch: f.A}
-	n.termMu.Lock()
-	// A new round obsoletes older ones (the root abandoned them): prune
-	// so an aborted run's windows don't accumulate.
-	for k := range n.termAggs {
-		if k.run < key.run || (k.run == key.run && k.epoch < key.epoch) {
-			delete(n.termAggs, k)
-		}
-	}
-	n.termAggs[key] = &probeAgg{need: len(kids), idle: true}
-	n.termMu.Unlock()
 	fwd := Frame{Type: FProbe, Run: f.Run, A: f.A}
 	for _, c := range kids {
-		n.sendTo(c, &fwd)
+		n.sendIn(p.epoch, c, &fwd)
 	}
 }
 
@@ -124,8 +137,13 @@ func (n *Node) onProbe(p *peerConn, f Frame) {
 // rank it merges into the round's window and, when the last child has
 // answered, folds in the local state and reports the whole subtree up.
 // Reports for pruned windows (an abandoned round) drop silently — the
-// root gave up on that round long ago.
+// root gave up on that round long ago. The epoch is checked again with
+// the run lookup (the root) or under termMu (an interior rank), so a
+// report of a torn-down mesh never lands in a rerun's table or window.
 func (n *Node) onReport(p *peerConn, f Frame) {
+	if hold := n.handlerHold.Load(); hold != nil {
+		defer (*hold)()()
+	}
 	if f.A == 0 {
 		// Epoch 0 is never probed: an unsolicited report is a nudge. An
 		// interior rank passes it up (once per round); the root takes it
@@ -135,14 +153,14 @@ func (n *Node) onReport(p *peerConn, f Frame) {
 			return
 		}
 		n.nudges.Add(1)
-		if rt := n.current(f.Run); rt != nil {
+		if rt := n.runFor(p, f.Run); rt != nil {
 			rt.noteEvent()
 		}
 		return
 	}
 	if n.rank == 0 {
 		n.probeReports.Add(1)
-		if rt := n.current(f.Run); rt != nil {
+		if rt := n.runFor(p, f.Run); rt != nil {
 			rt.noteReport(p.rank, f)
 		}
 		return
@@ -150,7 +168,7 @@ func (n *Node) onReport(p *peerConn, f Frame) {
 	key := termKey{run: f.Run, epoch: f.A}
 	n.termMu.Lock()
 	agg := n.termAggs[key]
-	if agg == nil {
+	if agg == nil || p.epoch != n.epoch.Load() {
 		n.termMu.Unlock()
 		return
 	}
@@ -172,7 +190,7 @@ func (n *Node) onReport(p *peerConn, f Frame) {
 	}
 	rep.C += agg.s
 	rep.D += agg.r
-	n.sendTo(termParent(n.rank, n.termFanout), &rep)
+	n.sendIn(p.epoch, termParent(n.rank, n.termFanout), &rep)
 }
 
 // payNudge sends the nudge this rank owes for run, if it owes one: an
@@ -201,13 +219,18 @@ func (n *Node) payNudge(run int64) {
 
 // onHalt forwards the halt order down this rank's subtree, then halts
 // the local run. Forwarding is unconditional — a rank that never
-// attached the generation still owes its children the halt.
-func (n *Node) onHalt(f Frame) {
-	fwd := Frame{Type: FHalt, Run: f.Run}
-	for _, c := range termChildren(n.rank, n.termFanout, n.world) {
-		n.sendTo(c, &fwd)
+// attached the generation still owes its children the halt — and a halt
+// for a generation this rank has not attached yet is kept for attach
+// (haltFor): an Exit can end a run on ranks that never took part in it.
+func (n *Node) onHalt(p *peerConn, f Frame) {
+	if hold := n.handlerHold.Load(); hold != nil {
+		defer (*hold)()()
 	}
-	if rt := n.current(f.Run); rt != nil {
-		rt.halt()
+	fwd := Frame{Type: FHalt, Run: f.Run, A: f.A}
+	for _, c := range termChildren(n.rank, n.termFanout, n.world) {
+		n.sendIn(p.epoch, c, &fwd)
+	}
+	if rt := n.haltFor(p, f.Run); rt != nil {
+		rt.halt(f.A == 1)
 	}
 }

@@ -79,7 +79,9 @@ const (
 	// none pending) and nudges counts the unsolicited epoch-0 reports that
 	// reached the root. FramesAfterHalt is this run's own count (not
 	// cumulative) of app frames that arrived after the termination
-	// decision — the protocol's safety property is that it is zero. The
+	// decision — the protocol's safety property is that it is zero — and
+	// exits is 1 when the run ended by the root's Exit, not by quiescence
+	// detection (this run's own count too). The
 	// batching counters record the per-peer adaptive writev window and
 	// eager-threshold adjustments, and shm_coalesced the frames staged
 	// behind an in-flight shm ring write and flushed in one combined pass.
@@ -96,6 +98,7 @@ const (
 	CntNetTickRounds    = "net.term_tick_rounds"
 	CntNetNudges        = "net.term_nudges"
 	CntNetAfterHalt     = "net.frames_after_halt"
+	CntNetExits         = "net.exits"
 	CntNetShmCoalesced  = "net.shm_coalesced"
 	CntNetShmDeclined   = "net.shm_declined"
 	CntNetPutsDirect    = "net.puts_direct"
