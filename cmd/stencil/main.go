@@ -49,7 +49,6 @@ func main() {
 			l.Fatal(fmt.Errorf("-lb.every needs a real -lb.strategy (got %q)", *lbStrategy))
 		}
 	}
-	l.Start()
 	cfg := stencil.Config{
 		Platform: l.Platform,
 		Mode:     l.Mode,
@@ -58,13 +57,17 @@ func main() {
 		Iters: *iters, Warmup: *warmup,
 		Validate: *validate,
 		Backend:  l.Backend,
-		Net:      l.Node,
 		Chaos:    l.Chaos,
 		Ckpt:     l.Ckpt,
 		Kill:     l.Kill,
 		LBEvery:  *lbEvery, LBStrategy: *lbStrategy,
 		Skew: *skew,
 	}
+	if err := cfg.Check(); err != nil {
+		l.Fatal(err)
+	}
+	l.Start()
+	cfg.Net = l.Node
 	if *traceFile != "" {
 		cfg.Timeline = trace.NewTimeline(0)
 	}

@@ -507,21 +507,33 @@ func (c *chare) maybeFinish(ctx *charm.Ctx) {
 	a.arr.ContributeFrom(c.idx, 1)
 }
 
-// verify reassembles C from the chares and compares against a serial
+// oracle caches the serial reference product for the last order a run
+// validated.
+var oracle apps.Oracle[int]
+
+// reference is the serial product A·B of order n, row-major, through the
+// per-order cache; the slice is shared and read-only.
+func reference(n int) []float64 {
+	return oracle.Get(n, func() []float64 {
+		am := linalg.NewMatrix(n, n)
+		bm := linalg.NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				am.Set(i, j, seedA(i, j))
+				bm.Set(i, j, seedB(i, j))
+			}
+		}
+		want := linalg.NewMatrix(n, n)
+		linalg.Gemm(want, am, bm)
+		return want.Data
+	})
+}
+
+// verify reassembles C from the chares and compares against the serial
 // reference product.
 func (a *app) verify() float64 {
 	n := a.cfg.N
-	am := linalg.NewMatrix(n, n)
-	bm := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			am.Set(i, j, seedA(i, j))
-			bm.Set(i, j, seedB(i, j))
-		}
-	}
-	want := linalg.NewMatrix(n, n)
-	linalg.Gemm(want, am, bm)
-
+	want := &linalg.Matrix{Rows: n, Cols: n, Data: reference(n)}
 	got := linalg.NewMatrix(n, n)
 	for _, c := range a.chares {
 		// Chare (x,y,z) owns rows [x*rowsC + z*stripRows, ...) and cols
@@ -536,22 +548,13 @@ func (a *app) verify() float64 {
 	return linalg.MaxAbsDiff(got, want)
 }
 
-// verifyLocal checks the hosted chares' strips of C against a serial
+// verifyLocal checks the hosted chares' strips of C against the serial
 // reference product — the distributed backend's validation path, where
 // no single process holds the whole matrix but every process shares
 // the oracle.
 func (a *app) verifyLocal() []error {
 	n := a.cfg.N
-	am := linalg.NewMatrix(n, n)
-	bm := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			am.Set(i, j, seedA(i, j))
-			bm.Set(i, j, seedB(i, j))
-		}
-	}
-	want := linalg.NewMatrix(n, n)
-	linalg.Gemm(want, am, bm)
+	want := reference(n)
 	var errs []error
 	for _, c := range a.chares {
 		if !a.rts.HostsPE(c.pe) {
@@ -561,7 +564,7 @@ func (a *app) verifyLocal() []error {
 			gi := c.x*a.rowsC + c.z*a.stripRows + r
 			for j := 0; j < a.colsC; j++ {
 				got := c.cAccum[r*a.colsC+j]
-				if diff := math.Abs(got - want.At(gi, c.y*a.colsC+j)); diff > 1e-9 {
+				if diff := math.Abs(got - want[gi*n+c.y*a.colsC+j]); diff > 1e-9 {
 					errs = append(errs, fmt.Errorf(
 						"matmul: C(%d,%d) = %v, off the serial reference by %g",
 						gi, c.y*a.colsC+j, got, diff))

@@ -1,7 +1,6 @@
 package stencil
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -67,9 +66,13 @@ type chare struct {
 	cur, next []float64
 
 	// Per-direction face buffers. faceOut is what this chare sends; in
-	// CKD mode it is the registered source region's storage.
+	// CKD mode it is the registered source region's storage. faceVals
+	// holds the decoded incoming ghost values (validate mode, allocated
+	// at build for every neighbour), and zero is one z-line of zeros the
+	// kernel reads across an x or y Dirichlet boundary.
 	faceOut  [nDirs][]byte
-	faceVals [nDirs][]float64 // decoded incoming ghost values
+	faceVals [nDirs][]float64
+	zero     []float64
 
 	sendRegions [nDirs]*machine.Region
 	recvRegions [nDirs]*machine.Region
@@ -149,8 +152,7 @@ func (a *app) build(drv *apps.Driver) *charm.Array {
 					}
 				}
 				if a.cfg.Validate {
-					c.cur = make([]float64, c.bx*c.by*c.bz)
-					c.next = make([]float64, c.bx*c.by*c.bz)
+					c.allocField()
 					c.initField()
 				}
 				a.chares = append(a.chares, c)
@@ -327,11 +329,14 @@ func (c *chare) maybeCompute(ctx *charm.Ctx) {
 	c.computeAndBarrier(ctx)
 }
 
-// onFace records an arrived ghost face (by reference — no copy in either
-// mode) and fires the compute phase when the halo is complete.
+// onFace decodes an arrived ghost face into the chare's own buffer and
+// fires the compute phase when the halo is complete. Overwriting
+// faceVals[d] is safe: a neighbour sends its next face only after the
+// barrier that follows this chare's contribution, and this chare
+// contributes only after its compute has consumed the current face.
 func (c *chare) onFace(ctx *charm.Ctx, d int, data []byte) {
 	if c.app.cfg.Validate {
-		c.faceVals[d] = decodeFace(data)
+		decodeFace(c.faceVals[d], data)
 	}
 	c.got++
 	c.maybeCompute(ctx)
@@ -379,6 +384,20 @@ func spinFor(d sim.Time) {
 	deadline := time.Now().Add(time.Duration(d))
 	for time.Now().Before(deadline) {
 	}
+}
+
+// allocField allocates the validate-mode buffers: the field, its
+// next-iteration scratch, one decoded face per neighbour and the zero
+// line.
+func (c *chare) allocField() {
+	c.cur = make([]float64, c.bx*c.by*c.bz)
+	c.next = make([]float64, c.bx*c.by*c.bz)
+	for d := 0; d < nDirs; d++ {
+		if c.neighbors[d] {
+			c.faceVals[d] = make([]float64, c.faceBytes(d)/8)
+		}
+	}
+	c.zero = make([]float64, c.bz)
 }
 
 // initField seeds the interior with a deterministic pattern shared with
@@ -475,12 +494,4 @@ func gatherField(a *app) []float64 {
 		}
 	}
 	return out
-}
-
-func decodeFace(data []byte) []float64 {
-	vals := make([]float64, len(data)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return vals
 }

@@ -7,122 +7,136 @@ import (
 	"repro/internal/apps"
 )
 
-// at indexes the chare-local field: x-major, then y, then z.
-func (c *chare) at(x, y, z int) float64 {
-	return c.cur[(x*c.by+y)*c.bz+z]
-}
-
-// ghost returns the neighbour value of cell (x,y,z) in direction d,
-// reading across the block boundary from the arrived face buffer, or 0
-// at the global (Dirichlet) boundary.
-func (c *chare) ghost(d, x, y, z int) float64 {
-	if !c.neighbors[d] {
-		return 0
-	}
-	f := c.faceVals[d]
-	switch d {
-	case xp, xm:
-		return f[y*c.bz+z]
-	case yp, ym:
-		return f[x*c.bz+z]
-	default:
-		return f[x*c.by+y]
-	}
-}
-
 // jacobi applies one 7-point update, reading ghost values straight from
 // the face buffers (the no-copy arrangement both variants share), and
 // returns the local residual sum |next - cur|.
+//
+// It walks z-lines. A line's four side neighbours are whole lines — of
+// cur inside the block, of an arrived face across it, or the zero line
+// at the Dirichlet boundary — and only the line's two ends read the z
+// faces. Every cell still sums (v + w + e + s + n + dn + up) / 7 in that
+// order, and the residual still accumulates cell by cell in x, y, z
+// order, so next and the residual are bit-identical to the per-cell
+// update SerialReference makes.
 func (c *chare) jacobi() float64 {
+	bx, by, bz := c.bx, c.by, c.bz
+	plane := by * bz
 	residual := 0.0
-	i := 0
-	for x := 0; x < c.bx; x++ {
-		for y := 0; y < c.by; y++ {
-			for z := 0; z < c.bz; z++ {
-				v := c.cur[i]
-				var w, e, s, n, dn, up float64
-				if x > 0 {
-					w = c.at(x-1, y, z)
-				} else {
-					w = c.ghost(xm, x, y, z)
-				}
-				if x < c.bx-1 {
-					e = c.at(x+1, y, z)
-				} else {
-					e = c.ghost(xp, x, y, z)
-				}
-				if y > 0 {
-					s = c.at(x, y-1, z)
-				} else {
-					s = c.ghost(ym, x, y, z)
-				}
-				if y < c.by-1 {
-					n = c.at(x, y+1, z)
-				} else {
-					n = c.ghost(yp, x, y, z)
-				}
-				if z > 0 {
-					dn = c.at(x, y, z-1)
-				} else {
-					dn = c.ghost(zm, x, y, z)
-				}
-				if z < c.bz-1 {
-					up = c.at(x, y, z+1)
-				} else {
-					up = c.ghost(zp, x, y, z)
-				}
-				nv := (v + w + e + s + n + dn + up) / 7
-				c.next[i] = nv
-				residual += math.Abs(nv - v)
-				i++
-			}
+	for x := 0; x < bx; x++ {
+		for y := 0; y < by; y++ {
+			o := (x*by + y) * bz
+			residual = line(c.next[o:o+bz], c.cur[o:o+bz],
+				c.side(xm, x > 0, o-plane, y*bz),
+				c.side(xp, x < bx-1, o+plane, y*bz),
+				c.side(ym, y > 0, o-bz, x*bz),
+				c.side(yp, y < by-1, o+bz, x*bz),
+				c.zGhost(zm, x*by+y), c.zGhost(zp, x*by+y), residual)
 		}
 	}
 	return residual
 }
 
-// extractFace encodes this chare's boundary layer on side d into buf.
+// side returns the z-line beside the current one across side d: cur's
+// line at offset in when that line is inside the block, else the line at
+// offset fo of the arrived face, else the zero line.
+func (c *chare) side(d int, inside bool, in, fo int) []float64 {
+	switch {
+	case inside:
+		return c.cur[in : in+c.bz]
+	case c.neighbors[d]:
+		return c.faceVals[d][fo : fo+c.bz]
+	}
+	return c.zero
+}
+
+// zGhost returns entry i of the arrived z face d, or 0 at the Dirichlet
+// boundary.
+func (c *chare) zGhost(d, i int) float64 {
+	if !c.neighbors[d] {
+		return 0
+	}
+	return c.faceVals[d][i]
+}
+
+// line updates one z-line into out from the line v, its side lines w, e,
+// s, n and the ghosts dn below its first cell and up above its last. It
+// adds each cell's |out - v| to res in z order and returns the sum. The
+// ends are peeled, so the inner loop reads only slices.
+func line(out, v, w, e, s, n []float64, dn, up, res float64) float64 {
+	m := len(v)
+	out, w, e, s, n = out[:m], w[:m], e[:m], s[:m], n[:m]
+	if m == 1 {
+		nv := (v[0] + w[0] + e[0] + s[0] + n[0] + dn + up) / 7
+		out[0] = nv
+		return res + math.Abs(nv-v[0])
+	}
+	nv := (v[0] + w[0] + e[0] + s[0] + n[0] + dn + v[1]) / 7
+	out[0] = nv
+	res += math.Abs(nv - v[0])
+	// The interior cells 1..m-2, through slices of one length k so the
+	// loop carries no bounds checks: mid[i] is v[i+1], lo and hi the
+	// cells below and above it.
+	k := m - 2
+	mid, lo, hi := v[1:m-1], v[:k], v[2:][:k]
+	o, w1, e1, s1, n1 := out[1:][:k], w[1:][:k], e[1:][:k], s[1:][:k], n[1:][:k]
+	for i, vi := range mid {
+		nv := (vi + w1[i] + e1[i] + s1[i] + n1[i] + lo[i] + hi[i]) / 7
+		o[i] = nv
+		res += math.Abs(nv - vi)
+	}
+	z := m - 1
+	nv = (v[z] + w[z] + e[z] + s[z] + n[z] + v[z-1] + up) / 7
+	out[z] = nv
+	return res + math.Abs(nv-v[z])
+}
+
+// extractFace encodes this chare's boundary layer on side d into buf,
+// laid out as the neighbour's faceVals[opposite(d)] reads it.
 func (c *chare) extractFace(d int, buf []byte) {
-	put := func(i int, v float64) {
+	bx, by, bz := c.bx, c.by, c.bz
+	plane := by * bz
+	switch d {
+	case xp, xm:
+		// An x face is one contiguous plane of cur.
+		o := 0
+		if d == xp {
+			o = (bx - 1) * plane
+		}
+		encodeF64s(buf, c.cur[o:o+plane])
+	case yp, ym:
+		y := 0
+		if d == yp {
+			y = by - 1
+		}
+		for x := 0; x < bx; x++ {
+			o := (x*by + y) * bz
+			encodeF64s(buf[x*bz*8:], c.cur[o:o+bz])
+		}
+	default:
+		z := 0
+		if d == zp {
+			z = bz - 1
+		}
+		for i := 0; i < bx*by; i++ {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(c.cur[i*bz+z]))
+		}
+	}
+}
+
+// encodeF64s writes vals into buf as little-endian float64s.
+func encodeF64s(buf []byte, vals []float64) {
+	buf = buf[:len(vals)*8]
+	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}
-	switch d {
-	case xp:
-		for y := 0; y < c.by; y++ {
-			for z := 0; z < c.bz; z++ {
-				put(y*c.bz+z, c.at(c.bx-1, y, z))
-			}
-		}
-	case xm:
-		for y := 0; y < c.by; y++ {
-			for z := 0; z < c.bz; z++ {
-				put(y*c.bz+z, c.at(0, y, z))
-			}
-		}
-	case yp:
-		for x := 0; x < c.bx; x++ {
-			for z := 0; z < c.bz; z++ {
-				put(x*c.bz+z, c.at(x, c.by-1, z))
-			}
-		}
-	case ym:
-		for x := 0; x < c.bx; x++ {
-			for z := 0; z < c.bz; z++ {
-				put(x*c.bz+z, c.at(x, 0, z))
-			}
-		}
-	case zp:
-		for x := 0; x < c.bx; x++ {
-			for y := 0; y < c.by; y++ {
-				put(x*c.by+y, c.at(x, y, c.bz-1))
-			}
-		}
-	case zm:
-		for x := 0; x < c.bx; x++ {
-			for y := 0; y < c.by; y++ {
-				put(x*c.by+y, c.at(x, y, 0))
-			}
-		}
+}
+
+// decodeFace decodes an arrived face into dst, which is as long as the
+// face has values.
+func decodeFace(dst []float64, data []byte) {
+	data = data[:len(dst)*8]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 	}
 }
 

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -220,6 +221,28 @@ func TestLBChaosPreservesPhysics(t *testing.T) {
 					t.Fatalf("%v seed %d: chaos+LB changed the physics at cell %d", mode, seed, i)
 				}
 			}
+		}
+	}
+}
+
+// TestCheckRefusesCkptWithLB: checkpointing together with load balancing
+// is refused before a run starts, with ErrCkptWithLB; either one alone
+// passes. The combination used to be accepted and then fail at restore,
+// because a restore rebuilds birth placement.
+func TestCheckRefusesCkptWithLB(t *testing.T) {
+	base := Config{PEs: 6, Virtualization: 2, NX: 16, NY: 16, NZ: 8, LBStrategy: "greedy"}
+	ckpt := &charm.CkptOptions{Dir: t.TempDir(), Every: 3}
+	both := base
+	both.Ckpt, both.LBEvery = ckpt, 2
+	if err := both.Check(); !errors.Is(err, ErrCkptWithLB) {
+		t.Fatalf("Check with Ckpt and LBEvery = %v, want ErrCkptWithLB", err)
+	}
+	ckptOnly, lbOnly := base, base
+	ckptOnly.Ckpt = ckpt
+	lbOnly.LBEvery = 2
+	for name, cfg := range map[string]Config{"ckpt": ckptOnly, "lb": lbOnly} {
+		if err := cfg.Check(); err != nil {
+			t.Errorf("%s alone refused: %v", name, err)
 		}
 	}
 }

@@ -70,8 +70,7 @@ type Config struct {
 	// LBEvery runs a measurement-based load-balancing round every
 	// LBEvery reduction barriers (0 disables). Chares migrate between
 	// PEs — and between ranks under net — with their CkDirect channels
-	// rehomed in place. When a checkpoint is due at the same barrier the
-	// checkpoint wins and that round is skipped.
+	// rehomed in place. Check refuses it together with Ckpt.
 	LBEvery int
 	// LBStrategy names the rebalancing strategy ("greedy"; "none" or ""
 	// disables). Required when LBEvery is set.
@@ -130,12 +129,21 @@ func chooseGrid(want, nx, ny, nz int) [3]int {
 	return c
 }
 
+// ErrCkptWithLB refuses checkpointing together with load balancing. A
+// checkpoint taken after a migration records the migrated placement,
+// but a restore rebuilds birth placement, so the restore of such a run
+// would fail on every rank.
+var ErrCkptWithLB = errors.New("stencil: checkpointing cannot be combined with load balancing: a restore rebuilds birth placement, not the migrated one")
+
 // Check reports the parameter error Run panics on: a non-positive PE
-// count or virtualization, or a domain too small to give every PE a
-// chare.
+// count or virtualization, a domain too small to give every PE a chare,
+// or checkpointing together with load balancing (ErrCkptWithLB).
 func (cfg Config) Check() error {
 	if cfg.PEs <= 0 || cfg.Virtualization <= 0 {
 		return errors.New("stencil: PEs and Virtualization must be positive")
+	}
+	if cfg.Ckpt != nil && cfg.LBEvery > 0 {
+		return ErrCkptWithLB
 	}
 	if grid := chooseGrid(cfg.PEs*cfg.Virtualization, cfg.NX, cfg.NY, cfg.NZ); grid[0]*grid[1]*grid[2] < cfg.PEs {
 		return fmt.Errorf("stencil: domain %dx%dx%d too small for %d PEs", cfg.NX, cfg.NY, cfg.NZ, cfg.PEs)
