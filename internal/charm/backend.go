@@ -277,9 +277,6 @@ func (b *netBackend) run() sim.Time {
 		rec.Incr(trace.CntNetShmDeclined, s.ShmDeclined)
 		rec.Incr(trace.CntNetPutsDirect, s.PutsDirect)
 		rec.Incr(trace.CntNetPutsFramed, s.PutsFramed)
-		rec.Incr(trace.CntNetBatchGrows, s.BatchGrows)
-		rec.Incr(trace.CntNetBatchShrinks, s.BatchShrinks)
-		rec.Incr(trace.CntNetEagerShrinks, s.EagerShrinks)
 	}
 	return t
 }

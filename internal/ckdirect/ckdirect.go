@@ -215,7 +215,7 @@ type Manager struct {
 
 	// net is the distributed runtime under the net backend (nil
 	// otherwise): puts to remote PEs ship their bytes, inbound put
-	// frames deposit through netPutSink.
+	// frames deposit through netPutStream.
 	net *netrt.Runtime
 
 	// wd, when non-nil, arms a virtual-time deadline per in-flight put
@@ -245,12 +245,11 @@ func NewManager(rts *charm.RTS) *Manager {
 	if nrt := rts.NetRT(); nrt != nil {
 		// Distributed backend: local detection is the real backend's poll
 		// pass verbatim; framed puts from other processes are deposited
-		// into the registered buffer by netPutStream / netPutSink, direct
-		// shm puts by the sender itself.
+		// into the registered buffer by netPutStream, direct shm puts by
+		// the sender itself.
 		m.rt = nrt
 		m.net = nrt
 		nrt.SetPoll(m.realPoll)
-		nrt.SetPutSink(m.netPutSink)
 		nrt.SetPutStream(m.netPutStream)
 		return m
 	}

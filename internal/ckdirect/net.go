@@ -16,45 +16,15 @@ import (
 // message, no scheduler involvement on the wire path: the paper's
 // unsynchronized one-sided semantics, emulated across processes.
 
-// netPutSink deposits one inbound put frame. It runs on a connection
-// reader goroutine; the deposit itself is safe there because the only
-// synchronization with the receiving PE is the sentinel release-store,
-// exactly as when a sender PE's goroutine deposits in-process. The work
-// credit is taken before the sentinel publishes the payload (same
-// discipline as the real backend's put seam), so termination cannot
-// race a landed-but-undetected put.
-func (m *Manager) netPutSink(id int64, payload []byte) {
-	if id < 0 || id >= int64(len(m.handles)) {
-		m.rts.ReportError(fmt.Errorf("ckdirect: wire put for unknown handle %d (have %d)", id, len(m.handles)))
-		return
-	}
-	h := m.handles[id]
-	if !m.rts.HostsPE(h.recvPE) {
-		m.rts.ReportError(fmt.Errorf("ckdirect: wire put for handle %d on PE %d, not hosted here", id, h.recvPE))
-		return
-	}
-	want := h.recvBuf.Size()
-	if h.strided != nil {
-		want = h.strided.TotalBytes()
-	}
-	if len(payload) != want {
-		m.rts.ReportError(fmt.Errorf("ckdirect: wire put for handle %d carries %d bytes, transfer is %d", id, len(payload), want))
-		return
-	}
-	m.net.PutIssued()
-	pe := h.recvPE // as in netPutStream: read before the deposit publishes
-	m.depositBytes(h, payload)
-	m.net.Kick(pe)
-}
-
-// netPutStream is the zero-copy inbound put path: the frame reader has
+// netPutStream is the one inbound put path: the frame reader has
 // parsed the put's meta and its payload bytes are still on the stream,
 // so they are read directly into the preregistered destination buffer —
 // no intermediate slice exists anywhere between the kernel socket
-// buffer and receiver memory. The final 8 bytes stage in the handle's
-// tail scratch and publish via the sentinel release-store only after
-// every other byte has landed, preserving the acquire/release pairing
-// with the receiver's poll pass.
+// buffer and receiver memory. A put frame buffered before its run
+// attached replays through here too, streamed from its payload bytes.
+// The final 8 bytes stage in the handle's tail scratch and publish via
+// the sentinel release-store only after every other byte has landed,
+// preserving the acquire/release pairing with the receiver's poll pass.
 //
 // A put that fails validation consumes exactly size bytes (the stream
 // stays in sync) and is reported out of band; only an I/O failure —

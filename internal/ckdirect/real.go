@@ -54,9 +54,9 @@ func (m *Manager) realDeposit(h *Handle) { m.depositBytes(h, h.sendBuf.Bytes()) 
 // copies for everything but the transfer's final word, which is
 // release-stored into the sentinel position so the receiver's
 // acquire-loading poll pass orders the whole payload behind it. src is
-// the local source region under real, an inbound put frame under net.
-// Both callers took the put's credit already, so an arena-resident
-// buffer is marked credited before the store (see realDetect).
+// the local source region. The caller took the put's credit already, so
+// an arena-resident buffer is marked credited before the store (see
+// realDetect).
 func (m *Manager) depositBytes(h *Handle, src []byte) {
 	if h.arena {
 		h.credited.Store(true)

@@ -266,7 +266,7 @@ func (b *Balancer) ElementBarrier(ctx *charm.Ctx) {
 	if !last {
 		return
 	}
-	data := b.encodeLoads(b.gatherLoads())
+	data := encodeLoads(b.gatherLoads())
 	b.rts.SendPE(ctx.PE(), 0, b.repEP, &charm.Message{Size: len(data), Data: data})
 }
 
@@ -291,7 +291,14 @@ func (b *Balancer) gatherLoads() []ElementLoad {
 	return out
 }
 
-func (b *Balancer) encodeLoads(loads []ElementLoad) []byte {
+// encodeLoads packs a load report. The balancer's three wire records
+// are charm.Packer fields: a load report (count, then per element array,
+// index, PE, busy ns, messages, bytes), a plan (count, then per move
+// array, index, destination PE) and a migration (index, then the
+// element's packed state). Each decoder rejects a short record, and the
+// two counted ones trailing bytes, so every accepted input re-encodes
+// byte-identically (FuzzLBWire).
+func encodeLoads(loads []ElementLoad) []byte {
 	p := &charm.Packer{}
 	n := len(loads)
 	p.Int(&n)
@@ -331,10 +338,21 @@ func decodeLoads(data []byte) ([]ElementLoad, error) {
 		u.Int64(&l.Msgs)
 		u.Int64(&l.Bytes)
 	}
-	if err := u.Err(); err != nil {
+	if err := wireEnd(u); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// wireEnd reports a decode error or bytes left over after the record.
+func wireEnd(u *charm.Unpacker) error {
+	if err := u.Err(); err != nil {
+		return err
+	}
+	if n := u.Rest(); n != 0 {
+		return fmt.Errorf("lb: %d trailing bytes", n)
+	}
+	return nil
 }
 
 // onReport lands one rank's load report at the root (PE 0's scheduler,
@@ -382,12 +400,12 @@ func (b *Balancer) plan() {
 	b.migrations += int64(len(moves))
 	b.mu.Unlock()
 	if b.nrt != nil && b.world > 1 {
-		b.nrt.SendLoc(b.encodePlan(moves))
+		b.nrt.SendLoc(encodePlan(moves))
 	}
 	b.applyPlan(moves)
 }
 
-func (b *Balancer) encodePlan(moves []Move) []byte {
+func encodePlan(moves []Move) []byte {
 	p := &charm.Packer{}
 	n := len(moves)
 	p.Int(&n)
@@ -402,15 +420,16 @@ func (b *Balancer) encodePlan(moves []Move) []byte {
 	return p.Buf
 }
 
-// onPlanWire decodes an FLoc broadcast and applies it. Runs on the
-// control PE's scheduler, serialized with onMove.
-func (b *Balancer) onPlanWire(data []byte) {
+// decodePlan decodes an FLoc plan broadcast.
+func decodePlan(data []byte) ([]Move, error) {
 	u := &charm.Unpacker{Buf: data}
 	var n int
 	u.Int(&n)
-	if err := u.Err(); err != nil || n < 0 || n > len(data)+1 {
-		b.rts.ReportError(fmt.Errorf("lb: bad plan broadcast (%d entries, err %v)", n, u.Err()))
-		return
+	if err := u.Err(); err != nil {
+		return nil, err
+	}
+	if n < 0 || n > len(data) {
+		return nil, fmt.Errorf("lb: plan claims %d moves in %d bytes", n, len(data))
 	}
 	moves := make([]Move, n)
 	for i := range moves {
@@ -422,7 +441,17 @@ func (b *Balancer) onPlanWire(data []byte) {
 		u.Int(&mv.ToPE)
 		mv.FromPE = -1 // recomputed at apply
 	}
-	if err := u.Err(); err != nil {
+	if err := wireEnd(u); err != nil {
+		return nil, err
+	}
+	return moves, nil
+}
+
+// onPlanWire decodes an FLoc broadcast and applies it. Runs on the
+// control PE's scheduler, serialized with onMove.
+func (b *Balancer) onPlanWire(data []byte) {
+	moves, err := decodePlan(data)
+	if err != nil {
 		b.rts.ReportError(fmt.Errorf("lb: bad plan broadcast: %w", err))
 		return
 	}
@@ -464,7 +493,7 @@ func (b *Balancer) applyPlan(moves []Move) {
 				b.rts.ReportError(err)
 				break
 			}
-			payload := b.encodeMove(mv.Index, data)
+			payload := encodeMove(mv.Index, data)
 			b.nrt.SendMove(b.nrt.RankOf(mv.ToPE), int64(mv.Array), payload)
 			if rec := b.rts.Recorder(); rec != nil {
 				rec.Incr(trace.CntLBBytesMoved, int64(len(data)))
@@ -493,7 +522,7 @@ func (b *Balancer) applyPlan(moves []Move) {
 	b.moveDone()
 }
 
-func (b *Balancer) encodeMove(idx charm.Index, state []byte) []byte {
+func encodeMove(idx charm.Index, state []byte) []byte {
 	p := &charm.Packer{}
 	for d := 0; d < 4; d++ {
 		p.Int(&idx[d])
@@ -502,21 +531,30 @@ func (b *Balancer) encodeMove(idx charm.Index, state []byte) []byte {
 	return p.Buf
 }
 
-// onMove lands one migrated element's packed state. Runs on the
-// control PE's scheduler. State may beat the plan here (FMove and FLoc
-// ride different connections); it then parks in the stash until
-// applyPlan claims it.
-func (b *Balancer) onMove(array int, data []byte) {
+// decodeMove splits an FMove payload into the element's index and its
+// packed state, which aliases data.
+func decodeMove(data []byte) (charm.Index, []byte, error) {
 	u := &charm.Unpacker{Buf: data}
 	var idx charm.Index
 	for d := 0; d < 4; d++ {
 		u.Int(&idx[d])
 	}
 	if err := u.Err(); err != nil {
+		return idx, nil, err
+	}
+	return idx, data[len(data)-u.Rest():], nil
+}
+
+// onMove lands one migrated element's packed state. Runs on the
+// control PE's scheduler. State may beat the plan here (FMove and FLoc
+// ride different connections); it then parks in the stash until
+// applyPlan claims it.
+func (b *Balancer) onMove(array int, data []byte) {
+	idx, state, err := decodeMove(data)
+	if err != nil {
 		b.rts.ReportError(fmt.Errorf("lb: bad migration payload: %w", err))
 		return
 	}
-	state := data[len(data)-u.Rest():]
 	k := loadKey(array, idx)
 	b.mu.Lock()
 	expected := b.applied && b.expect[k]

@@ -44,7 +44,7 @@ func TestEagerSendAllocs(t *testing.T) {
 	defer remote.Close()
 	go io.Copy(io.Discard, remote)
 
-	n := &Node{rank: 0, world: 2, eagerMax: DefaultEagerMax, completedGen: -1}
+	n := &Node{rank: 0, world: 2, completedGen: -1}
 	n.peers = make([]*peerConn, 2)
 	p := newPeerConn(n, 1, conn)
 	n.peers[1] = p

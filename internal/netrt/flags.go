@@ -19,10 +19,7 @@ import (
 //	-net.coord  coordinator address (rank 0 listens, workers dial)
 //	-net.peers  static launch: comma-separated listen addresses by rank
 //	            (rank r listens on entry r; entry 0 is the coordinator)
-//	-net.eager  eager/rendezvous threshold in bytes
 //	-net.shm    shared-memory transport for co-located ranks (default on)
-//	-net.shmring   per-direction shm ring bytes (rounded up to a power of two)
-//	-net.shmarena  per-direction shm put-arena bytes
 //	-net.seed   base seed for the node's deterministic RNG streams
 //	-net.termfanout  termination-tree fanout (default 8)
 func RegisterFlags(fs *flag.FlagSet) *Config {
@@ -39,15 +36,12 @@ func RegisterFlags(fs *flag.FlagSet) *Config {
 		return nil
 	})
 	fs.StringVar(&cfg.Coord, "net.coord", "", "net backend: coordinator address (rank 0 listens, workers dial in)")
-	fs.IntVar(&cfg.EagerMax, "net.eager", DefaultEagerMax, "net backend: eager/rendezvous threshold in bytes")
 	// Config's zero value enables shm, so the flag inverts into ShmOff.
 	fs.BoolFunc("net.shm", "net backend: shared-memory transport between co-located ranks (default true)", func(s string) error {
 		v, err := strconv.ParseBool(s)
 		cfg.ShmOff = !v
 		return err
 	})
-	fs.IntVar(&cfg.ShmRingBytes, "net.shmring", 0, "net backend: per-direction shm ring bytes (0 = 1 MiB default)")
-	fs.IntVar(&cfg.ShmArenaBytes, "net.shmarena", 0, "net backend: per-direction shm put-arena bytes (0 = 4 MiB default)")
 	fs.Uint64Var(&cfg.Seed, "net.seed", 0, "net backend: base RNG seed for backoff jitter and shm tokens (0 = built-in)")
 	fs.IntVar(&cfg.TermFanout, "net.termfanout", DefaultTermFanout, "net backend: termination-tree fanout (children per interior rank)")
 	return cfg

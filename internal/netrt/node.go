@@ -42,8 +42,6 @@ type Config struct {
 	// Coord is the coordinator's address: rank 0 listens on it, every
 	// other rank dials it to join and learns the peer table in reply.
 	Coord string
-	// EagerMax overrides the eager/rendezvous threshold (bytes).
-	EagerMax int
 	// ExtraArgs are appended to self-spawned workers' argv (after the
 	// replayed parent argv and the injected -net.* flags).
 	ExtraArgs []string
@@ -68,11 +66,6 @@ type Config struct {
 	// app frames (and CkDirect put deposits) off the kernel entirely,
 	// falling back to TCP per edge when the handshake declines.
 	ShmOff bool
-	// ShmRingBytes and ShmArenaBytes override the per-direction ring and
-	// put-arena sizes of a shared segment (0 = defaults). The ring
-	// rounds up to a power of two.
-	ShmRingBytes  int
-	ShmArenaBytes int
 	// Seed seeds this node's private randomness (dial-retry jitter, shm
 	// handshake tokens); 0 selects a fixed default. Each rank derives
 	// its own stream, so chaos runs replay from the run seed.
@@ -105,7 +98,6 @@ const lazyDialBurst = 8
 type Node struct {
 	rank, world int
 	oneProcess  bool // every rank of the world lives in this process (StartLocalConfig)
-	eagerMax    int
 	// peers is the connection table: the star handshake (Start, Rejoin)
 	// and first-contact installs fill it under mu, and every change is
 	// published as a fresh snapshot into live. Everything that runs
@@ -228,9 +220,6 @@ type Node struct {
 	shmDeclined   atomic.Int64
 	putsDirect    atomic.Int64
 	putsFramed    atomic.Int64
-	batchGrows    atomic.Int64
-	batchShrinks  atomic.Int64
-	eagerShrinks  atomic.Int64
 }
 
 // rand64 draws from the node's private generator.
@@ -281,13 +270,10 @@ func start(cfg Config, oneProcess bool) (*Node, error) {
 	if err := validateConfig(cfg, world); err != nil {
 		return nil, err
 	}
-	if cfg.EagerMax == 0 {
-		cfg.EagerMax = DefaultEagerMax
-	}
 	if cfg.TermFanout == 0 {
 		cfg.TermFanout = DefaultTermFanout
 	}
-	n := &Node{rank: cfg.Rank, world: world, eagerMax: cfg.EagerMax, completedGen: -1, haltedThrough: -1,
+	n := &Node{rank: cfg.Rank, world: world, completedGen: -1, haltedThrough: -1,
 		cfg: cfg, oneProcess: oneProcess, dead: make(map[int]bool),
 		termFanout: cfg.TermFanout, termAggs: make(map[termKey]*probeAgg)}
 	if n.rank < 0 {
@@ -343,11 +329,6 @@ func validateConfig(cfg Config, world int) error {
 		return badConfig(cfg.Rank, fmt.Errorf("rank %d is negative (-1 means self-spawn)", cfg.Rank))
 	case cfg.Rank >= world:
 		return badConfig(cfg.Rank, fmt.Errorf("rank %d outside world [0,%d)", cfg.Rank, world))
-	case cfg.EagerMax < 0:
-		return badConfig(cfg.Rank, fmt.Errorf("eager threshold %d bytes is negative", cfg.EagerMax))
-	case cfg.ShmRingBytes < 0 || cfg.ShmArenaBytes < 0:
-		return badConfig(cfg.Rank, fmt.Errorf("negative shm sizing (ring %d, arena %d)",
-			cfg.ShmRingBytes, cfg.ShmArenaBytes))
 	case cfg.TermFanout < 0:
 		return badConfig(cfg.Rank, fmt.Errorf("termination fanout %d is negative", cfg.TermFanout))
 	case world > 1 && cfg.Rank < 0 && len(cfg.Peers) > 0:
@@ -390,9 +371,6 @@ func (n *Node) World() int { return n.world }
 // IsWorker reports whether this process is a non-coordinator rank —
 // drivers use it to keep result printing and artifact writing on rank 0.
 func (n *Node) IsWorker() bool { return n.rank != 0 }
-
-// EagerMax returns the eager/rendezvous threshold in effect.
-func (n *Node) EagerMax() int { return n.eagerMax }
 
 // Addr returns this node's listen address ("" for a single-process
 // world or a closed node). The listener lives as long as the node: it

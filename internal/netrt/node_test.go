@@ -3,6 +3,7 @@ package netrt
 import (
 	"bytes"
 	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,9 +122,6 @@ func TestStartRejectsBadConfigs(t *testing.T) {
 		{"rank past world", Config{Rank: 7, World: 2, Coord: "127.0.0.1:0"}},
 		{"out-of-range static rank", Config{Rank: 5, World: 2, Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}}},
 		{"self-spawn rank with static peers", Config{Rank: -1, World: 2, Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}}},
-		{"negative eager threshold", Config{Rank: 0, World: 2, Coord: "127.0.0.1:0", EagerMax: -1}},
-		{"negative shm ring", Config{Rank: 0, World: 2, Coord: "127.0.0.1:0", ShmRingBytes: -4096}},
-		{"negative shm arena", Config{Rank: 0, World: 2, Coord: "127.0.0.1:0", ShmArenaBytes: -1}},
 		{"rank 0 without coord or peers", Config{Rank: 0, World: 2}},
 		{"worker without coord or peers", Config{Rank: 1, World: 2}},
 		{"world/peers mismatch", Config{Rank: 0, World: 3, Peers: []string{"a:1", "b:2"}}},
@@ -261,13 +259,18 @@ func TestPutSink(t *testing.T) {
 	var gotPayload []byte
 	gotID.Store(-1)
 	rt1 := rts[1]
-	rt1.SetPutSink(func(id int64, b []byte) {
+	rt1.SetPutStream(func(id int64, size int, r io.Reader) error {
 		// The ckdirect sink's credit discipline: hold the run open before
 		// acknowledging receipt, release on the receiving PE.
+		b := make([]byte, size)
+		if _, err := io.ReadFull(r, b); err != nil {
+			return err
+		}
 		rt1.PutIssued()
 		gotID.Store(id)
-		gotPayload = append([]byte(nil), b...)
+		gotPayload = b
 		rt1.Enqueue(1, func() { rt1.PutDetected() })
+		return nil
 	})
 	rts[0].Enqueue(0, func() { rts[0].SendPut(1, 7, payload) })
 	runAll(rts)

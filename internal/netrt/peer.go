@@ -19,32 +19,14 @@ const (
 	outboxCap = 4096
 	// ioBufBytes sizes the per-connection read buffer.
 	ioBufBytes = 64 << 10
-	// The writev batch window adapts per peer between minBatchFrames
-	// and maxBatchFrames (starting at initBatchFrames): a window that
-	// fills doubles (deep fan-in wants fewer, larger writevs), and
-	// batchShrinkStreak consecutive single-frame batches halve it back
-	// (a latency-bound edge wants the syscall now, and a small window
-	// keeps the kernel from waiting on a batch that will never fill).
-	// maxBatchFrames still bounds the writer's retained state: the
-	// batch arrays hold at most maxBatchFrames slice headers (the frame
-	// bytes themselves are pooled buffers returned right after the
-	// writev), so a burst cannot permanently grow the writer beyond
-	// ~2*maxBatchFrames headers — that fixed cap IS the shrink policy
-	// for memory (see DESIGN.md §9); the window only tunes syscall
-	// coalescing within it.
-	minBatchFrames    = 8
-	initBatchFrames   = 32
-	maxBatchFrames    = 256
-	batchShrinkStreak = 16
-	// eagerFloor and eagerCheckEvery shape the per-peer adaptive eager
-	// threshold (eagerLimit): when an edge's outbox runs deep the
-	// threshold halves toward eagerFloor — mid-size messages divert to
-	// the rendezvous path, whose RTS/CTS round trip is natural flow
-	// control — and recovers toward the configured base once the
-	// backlog clears. The queue depth is sampled every
-	// eagerCheckEvery-th send so the hot path stays two atomic ops.
-	eagerFloor      = 256
-	eagerCheckEvery = 64
+	// maxBatchFrames caps one writev: the writer coalesces whatever
+	// the outbox holds, up to this many frames, into a single vectored
+	// write, and a lone frame leaves alone (the batch ends at an empty
+	// outbox, so nothing waits for a batch to fill). The cap also
+	// bounds the writer's retained state: its batch arrays hold at most
+	// maxBatchFrames slice headers, and the frame bytes themselves are
+	// pooled buffers returned right after the writev (see DESIGN.md §9).
+	maxBatchFrames = 256
 	// keepaliveEvery paces idle FPing frames.
 	keepaliveEvery = 500 * time.Millisecond
 	// peerTimeout is how long a silent peer stays healthy. Keepalives
@@ -106,11 +88,6 @@ type peerConn struct {
 	arenaMu  sync.Mutex
 	arenaGen int64
 	arenaOff int
-
-	// eagerCur/eagerTick drive the adaptive eager threshold for this
-	// edge; see eagerLimit. eagerCur==0 means "at the configured base".
-	eagerCur  atomic.Int64
-	eagerTick atomic.Int64
 }
 
 func newPeerConn(n *Node, rank int, conn net.Conn) *peerConn {
@@ -236,8 +213,6 @@ func (p *peerConn) writer() {
 	owned := make([][]byte, 0, maxBatchFrames)
 	backing := make([][]byte, maxBatchFrames)
 	var batch net.Buffers
-	window := initBatchFrames
-	singles := 0
 	for {
 		var b []byte
 		select {
@@ -256,7 +231,7 @@ func (p *peerConn) writer() {
 				break
 			}
 			owned = append(owned, b)
-			if len(owned) == window {
+			if len(owned) == maxBatchFrames {
 				break
 			}
 			select {
@@ -265,22 +240,6 @@ func (p *peerConn) writer() {
 			default:
 			}
 			break
-		}
-		// Adapt the window to the observed fan-in: a filled window
-		// doubles, a streak of lone frames halves it back.
-		switch {
-		case len(owned) == window && window < maxBatchFrames:
-			window *= 2
-			singles = 0
-			p.node.batchGrows.Add(1)
-		case len(owned) == 1:
-			if singles++; singles >= batchShrinkStreak && window > minBatchFrames {
-				window /= 2
-				singles = 0
-				p.node.batchShrinks.Add(1)
-			}
-		default:
-			singles = 0
 		}
 		if len(owned) > 0 {
 			n := copy(backing, owned)
@@ -456,41 +415,6 @@ func (p *peerConn) close() {
 		// Outbox jammed mid-teardown: hard close rather than block.
 		p.shutdown()
 	}
-}
-
-// eagerLimit returns the adaptive eager/rendezvous threshold toward
-// this peer, in [eagerFloor, base]. Shared-memory edges always report
-// the base: the ring write is synchronous and has no outbox to run
-// deep. For TCP edges the outbox depth is sampled every
-// eagerCheckEvery-th call; a backlog past half the outbox halves the
-// threshold (diverting mid-size messages to rendezvous, whose CTS
-// round trip throttles the producer to the consumer's pace), and a
-// drained outbox doubles it back toward the configured base.
-func (p *peerConn) eagerLimit(base int) int {
-	if p.shm.Load() != nil {
-		return base
-	}
-	cur := int(p.eagerCur.Load())
-	if cur == 0 || cur > base {
-		cur = base
-	}
-	if p.eagerTick.Add(1)%eagerCheckEvery != 0 {
-		return cur
-	}
-	q := len(p.out)
-	switch {
-	case q > outboxCap/2 && cur > eagerFloor:
-		if cur /= 2; cur < eagerFloor {
-			cur = eagerFloor
-		}
-		p.node.eagerShrinks.Add(1)
-	case q < outboxCap/8 && cur < base:
-		if cur *= 2; cur > base {
-			cur = base
-		}
-	}
-	p.eagerCur.Store(int64(cur))
-	return cur
 }
 
 // dialRetry dials addr with exponential backoff and jitter, within the

@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -39,11 +40,9 @@ type Runtime struct {
 	afterHalt0   int64 // node.afterHalt when this run was created
 
 	deliver   func(env Env, pooled []byte)
-	putSink   func(id int64, payload []byte)
 	putStream func(id int64, size int, r io.Reader) error
 	moveSink  func(array int64, payload []byte)
 	locSink   func(payload []byte)
-	eagerMax  int
 
 	xferMu   sync.Mutex
 	xfers    map[int64]*pendingXfer
@@ -99,17 +98,16 @@ func (n *Node) NewRuntime(npes int) (*Runtime, error) {
 	dead := n.deadErr
 	n.mu.Unlock()
 	rt := &Runtime{
-		node:     n,
-		gen:      gen,
-		npes:     npes,
-		lo:       lo,
-		hi:       hi,
-		rt:       realrt.New(hi - lo),
-		eagerMax: n.eagerMax,
-		xfers:    make(map[int64]*pendingXfer),
-		reports:  make([]peerReport, n.world),
-		wakeC:    make(chan struct{}, 1),
-		stopC:    make(chan struct{}),
+		node:    n,
+		gen:     gen,
+		npes:    npes,
+		lo:      lo,
+		hi:      hi,
+		rt:      realrt.New(hi - lo),
+		xfers:   make(map[int64]*pendingXfer),
+		reports: make([]peerReport, n.world),
+		wakeC:   make(chan struct{}, 1),
+		stopC:   make(chan struct{}),
 
 		afterHalt0: n.afterHalt.Load(),
 	}
@@ -168,17 +166,15 @@ func (rt *Runtime) localOf(pe int) int {
 // GC handles it.
 func (rt *Runtime) SetDeliver(fn func(env Env, pooled []byte)) { rt.deliver = fn }
 
-// SetPutSink installs the handler for inbound one-sided put frames
-// (id = CkDirect handle id, payload = raw source bytes). It serves
-// replayed buffered frames and worlds without a streaming sink.
-func (rt *Runtime) SetPutSink(fn func(id int64, payload []byte)) { rt.putSink = fn }
-
-// SetPutStream installs the zero-copy inbound put path: the sink reads
-// exactly size payload bytes from r straight into the preregistered
-// destination region. A sink that cannot accept the put (unknown id,
-// size mismatch) must still consume exactly size bytes to keep the
-// stream in sync and report the condition out of band; a returned error
-// means the stream itself failed and the connection dies.
+// SetPutStream installs the handler for inbound one-sided put frames
+// (id = CkDirect handle id): the sink reads exactly size payload bytes
+// from r straight into the preregistered destination region. A put read
+// off the wire streams from the connection (zero-copy); a frame buffered
+// before its run attached replays from its payload bytes. A sink that
+// cannot accept the put (unknown id, size mismatch) must still consume
+// exactly size bytes to keep the stream in sync and report the condition
+// out of band; a returned error means the stream itself failed and the
+// connection dies.
 func (rt *Runtime) SetPutStream(fn func(id int64, size int, r io.Reader) error) { rt.putStream = fn }
 
 // SetMoveSink installs the handler for inbound element-migration
@@ -244,15 +240,7 @@ func (rt *Runtime) PutLanded() {
 // RTS/CTS/data exchange otherwise.
 func (rt *Runtime) SendMsg(env *Env) {
 	dst := rt.RankOf(env.DstPE)
-	limit := rt.eagerMax
-	if t := rt.node.peerTable(); t != nil && dst < len(t) && t[dst] != nil {
-		// The per-peer adaptive threshold: a congested edge (deep
-		// outbox) pushes mid-size messages onto the rendezvous path so
-		// its consumer drains, and recovers toward the configured
-		// threshold when the backlog clears.
-		limit = t[dst].eagerLimit(limit)
-	}
-	if EnvWireSize(env) <= limit {
+	if EnvWireSize(env) <= DefaultEagerMax {
 		// Eager fast path: header and envelope encode in one pass into
 		// one pooled frame buffer (sendEnv) — no intermediate encode.
 		rt.sent.Add(1)
@@ -462,11 +450,14 @@ func (rt *Runtime) handleApp(rank int, f Frame, pooled bool) bool {
 			go rt.node.sendTo(x.rank, &Frame{Type: FData, Run: rt.gen, A: f.A, Payload: x.payload})
 		}
 	case FPut:
-		// Non-streamed put (replayed buffered frame, or no streaming sink
-		// installed): the sink deposits synchronously, so the payload is
-		// done with when it returns and the reader reclaims it.
-		if rt.putSink != nil {
-			rt.putSink(f.A, f.Payload)
+		// A put that did not stream (a replayed buffered frame, or no
+		// sink when it arrived) goes through the same sink, read from
+		// its payload bytes, which the reader reclaims once it returns.
+		if rt.putStream != nil {
+			if err := rt.putStream(f.A, len(f.Payload), bytes.NewReader(f.Payload)); err != nil {
+				rt.abort(&NetError{Rank: rt.node.rank, Peer: rank, Op: "read", Err: err})
+				return false
+			}
 		}
 		rt.recv.Add(1)
 	case FCast:

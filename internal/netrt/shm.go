@@ -15,17 +15,19 @@ import (
 	"unsafe"
 )
 
-// Shared-memory transport defaults and handshake tuning.
+// Shared-memory transport sizing and handshake tuning.
 const (
-	// defaultShmRingBytes sizes each direction's eager-frame ring. Frames
-	// larger than the ring stream through in chunks, so this bounds
-	// batching, not frame size.
-	defaultShmRingBytes = 1 << 20
-	// defaultShmArenaBytes sizes each direction's registered-buffer
-	// arena — where CkDirect receive buffers are placed so a put becomes
-	// a cross-process memcpy. Handles that do not fit fall back to ring
+	// shmRingBytes sizes each direction's eager-frame ring: a power of
+	// two (the ring masks positions) and a page multiple (every ring
+	// header in the shared layout stays aligned). Frames larger than the
+	// ring stream through in chunks, so this bounds batching, not frame
+	// size.
+	shmRingBytes = 1 << 20
+	// shmArenaBytes sizes each direction's registered-buffer arena —
+	// where CkDirect receive buffers are placed so a put becomes a
+	// cross-process memcpy. Handles that do not fit fall back to ring
 	// frames, which still avoid the kernel.
-	defaultShmArenaBytes = 4 << 20
+	shmArenaBytes = 4 << 20
 	// maxShmBytes bounds what an offer may ask this process to map.
 	maxShmBytes = 1 << 30
 	// shmHandshakeTimeout bounds each step of the per-edge bootstrap
@@ -326,27 +328,6 @@ func (n *Node) shmServerLazy() (*shmServer, error) {
 	return s, nil
 }
 
-// shmSizes resolves the configured ring and arena budgets, rounding the
-// ring to a power of two (the ring masks positions) and both to page
-// multiples (so every ring header in the shared layout stays aligned).
-func (n *Node) shmSizes() (ringBytes, arenaBytes int) {
-	ringBytes = n.cfg.ShmRingBytes
-	if ringBytes <= 0 {
-		ringBytes = defaultShmRingBytes
-	}
-	p := 4096
-	for p < ringBytes {
-		p <<= 1
-	}
-	ringBytes = p
-	arenaBytes = n.cfg.ShmArenaBytes
-	if arenaBytes <= 0 {
-		arenaBytes = defaultShmArenaBytes
-	}
-	arenaBytes = (arenaBytes + 4095) &^ 4095
-	return ringBytes, arenaBytes
-}
-
 // shmEnabled reports whether this node may offer or accept segments.
 func (n *Node) shmEnabled() bool { return shmSupported && !n.cfg.ShmOff }
 
@@ -394,19 +375,18 @@ func (n *Node) setupShm(peers []*peerConn) error {
 // /proc/self/fd leak assertion in the tests pins down.
 func (n *Node) shmOffer(p *peerConn) error {
 	offer := &Frame{Type: FShmOffer}
-	ringBytes, arenaBytes := n.shmSizes()
 	fd := -1
 	var seg []byte
 	var token string
 	var srv *shmServer
 	if n.shmEnabled() {
 		if s, err := n.shmServerLazy(); err == nil {
-			if f, err := createShmFd(shmSegBytes(ringBytes, arenaBytes)); err == nil {
-				if m, err := mapShmFd(f, shmSegBytes(ringBytes, arenaBytes)); err == nil {
+			if f, err := createShmFd(shmSegBytes(shmRingBytes, shmArenaBytes)); err == nil {
+				if m, err := mapShmFd(f, shmSegBytes(shmRingBytes, shmArenaBytes)); err == nil {
 					fd, seg, srv = f, m, s
 					token = strconv.FormatUint(n.rand64(), 16)
 					srv.add(token, fd)
-					offer.A, offer.B = int64(ringBytes), int64(arenaBytes)
+					offer.A, offer.B = shmRingBytes, shmArenaBytes
 					offer.Payload = []byte(srv.name + "\n" + token + "\n" + hostID())
 				} else {
 					closeFd(f)
@@ -441,7 +421,7 @@ func (n *Node) shmOffer(p *peerConn) error {
 		n.noteShmDeclined()
 		return nil // declined: the edge stays on TCP
 	}
-	link, err := newShmLink(seg, ringBytes, arenaBytes, true)
+	link, err := newShmLink(seg, shmRingBytes, shmArenaBytes, true)
 	if err != nil {
 		unmapShm(seg)
 		n.noteShmDeclined()

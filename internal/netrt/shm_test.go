@@ -212,11 +212,11 @@ func exchangeOne(t *testing.T, nodes []*Node) {
 	}
 }
 
-// TestEagerBoundary pins the eager/rendezvous split at exactly the
-// threshold, on both transports: a message whose wire size equals
-// -net.eager must go eager (threshold inclusive), one byte more must go
-// rendezvous, and the two transports must agree — the split is decided
-// once in SendMsg, before the transport is chosen.
+// TestEagerBoundary pins the eager/rendezvous split at exactly
+// DefaultEagerMax, on both transports: a message whose wire size equals
+// the threshold must go eager (threshold inclusive), one byte more must
+// go rendezvous, and the two transports must agree — the split is
+// decided once in SendMsg, before the transport is chosen.
 func TestEagerBoundary(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -226,8 +226,7 @@ func TestEagerBoundary(t *testing.T) {
 			if !tc.shmOff {
 				skipNoShm(t)
 			}
-			const eagerMax = 512
-			nodes, err := StartLocalConfig(2, Config{ShmOff: tc.shmOff, EagerMax: eagerMax})
+			nodes, err := StartLocalConfig(2, Config{ShmOff: tc.shmOff})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +257,7 @@ func TestEagerBoundary(t *testing.T) {
 			// EnvWireSize = envFixed + len(Data): pick Data lengths that
 			// put the encoded message at threshold-1, exactly at the
 			// threshold, and one past it.
-			wire := []int{eagerMax - 1, eagerMax, eagerMax + 1}
+			wire := []int{DefaultEagerMax - 1, DefaultEagerMax, DefaultEagerMax + 1}
 			rts[0].Enqueue(0, func() {
 				for _, w := range wire {
 					rts[0].SendMsg(&Env{Kind: EnvPE, Array: -1, SrcPE: 0, DstPE: 1,
@@ -285,7 +284,7 @@ func TestEagerBoundary(t *testing.T) {
 			rts[0].xferMu.Unlock()
 			if xfers != 1 {
 				t.Errorf("rendezvous transfers = %d, want exactly 1 (only the %d-byte message)",
-					xfers, eagerMax+1)
+					xfers, DefaultEagerMax+1)
 			}
 		})
 	}
@@ -332,7 +331,11 @@ func newDirectPutRig(t *testing.T, size int) *directPutRig {
 		rt.SetDeliver(func(e Env, pooled []byte) { bufpool.Put(pooled) })
 		g.rts = append(g.rts, rt)
 		if i == dpRecv {
-			rt.SetPutSink(func(int64, []byte) { g.sank.Add(1) })
+			rt.SetPutStream(func(_ int64, size int, r io.Reader) error {
+				g.sank.Add(1)
+				_, err := io.CopyN(io.Discard, r, int64(size))
+				return err
+			})
 		}
 	}
 	g.payload = bytes.Repeat([]byte{0xC7}, size)
@@ -518,10 +521,14 @@ func TestShmDirectPutFramedAfterDrop(t *testing.T) {
 	// and mark the buffer so detection does not count it again — the
 	// ckdirect tests cover that half): credit here, receipt in handleApp,
 	// credit returned by the "detection" task.
-	recv.SetPutSink(func(int64, []byte) {
+	recv.SetPutStream(func(_ int64, size int, r io.Reader) error {
+		if _, err := io.CopyN(io.Discard, r, int64(size)); err != nil {
+			return err
+		}
 		recv.PutIssued()
 		g.sank.Add(1)
 		recv.Enqueue(dpRecv, recv.PutDetected)
+		return nil
 	})
 	release := g.run(t)
 	sender := g.rts[dpSender]

@@ -49,11 +49,10 @@ type NetStats struct {
 	// handles, a put that raced its registration, a rehomed channel).
 	PutsDirect int64
 	PutsFramed int64
-	// BatchGrows/BatchShrinks count per-peer writev window moves;
-	// EagerShrinks counts adaptive eager-threshold halvings on
-	// congested edges.
+	// BatchGrows and EagerShrinks are always 0: the writev window and
+	// the eager threshold are fixed (maxBatchFrames, DefaultEagerMax).
+	// The fields stay only while the benchmark still reads them.
 	BatchGrows   int64
-	BatchShrinks int64
 	EagerShrinks int64
 	// TermFanout echoes the configured termination-tree fanout.
 	TermFanout int
@@ -75,9 +74,6 @@ func (n *Node) Stats() NetStats {
 		ShmDeclined:        n.shmDeclined.Load(),
 		PutsDirect:         n.putsDirect.Load(),
 		PutsFramed:         n.putsFramed.Load(),
-		BatchGrows:         n.batchGrows.Load(),
-		BatchShrinks:       n.batchShrinks.Load(),
-		EagerShrinks:       n.eagerShrinks.Load(),
 		TermFanout:         n.termFanout,
 	}
 }

@@ -81,13 +81,12 @@ const (
 	// cumulative) of app frames that arrived after the termination
 	// decision — the protocol's safety property is that it is zero — and
 	// exits is 1 when the run ended by the root's Exit, not by quiescence
-	// detection (this run's own count too). The
-	// batching counters record the per-peer adaptive writev window and
-	// eager-threshold adjustments, and shm_coalesced the frames staged
-	// behind an in-flight shm ring write and flushed in one combined pass.
-	// shm_declined counts edges this rank wanted on shared memory that
-	// stayed on TCP; puts_direct / puts_framed split the cross-rank
-	// CkDirect puts it sent into arena deposits and FPut frames.
+	// detection (this run's own count too). shm_coalesced counts the
+	// frames staged behind an in-flight shm ring write and flushed in one
+	// combined pass, shm_declined the edges this rank wanted on shared
+	// memory that stayed on TCP; puts_direct / puts_framed split the
+	// cross-rank CkDirect puts it sent into arena deposits and FPut
+	// frames.
 	CntNetConnsOpened   = "net.conns_opened"
 	CntNetConnsDialed   = "net.conns_dialed"
 	CntNetConnsAccepted = "net.conns_accepted"
@@ -103,9 +102,6 @@ const (
 	CntNetShmDeclined   = "net.shm_declined"
 	CntNetPutsDirect    = "net.puts_direct"
 	CntNetPutsFramed    = "net.puts_framed"
-	CntNetBatchGrows    = "net.batch_grows"
-	CntNetBatchShrinks  = "net.batch_shrinks"
-	CntNetEagerShrinks  = "net.eager_shrinks"
 )
 
 // Recorder accumulates named statistics. The zero value is not usable;
