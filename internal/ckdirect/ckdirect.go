@@ -183,11 +183,13 @@ type pollSet struct {
 }
 
 // execRT is the live-execution seam CkDirect needs from a non-simulated
-// backend: installing the sentinel poll pass into the scheduler loops
-// and returning put work credits after detection. Both the in-process
+// backend: installing the sentinel poll pass into the scheduler loops,
+// telling a loop that its pass is about to run a callback (Busy), and
+// returning put work credits after detection. Both the in-process
 // realrt runtime and the distributed netrt runtime satisfy it.
 type execRT interface {
 	SetPoll(fn func(pe int, full bool) bool)
+	Busy(pe int)
 	PutDetected()
 }
 

@@ -128,7 +128,7 @@ func (m *Manager) realPoll(pe int, full bool) bool {
 			continue
 		}
 		hit = true
-		m.realDetect(h)
+		m.realDetect(pe, h)
 	}
 	if len(ps.cold) > 0 && (full || ps.passes%pollColdEvery == 0) {
 		cold := ps.cold
@@ -141,26 +141,29 @@ func (m *Manager) realPoll(pe int, full bool) bool {
 				continue
 			}
 			hit = true
-			m.realDetect(h)
+			m.realDetect(pe, h)
 		}
 	}
 	return hit
 }
 
-// realDetect completes one delivery on the receiver's goroutine: leave
-// the polling queue, run the user callback, then release the put's work
+// realDetect completes one delivery on PE pe's goroutine: leave the
+// polling queue, run the user callback, then release the put's work
 // credit. The callback may Put, Ready, or enqueue entry methods; any
 // credits those take are live before this one is returned, so quiescence
-// cannot slip past the chain.
+// cannot slip past the chain. The scheduler hears of the callback first
+// (Busy): a PE inside one is not idle-polling, and must not keep its
+// rank's ring readers asleep for however long the callback runs.
 //
 // A put the sender deposited straight into an arena-resident buffer
 // (net backend over shm) arrived with no frame and so with no credit and
 // no receipt: both are taken here, by PutLanded, before the callback.
 // Every other deposit into such a buffer marked it credited first.
-func (m *Manager) realDetect(h *Handle) {
+func (m *Manager) realDetect(pe int, h *Handle) {
 	if h.arena && !h.credited.Swap(false) {
 		m.net.PutLanded()
 	}
+	m.rt.Busy(pe)
 	m.pollRemove(h)
 	h.pollMisses = 0
 	h.state = Fired

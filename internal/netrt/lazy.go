@@ -195,7 +195,7 @@ func (n *Node) lazyDialFailed(rank int, epoch int64, err error) {
 		n.mu.Unlock()
 		return
 	}
-	rt := n.attached
+	rt := n.attached.Load()
 	if n.deadErr == nil {
 		n.deadErr = ne
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/realrt"
 	"repro/internal/rng"
 )
 
@@ -103,15 +104,18 @@ type Node struct {
 	// published as a fresh snapshot into live. Everything that runs
 	// concurrently with a possible Rejoin (senders, teardown, the Bye
 	// cascade) must read the published snapshot via peerTable, never
-	// this field.
+	// this field. rings is the published table's shm links, which the
+	// PEs watch (watchRings); it is emptied while a Rejoin or Close
+	// retires them.
 	peers    []*peerConn // by rank; nil at our own slot and unopened edges
 	live     atomic.Pointer[[]*peerConn]
+	rings    atomic.Pointer[[]*shmLink]
 	ln       net.Listener
 	children []*spawnedWorker
 	cfg      Config // as resolved by Start; Rejoin re-reads Coord and Recover
 
 	mu           sync.Mutex
-	attached     *Runtime
+	attached     atomic.Pointer[Runtime] // stored under mu; kickPEs and pollState load it without
 	buffered     []bufFrame
 	nextGen      int64
 	completedGen int64 // highest run generation whose Run() returned
@@ -276,6 +280,7 @@ func start(cfg Config, oneProcess bool) (*Node, error) {
 	n := &Node{rank: cfg.Rank, world: world, completedGen: -1, haltedThrough: -1,
 		cfg: cfg, oneProcess: oneProcess, dead: make(map[int]bool),
 		termFanout: cfg.TermFanout, termAggs: make(map[termKey]*probeAgg)}
+	n.rings.Store(new([]*shmLink))
 	if n.rank < 0 {
 		n.rank = 0 // self-spawn: this process becomes rank 0
 	}
@@ -350,6 +355,16 @@ func validateConfig(cfg Config, world int) error {
 // lock-free readers.
 func (n *Node) publishPeers() {
 	t := append([]*peerConn(nil), n.peers...)
+	var links []*shmLink
+	for _, p := range t {
+		if p == nil {
+			continue
+		}
+		if l := p.shm.Load(); l != nil {
+			links = append(links, l)
+		}
+	}
+	n.rings.Store(&links)
 	n.live.Store(&t)
 }
 
@@ -681,8 +696,8 @@ func (n *Node) dispatch(p *peerConn, f Frame) bool {
 func (n *Node) current(gen int64) *Runtime {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.attached != nil && n.attached.gen == gen {
-		return n.attached
+	if rt := n.attached.Load(); rt != nil && rt.gen == gen {
+		return rt
 	}
 	return nil
 }
@@ -694,10 +709,11 @@ func (n *Node) current(gen int64) *Runtime {
 func (n *Node) runFor(p *peerConn, gen int64) *Runtime {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if p.epoch != n.epoch.Load() || n.attached == nil || n.attached.gen != gen {
+	rt := n.attached.Load()
+	if p.epoch != n.epoch.Load() || rt == nil || rt.gen != gen {
 		return nil
 	}
-	return n.attached
+	return rt
 }
 
 // haltFor is runFor for a halt: a halt for a generation this rank has
@@ -705,11 +721,12 @@ func (n *Node) runFor(p *peerConn, gen int64) *Runtime {
 func (n *Node) haltFor(p *peerConn, gen int64) *Runtime {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	rt := n.attached.Load()
 	switch {
 	case p.epoch != n.epoch.Load():
 		return nil
-	case n.attached != nil && n.attached.gen == gen:
-		return n.attached
+	case rt != nil && rt.gen == gen:
+		return rt
 	case gen > n.completedGen && gen > n.haltedThrough:
 		n.haltedThrough = gen
 	}
@@ -722,7 +739,7 @@ func (n *Node) haltFor(p *peerConn, gen int64) *Runtime {
 // payload was handed to a consumer that will Put it back.
 func (n *Node) dispatchApp(p *peerConn, f Frame) bool {
 	n.mu.Lock()
-	rt := n.attached
+	rt := n.attached.Load()
 	if rt == nil || f.Run > rt.gen {
 		// Buffered frames outlive dispatch, but the reader's payload
 		// buffer goes back to the pool the moment dispatch returns —
@@ -756,7 +773,7 @@ func (n *Node) dispatchApp(p *peerConn, f Frame) bool {
 // number of payload bytes, so no resynchronization is possible).
 func (n *Node) streamPut(p *peerConn, br *bufio.Reader, m frameMeta) (bool, error) {
 	n.mu.Lock()
-	rt := n.attached
+	rt := n.attached.Load()
 	var sink func(id int64, size int, r io.Reader) error
 	// The epoch check matters here more than anywhere: generations reset
 	// to zero on Rejoin, so without it a stale connection's late FPut
@@ -790,7 +807,7 @@ func (n *Node) peerDown(p *peerConn, op string, err error) {
 		return
 	}
 	closing := n.closing
-	rt := n.attached
+	rt := n.attached.Load()
 	if n.deadErr == nil {
 		n.deadErr = ne
 	}
@@ -833,7 +850,7 @@ func (n *Node) onBye(p *peerConn, f Frame) {
 	if first {
 		n.deadErr = ne
 	}
-	rt := n.attached
+	rt := n.attached.Load()
 	n.mu.Unlock()
 	if rt != nil {
 		rt.abort(ne)
@@ -868,7 +885,7 @@ func (n *Node) tellOpen(f *Frame, except ...int) {
 // lock that recorded it, instead of leaving it to hang in termination.
 func (n *Node) attach(rt *Runtime) {
 	n.mu.Lock()
-	n.attached = rt
+	n.attached.Store(rt)
 	dead := n.deadErr
 	exited := rt.gen <= n.haltedThrough
 	var flush []bufFrame
@@ -897,24 +914,68 @@ func (n *Node) attach(rt *Runtime) {
 }
 
 // kickPEs wakes any parked PE of the attached run. A shm ring reader
-// calls it when a direct put moved putSeq: the put names no PE, and a
-// kick costs a PE that is not parked one atomic load.
+// calls it when a direct put moved putSeq, and so does a polling PE whose
+// reader sleeps: the put names no PE, and a kick costs a PE that is not
+// parked one atomic load.
 func (n *Node) kickPEs() {
-	n.mu.Lock()
-	rt := n.attached
-	n.mu.Unlock()
-	if rt != nil {
+	if rt := n.attached.Load(); rt != nil {
 		for pe := 0; pe < rt.hi-rt.lo; pe++ {
 			rt.rt.Kick(pe)
 		}
 	}
 }
 
+// pollState reads the PE states of the attached run (ringWatch).
+func (n *Node) pollState() (realrt.PollState, bool) {
+	if rt := n.attached.Load(); rt != nil {
+		return rt.rt.PollState(), true
+	}
+	return realrt.PollState{}, false
+}
+
+// watchRings is a polling PE's idle pass over this rank's inbound rings:
+// a reader that sleeps is poked once its ring holds bytes past the head
+// it slept at — one load of the ring's tail. A PE that shares its rank
+// with others (kick) also kicks them for direct puts (handlePuts), which
+// a sleeping reader no longer does; a PE alone on its rank finds its
+// puts itself and skips that load.
+func (n *Node) watchRings(kick bool) {
+	for _, l := range *n.rings.Load() {
+		if at := l.watch.sleepAt.Load(); at != 0 && l.in.tail.load() != at-1 {
+			l.watch.poke()
+		}
+		if kick {
+			n.handlePuts(l)
+		}
+	}
+}
+
+// wakeRingReaders hands every ring back to its reader: no PE of the rank
+// polls any more, and one is parked or exited. It runs on the PE that
+// made it so, before that PE's last full poll (a park's re-check), so a
+// put it marks handled here is found by that poll or kicked for here.
+func (n *Node) wakeRingReaders() {
+	for _, l := range *n.rings.Load() {
+		n.handlePuts(l)
+		l.watch.poke()
+	}
+}
+
+// handlePuts marks the direct puts that moved l's putSeq as handled and
+// kicks the rank's parked PEs for them.
+func (n *Node) handlePuts(l *shmLink) {
+	h := &l.in.putsHandled
+	if s := l.in.putSeq.load(); s != h.Load() {
+		h.Store(s)
+		n.kickPEs()
+	}
+}
+
 // detach clears the attach point once a run's Run() returns.
 func (n *Node) detach(rt *Runtime) {
 	n.mu.Lock()
-	if n.attached == rt {
-		n.attached = nil
+	if n.attached.Load() == rt {
+		n.attached.Store(nil)
 	}
 	if rt.gen > n.completedGen {
 		n.completedGen = rt.gen
@@ -962,7 +1023,7 @@ func (n *Node) onLeave(p *peerConn, f Frame) {
 	if n.deadErr == nil {
 		n.deadErr = ne
 	}
-	rt := n.attached
+	rt := n.attached.Load()
 	n.mu.Unlock()
 	if rt != nil && rt.gen > f.A {
 		rt.abort(ne)
@@ -1115,6 +1176,7 @@ func (n *Node) Close() error {
 	// senders can no longer enter a link: unmap the shared segments and
 	// retire the fd server. A segment whose peer still maps it stays
 	// alive on the peer's side — munmap only drops this process's view.
+	n.rings.Store(new([]*shmLink))
 	teardownShmLinks(n.peerTable())
 	n.shmMu.Lock()
 	n.shmSrv.close()

@@ -130,7 +130,7 @@ func (p *peerConn) start() {
 // stay on TCP beside the EOF that is the instant death signal.
 //
 // A frame sent through the kernel is read late exactly when it matters:
-// while PEs and ring readers spin, no P runs dry, and Go reaches the
+// while PEs spin, no P runs dry, and Go reaches the
 // netpoller only from a P with nothing to run (sysmon's 10 ms poll
 // aside). A TCP probe sat for 0.5–2 ms of a 2 ms job, a put-buffer
 // registration (FShmReg) arrived after hundreds of a stencil's puts, and
@@ -295,7 +295,7 @@ func (p *peerConn) reader() {
 // edge exactly as a corrupt TCP stream would.
 func (p *peerConn) ringReader(l *shmLink) {
 	defer l.markReaderDone()
-	br := bufio.NewReaderSize(&shmRingReader{ring: l.in, down: p.down, onPut: p.node.kickPEs}, ioBufBytes)
+	br := bufio.NewReaderSize(&shmRingReader{ring: l.in, down: p.down, onPut: p.node.kickPEs, watch: &l.watch}, ioBufBytes)
 	err := p.readLoop(br)
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return

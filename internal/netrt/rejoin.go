@@ -118,6 +118,7 @@ func (n *Node) Rejoin() error {
 	// teardown waits for each ring reader to drain out, which needs the
 	// down latches just closed above to propagate. The new mesh maps
 	// fresh segments; nothing here is reused.
+	n.rings.Store(new([]*shmLink))
 	go teardownShmLinks(oldPeers)
 
 	var err error
@@ -215,7 +216,7 @@ func (n *Node) Die() {
 	if n.deadErr == nil {
 		n.deadErr = ne
 	}
-	rt := n.attached
+	rt := n.attached.Load()
 	n.mu.Unlock()
 	if rt != nil {
 		rt.abort(ne)

@@ -117,6 +117,8 @@ func (n *Node) NewRuntime(npes int) (*Runtime, error) {
 		// on it alone is waiting on the world, not deadlocked.
 		rt.rt.Hold()
 		rt.rt.SetIdleHook(rt.idleEdge)
+		kick := hi-lo > 1
+		rt.rt.SetPollerHooks(func() { n.watchRings(kick) }, n.wakeRingReaders)
 	}
 	if dead != nil {
 		rt.abort(dead)
@@ -198,6 +200,10 @@ func (rt *Runtime) SetPoll(fn func(pe int, full bool) bool) {
 	lo := rt.lo
 	rt.rt.SetPoll(func(lpe int, full bool) bool { return fn(lo+lpe, full) })
 }
+
+// Busy tells the local scheduler that a hosted global PE's poll pass is
+// about to run an arrival's callback (realrt's Busy).
+func (rt *Runtime) Busy(pe int) { rt.rt.Busy(rt.localOf(pe)) }
 
 // Enqueue schedules work on a locally hosted global PE.
 func (rt *Runtime) Enqueue(pe int, fn func()) { rt.rt.Enqueue(rt.localOf(pe), fn) }

@@ -86,6 +86,10 @@ type shmLink struct {
 	// cannot touch the mapping either.
 	readerDone chan struct{}
 	readerOnce sync.Once
+
+	// watch hands the inbound ring between its reader and the rank's
+	// idle-polling PEs (ringWatch).
+	watch ringWatch
 }
 
 // enter registers a producer touch of the mapping; false means the link
@@ -131,6 +135,7 @@ func newShmLink(seg []byte, ringBytes, arenaBytes int, lower bool) (*shmLink, er
 	loArena := seg[2*ringLen : 2*ringLen+arenaBytes]
 	hiArena := seg[2*ringLen+arenaBytes : 2*ringLen+2*arenaBytes]
 	l := &shmLink{seg: seg, readerDone: make(chan struct{})}
+	l.watch.wake = make(chan struct{}, 1)
 	l.drained = sync.NewCond(&l.mu)
 	if lower {
 		l.out, l.in = loHi, hiLo
@@ -231,6 +236,7 @@ func (l *shmLink) teardown() {
 	// EOF to close their down latch.
 	l.out.close()
 	l.in.close()
+	l.watch.poke()
 	seg := l.seg
 	l.seg, l.outArena, l.inArena = nil, nil, nil
 	l.mu.Unlock()
@@ -487,10 +493,11 @@ func (n *Node) shmAccept(p *peerConn) error {
 }
 
 // adoptShmLink wires a handshaken link to this node — the coalescing
-// counter, and the yield budget of both ring waiters — and installs it on
-// the edge.
+// counter, the yield budget of both ring waiters, and the reader's watch
+// by this rank's polling PEs — and installs it on the edge.
 func (n *Node) adoptShmLink(p *peerConn, l *shmLink) {
 	l.coalesced = &n.shmCoalesced
+	l.watch.pes = n.pollState
 	procs := n.world
 	if n.oneProcess {
 		procs = 1

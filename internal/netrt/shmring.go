@@ -5,7 +5,10 @@ import (
 	"io"
 	"runtime"
 	"sync/atomic"
+	"time"
 	"unsafe"
+
+	"repro/internal/realrt"
 )
 
 // The shared-memory ring is an SPSC byte stream laid out inside a
@@ -50,6 +53,28 @@ import (
 // counts putSeq as readiness and kicks the local PEs when it moves, so a
 // receiver PE parked past its spin budget wakes into a full poll. A PE
 // that is still spinning finds the sentinel itself.
+//
+// Who watches an inbound ring, and when (ringWatch):
+//   - While a PE of the rank polls — it found no task and no arrival —
+//     that PE watches: each idle pass reads the ring's tail and pokes the
+//     reader, asleep on a Go channel, only when bytes wait past the head
+//     it slept at. A direct put is found by the polling PE alone, as the
+//     paper's scheduler finds it: the reader does not wake for it.
+//   - While every PE of the rank is at work (a task, a put callback) and
+//     none is parked, the reader sleeps on: the PEs poll again soon. Work
+//     that outlasts a whole bounded wait (ringFutexWaitNS) with no PE
+//     polling hands the ring back to the reader, so a busy rank still
+//     reads its probes, job frames and registrations.
+//   - Once no PE polls and one is parked or gone, the PE that made it so
+//     hands the ring back (Node.wakeRingReaders) and the reader waits in
+//     await's own loop, yielding for a budget and then arming the futex,
+//     exactly as it did before PEs watched: a parked PE hears of its puts
+//     only through the reader.
+//
+// On the 2-vCPU reference host, with the two readers and the two PEs of
+// pp-shm-1k on two Ps, the first case took ckd p50 from 4.1 to 1.8 µs
+// and msg p50 from 11.5 to 12.9 µs, the price of a poke per frame
+// (DESIGN.md §12 has the other workloads).
 //
 // How long a waiter yields before it arms depends on whether the host has
 // cores to yield on (ringYields). Where it has one for every ring reader
@@ -111,6 +136,19 @@ type shmRing struct {
 	// yields is how many times a waiter yields before it arms its word:
 	// ringArmYields unless the owning node found the cores (ringYields).
 	yields int
+
+	// yielded counts the yields await has made on this ring end, a
+	// reader's or a producer's (the tests read it).
+	yielded atomic.Int64
+
+	// putsHandled is the putSeq up to which every direct put has been
+	// found by a PE or kicked for: the ring's reader kicks only past it.
+	// A PE that parks or exits with none left polling moves it to the
+	// putSeq it read before its last full poll (Node.handlePuts), so the
+	// reader it hands the ring to does not wake it for puts that poll
+	// found. A value stored late (older than one already there) costs a
+	// spare kick, never a lost one. Process-local, like yields.
+	putsHandled atomic.Uint64
 }
 
 // atomicU64Ptr is an atomic word living inside the mapped segment (not
@@ -193,7 +231,7 @@ func (r *shmRing) close() {
 // visible between a failed ready() and the look at down. The serve
 // shutdown announce is such a frame — lost, it leaves a follower waiting
 // for ever.
-func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struct{}) bool {
+func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struct{}, w *ringWatch) bool {
 	spins, waitNS := 0, int64(ringFutexWaitNS)
 	for {
 		if ready() {
@@ -207,11 +245,17 @@ func (r *shmRing) await(word *atomicU32Ptr, ready func() bool, down <-chan struc
 			return ready()
 		default:
 		}
+		if w.watched() {
+			w.sleep(r, ready, down)
+			spins, waitNS = 0, ringFutexWaitNS
+			continue
+		}
 		if spins < r.yields {
 			// Every iteration yields: on a host with fewer cores than
 			// goroutines a raw spin would starve the very goroutine that
 			// will produce (or consume) the bytes being waited for.
 			spins++
+			r.yielded.Add(1)
 			runtime.Gosched()
 			continue
 		}
@@ -238,7 +282,7 @@ func (r *shmRing) write(b []byte, down <-chan struct{}) bool {
 		tail := r.tail.load()
 		space := uint64(len(r.data)) - (tail - r.head.load())
 		if space == 0 {
-			if !r.await(r.spaceWait, func() bool { return tail-r.head.load() < uint64(len(r.data)) }, down) {
+			if !r.await(r.spaceWait, func() bool { return tail-r.head.load() < uint64(len(r.data)) }, down, nil) {
 				return false
 			}
 			continue
@@ -285,20 +329,24 @@ func (r *shmRing) wakeReader() {
 // every byte the peer published before its goodbye is still read.
 //
 // Every Read, and every readiness test while it waits, also looks at the
-// ring's putSeq: when it moved, a direct put landed in the arena and
-// onPut (when set) kicks the receiving PEs.
+// ring's putSeq: when it moved past the puts already handled, a direct put
+// landed in the arena and onPut (when set) kicks the receiving PEs.
+//
+// watch, when set, is the link's ringWatch: while the rank's PEs watch the
+// ring, the reader waits on its channel instead of in await's own loop.
 type shmRingReader struct {
-	ring    *shmRing
-	down    <-chan struct{}
-	onPut   func()
-	putSeen uint64
+	ring  *shmRing
+	down  <-chan struct{}
+	onPut func()
+	watch *ringWatch
 }
 
 func (rr *shmRingReader) Read(p []byte) (int, error) {
 	r := rr.ring
+	handled := &r.putsHandled
 	for {
-		if s := r.putSeq.load(); s != rr.putSeen {
-			rr.putSeen = s
+		if s := r.putSeq.load(); s != handled.Load() {
+			handled.Store(s)
 			if rr.onPut != nil {
 				rr.onPut()
 			}
@@ -306,8 +354,7 @@ func (rr *shmRingReader) Read(p []byte) (int, error) {
 		head := r.head.load()
 		avail := r.tail.load() - head
 		if avail == 0 {
-			seen := rr.putSeen
-			if !r.await(r.dataWait, func() bool { return r.tail.load() != head || r.putSeq.load() != seen }, rr.down) {
+			if !r.await(r.dataWait, func() bool { return r.tail.load() != head || r.putSeq.load() != handled.Load() }, rr.down, rr.watch) {
 				return 0, io.EOF
 			}
 			continue
@@ -327,5 +374,114 @@ func (rr *shmRingReader) Read(p []byte) (int, error) {
 			futexWake(&r.spaceWait.v)
 		}
 		return n, nil
+	}
+}
+
+// ringWatch hands the watch of one inbound ring between its reader and
+// the rank's PEs. While some PE polls — or every PE is at work and none
+// is parked — the reader sleeps on wake instead of yielding beside them:
+// a polling PE's idle pass (Node.watchRings) pokes it once the ring holds
+// bytes past the head it slept at, and a PE at work comes back to poll
+// soon. When no PE polls while one is parked or gone, the PE that made it
+// so pokes every reader (Node.wakeRingReaders) back into await's own
+// spin-then-futex loop: a parked PE hears of a direct put only through
+// its reader. Work that outlasts a whole bounded wait (ringFutexWaitNS)
+// with no PE polling hands the ring back too (takeover), so a rank busy
+// in a long task or put callback still reads its probes and frames.
+//
+// sleepAt is the handshake word: head+1 while the reader sleeps (or is
+// about to), 0 otherwise. The reader publishes it and then re-checks
+// readiness and the PE states; a poller reads the ring tail after
+// sleepAt, and a vacating PE updates the PE states before it reads
+// sleepAt. All are sequentially consistent, so one side always sees the
+// other. Whoever swaps sleepAt back to 0 owns the wake, so the channel
+// holds at most one token, and a reader whose own swap is beaten takes
+// that token.
+type ringWatch struct {
+	sleepAt atomic.Uint64
+	wake    chan struct{} // capacity 1
+
+	// pes reads the PE states of the attached run; false when no run is
+	// attached. nil: nobody watches (a bare ring in a test).
+	pes func() (realrt.PollState, bool)
+
+	// Reader-owned: the bounded-wait timer, and whether the reader took
+	// the ring back from PEs that stayed at work (it then sleeps again
+	// only once a PE polls). The timer is re-armed only when it fires, so
+	// a sleep costs no timer operation; an expiry that lands while the
+	// reader is awake is read at its next sleep, as a look at the PEs
+	// that only starts the takeover count.
+	timer    *time.Timer
+	takeover bool
+}
+
+// watched reports whether the rank's PEs watch the ring for the reader.
+// A nil watch (a producer's wait) never does.
+func (w *ringWatch) watched() bool {
+	if w == nil || w.pes == nil {
+		return false
+	}
+	s, ok := w.pes()
+	return ok && (s.Polling > 0 || s.Parked == 0 && !w.takeover)
+}
+
+// sleep waits on the channel until a PE pokes the reader, the link goes
+// down, or the rank's PEs stay at work for a whole bounded wait with
+// none polling (takeover). It returns at once if ready() already holds,
+// the ring closed, or the PEs no longer watch the ring.
+func (w *ringWatch) sleep(r *shmRing, ready func() bool, down <-chan struct{}) {
+	at := r.head.load() + 1
+	w.sleepAt.Store(at)
+	if ready() || r.closed.load() != 0 || !w.watched() {
+		w.unsleep(at)
+		return
+	}
+	w.takeover = false
+	if w.timer == nil {
+		w.timer = time.NewTimer(ringFutexWaitNS)
+	}
+	var busy uint32
+	atWork := false
+	for {
+		select {
+		case <-w.wake:
+			return
+		case <-down:
+			w.unsleep(at)
+			return
+		case <-w.timer.C:
+			w.timer.Reset(ringFutexWaitNS)
+		}
+		s, ok := w.pes()
+		switch {
+		case !ok || r.closed.load() != 0:
+			w.unsleep(at)
+			return
+		case s.Polling > 0:
+			atWork = false
+		case atWork && s.Leaves == busy:
+			// No PE has polled since the last expiry, a whole wait ago,
+			// and none polls now: they have been at work all along.
+			w.takeover = true
+			w.unsleep(at)
+			return
+		default:
+			busy, atWork = s.Leaves, true
+		}
+	}
+}
+
+// unsleep takes the reader's own sleep back; if a poker got there first,
+// its token is on the way and is taken here.
+func (w *ringWatch) unsleep(at uint64) {
+	if !w.sleepAt.CompareAndSwap(at, 0) {
+		<-w.wake
+	}
+}
+
+// poke wakes the reader if it sleeps.
+func (w *ringWatch) poke() {
+	if at := w.sleepAt.Load(); at != 0 && w.sleepAt.CompareAndSwap(at, 0) {
+		w.wake <- struct{}{}
 	}
 }

@@ -134,6 +134,10 @@ func (q *mpscQueue) empty() bool {
 type notifier struct {
 	parked atomic.Int32
 	ch     chan struct{}
+
+	// polling says the worker counts in Runtime.pollers. Only the
+	// worker's own goroutine touches it.
+	polling bool
 }
 
 func newNotifier() *notifier {

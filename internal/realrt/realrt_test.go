@@ -247,3 +247,56 @@ func TestNowMonotonic(t *testing.T) {
 		t.Fatalf("non-positive end time %v", end)
 	}
 }
+
+// TestShmReaderPollState pins the PE states the distributed backend's shm
+// ring readers wait on (PollState, SetPollerHooks), on one PE: a PE that
+// finds nothing to do polls and runs the idle-pass hook each pass; a task
+// or a put callback (Busy) ends its polling stretch without the vacate
+// hook, because a PE at work comes back; a park counts it parked and runs
+// vacate, and so does its exit.
+func TestShmReaderPollState(t *testing.T) {
+	rt := New(1)
+	var passes int
+	var vacated []PollState
+	rt.SetPollerHooks(func() { passes++ }, func() { vacated = append(vacated, rt.PollState()) })
+	var inTask, inCallback, inTimer PollState
+	armed := false
+	rt.SetPoll(func(pe int, full bool) bool {
+		if !armed || passes == 0 {
+			return false
+		}
+		armed = false
+		rt.Busy(pe)
+		inCallback = rt.PollState()
+		// Long enough to run out the spins and park.
+		rt.After(0, sim.FromDuration(30*time.Millisecond), func() { inTimer = rt.PollState() })
+		rt.PutDetected()
+		return true
+	})
+	rt.Enqueue(0, func() {
+		inTask = rt.PollState()
+		rt.PutIssued()
+		armed = true
+	})
+	rt.Run()
+	for _, c := range []struct {
+		at        string
+		got, want PollState
+	}{
+		{"a task", inTask, PollState{}},
+		{"a put callback", inCallback, PollState{Leaves: 1}},
+		{"the timer's task", inTimer, PollState{Leaves: 2}},
+	} {
+		if c.got != c.want {
+			t.Errorf("in %s: %+v, want %+v", c.at, c.got, c.want)
+		}
+	}
+	// The park ends the second polling stretch; the exit ends none.
+	want := []PollState{{Parked: 1, Leaves: 2}, {Parked: 1, Leaves: 2}}
+	if fmt.Sprint(vacated) != fmt.Sprint(want) {
+		t.Errorf("vacate saw %+v, want %+v (the park, then the exit)", vacated, want)
+	}
+	if passes < spinIters {
+		t.Errorf("%d idle passes before the park, want at least %d", passes, spinIters)
+	}
+}

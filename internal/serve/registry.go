@@ -155,6 +155,20 @@ func Execute(env Env, s Spec) (out Outcome, raw []error) {
 	return out, raw
 }
 
+// cellsWithin reports whether every dimension is positive and their
+// product is at most limit. It divides instead of multiplying: a product
+// of client-chosen edges can wrap past the ceiling to a small number.
+func cellsWithin(limit int, dims ...int) bool {
+	n := 1
+	for _, d := range dims {
+		if d <= 0 || d > limit/n {
+			return false
+		}
+		n *= d
+	}
+	return true
+}
+
 func errStrings(errs []error) []string {
 	if len(errs) == 0 {
 		return nil
@@ -241,7 +255,7 @@ func normalizeStencil(env Env, s *Spec) error {
 	if s.NX == 0 && s.NY == 0 && s.NZ == 0 {
 		s.NX, s.NY, s.NZ = 16, 16, 8
 	}
-	if s.NX <= 0 || s.NY <= 0 || s.NZ <= 0 || s.NX*s.NY*s.NZ > maxCells {
+	if !cellsWithin(maxCells, s.NX, s.NY, s.NZ) {
 		return fmt.Errorf("stencil domain %dx%dx%d out of range (max %d cells)", s.NX, s.NY, s.NZ, maxCells)
 	}
 	if s.Virtualization == 0 {
@@ -363,7 +377,7 @@ func normalizeFem(env Env, s *Spec) error {
 	if s.NX == 0 && s.NY == 0 {
 		s.NX, s.NY = 16, 16
 	}
-	if s.NX <= 0 || s.NY <= 0 || s.NZ != 0 || s.NX*s.NY > maxCells {
+	if s.NZ != 0 || !cellsWithin(maxCells, s.NX, s.NY) {
 		return fmt.Errorf("fem quad grid %dx%d out of range (2-D; max %d quads)", s.NX, s.NY, maxCells)
 	}
 	if s.Virtualization == 0 {
