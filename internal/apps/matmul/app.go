@@ -203,7 +203,7 @@ func (a *app) cStripBytes() int { return a.stripRows * a.colsC * 8 }
 func (a *app) buildChannels() {
 	mach := a.rts.Machine()
 	gx, gy, gz := a.grid[0], a.grid[1], a.grid[2]
-	virtual := !a.cfg.Validate && a.cfg.Backend != charm.RealBackend
+	virtual := !a.cfg.Validate && a.cfg.Backend == charm.SimBackend
 
 	region := func(pe int, backing []byte, size int) *machine.Region {
 		if virtual {

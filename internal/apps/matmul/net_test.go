@@ -84,4 +84,15 @@ func TestNetBackendMatchesSim(t *testing.T) {
 			t.Errorf("%v: ranks covered %d of %d elements", mode, covered, len(simRes.C))
 		}
 	}
+
+	// Unvalidated ckd still moves real bytes on a live backend: the
+	// channels must be built on real buffers, not virtual regions.
+	cfg := netOracleConfig(Ckd)
+	cfg.Validate = false
+	cfg.Backend = charm.NetBackend
+	for rank, res := range runNetWorld(t, nodes, cfg) {
+		if len(res.Errors) > 0 {
+			t.Fatalf("unvalidated ckd rank %d: %v", rank, res.Errors)
+		}
+	}
 }

@@ -187,10 +187,8 @@ func (a *Array) Send(srcPE int, idx Index, ep EP, msg *Message) {
 		panic(err)
 	}
 	h := a.eps[ep]
-	if a.rts.rec != nil {
-		a.rts.rec.Incr("charm.msgs", 1)
-		a.rts.rec.Incr("charm.bytes", int64(msg.Size))
-	}
+	a.rts.ctr.msgs.Add(srcPE, 1)
+	a.rts.ctr.bytes.Add(srcPE, int64(msg.Size))
 	if a.rts.sendObserver != nil {
 		a.rts.sendObserver(srcPE, el.pe, a.name, ep, msg.Size)
 	}

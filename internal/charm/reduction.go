@@ -358,9 +358,7 @@ func (r *reducer) maybeForward(rank, gen int, e *redEntry) {
 			}
 			r.client(&Ctx{rts: r.rts, pe: pe}, vals)
 		})
-		if r.rts.rec != nil {
-			r.rts.rec.Incr("charm.reductions", 1)
-		}
+		r.rts.ctr.reductions.Add(pe, 1)
 		return
 	}
 	parent := r.participants[binomialParent(rank)]

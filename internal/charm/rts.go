@@ -31,6 +31,10 @@ type RTS struct {
 	real  *realrt.Runtime
 	netrt *netrt.Runtime
 
+	// ctr holds the recorder's handles for the per-message and
+	// per-reduction counters, one slot per hosted PE (see Counter).
+	ctr struct{ msgs, bytes, reductions, forwards trace.Counter }
+
 	pes       []*peSched
 	peEPs     []Handler
 	arrays    []*Array
@@ -172,7 +176,26 @@ func NewRTS(eng *sim.Engine, mach *machine.Machine, net *netmodel.Net, plat *net
 	default:
 		panic(fmt.Sprintf("charm: unknown backend %v", opts.Backend))
 	}
+	rts.ctr.msgs = rts.Counter("charm.msgs")
+	rts.ctr.bytes = rts.Counter("charm.bytes")
+	rts.ctr.reductions = rts.Counter("charm.reductions")
+	rts.ctr.forwards = rts.Counter(trace.CntLBForwards)
 	return rts
+}
+
+// Counter returns a handle on the named counter of the recorder with one
+// slot per PE this process runs concurrently: every PE under real, the
+// hosted block under net, and a single slot under the single-threaded
+// simulator. Runtime extensions cache it for their per-operation sites
+// and pass the acting PE to Add.
+func (rts *RTS) Counter(name string) trace.Counter {
+	switch {
+	case rts.real != nil:
+		return rts.rec.Counter(name, 0, rts.mach.NumPEs())
+	case rts.netrt != nil:
+		return rts.rec.Counter(name, rts.netrt.Lo(), rts.netrt.Hi()-rts.netrt.Lo())
+	}
+	return rts.rec.Counter(name, 0, 1)
 }
 
 // Engine returns the simulation engine.
@@ -307,10 +330,8 @@ func (rts *RTS) SendPE(srcPE, dstPE int, ep EP, msg *Message) {
 	if int(ep) < 0 || int(ep) >= len(rts.peEPs) {
 		panic(fmt.Sprintf("charm: SendPE to unregistered EP %d", ep))
 	}
-	if rts.rec != nil {
-		rts.rec.Incr("charm.msgs", 1)
-		rts.rec.Incr("charm.bytes", int64(msg.Size))
-	}
+	rts.ctr.msgs.Add(srcPE, 1)
+	rts.ctr.bytes.Add(srcPE, int64(msg.Size))
 	if !rts.HostsPE(dstPE) {
 		rts.netrt.SendMsg(&netrt.Env{
 			Kind: netrt.EnvPE, Array: -1, EP: int(ep),
@@ -443,9 +464,7 @@ func (rts *RTS) deliverWire(env netrt.Env, pooled []byte) {
 			}
 			bufpool.Put(pooled)
 			rts.netrt.SendMsg(fwd)
-			if rts.rec != nil {
-				rts.rec.Incr(trace.CntLBForwards, 1)
-			}
+			rts.ctr.forwards.Add(env.DstPE, 1)
 			return
 		}
 		d := getDelivery()

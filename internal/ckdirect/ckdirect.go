@@ -36,6 +36,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Setup-time CPU costs (registration with the NIC / DCMF request-state
@@ -227,6 +228,12 @@ type Manager struct {
 	// get-model state (see get.go).
 	getHandles  []*GetHandle
 	getSignalEP charm.EP
+
+	// ctr holds the recorder's handles for the per-put, per-get and
+	// channel-kind counters (charm.RTS.Counter).
+	ctr struct {
+		puts, bytes, strided, multicasts, gets, getSignals trace.Counter
+	}
 }
 
 // NewManager attaches CkDirect to a runtime. On platforms with a polling
@@ -237,6 +244,12 @@ func NewManager(rts *charm.RTS) *Manager {
 		polled:      make([]pollSet, rts.Machine().NumPEs()),
 		getSignalEP: -1,
 	}
+	m.ctr.puts = rts.Counter("ckd.puts")
+	m.ctr.bytes = rts.Counter("ckd.bytes")
+	m.ctr.strided = rts.Counter("ckd.strided_puts")
+	m.ctr.multicasts = rts.Counter("ckd.multicasts")
+	m.ctr.gets = rts.Counter("ckd.gets")
+	m.ctr.getSignals = rts.Counter("ckd.get_signals")
 	if rt := rts.Real(); rt != nil {
 		// Real backend: the scheduler loops poll for arrivals directly —
 		// no modelled tax, the scan costs what it costs.

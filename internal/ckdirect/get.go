@@ -106,9 +106,7 @@ func (m *Manager) CreateGetHandle(localPE int, dst *machine.Region, remotePE int
 func (m *Manager) SignalReady(h *GetHandle) {
 	ep := m.readySignalEP()
 	m.rts.SendPE(h.remotePE, h.localPE, ep, &charm.Message{Size: 16, Tag: h.id})
-	if rec := m.rts.Recorder(); rec != nil {
-		rec.Incr("ckd.get_signals", 1)
-	}
+	m.ctr.getSignals.Add(h.remotePE, 1)
 }
 
 // Get issues the one-sided read. If the producer has not yet signalled
@@ -134,9 +132,7 @@ func (m *Manager) issueGet(h *GetHandle) {
 	size := h.dstBuf.Size()
 	plat := m.rts.Platform()
 	cost := plat.CkdPut.Resolve(size)
-	if rec := m.rts.Recorder(); rec != nil {
-		rec.Incr("ckd.gets", 1)
-	}
+	m.ctr.gets.Add(h.localPE, 1)
 	// Request leg: fixed wire latency only (an RDMA read request is a
 	// header-sized packet; reuse the put path's fixed wire term).
 	reqWire := plat.CkdPut.Resolve(0).Wire

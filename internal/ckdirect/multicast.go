@@ -63,9 +63,7 @@ func (m *Manager) CreateMulticast(sendPE int, src *machine.Region, oob uint64, r
 		}
 		mh.members = append(mh.members, h)
 	}
-	if rec := m.rts.Recorder(); rec != nil {
-		rec.Incr("ckd.multicasts", 1)
-	}
+	m.ctr.multicasts.Add(sendPE, 1)
 	return mh, nil
 }
 

@@ -38,10 +38,8 @@ func (m *Manager) PutNotify(h *Handle, onLocalDone func()) error {
 			}
 		}
 	}
-	if rec := m.rts.Recorder(); rec != nil {
-		rec.Incr("ckd.puts", 1)
-		rec.Incr("ckd.bytes", int64(h.sendBuf.Size()))
-	}
+	m.ctr.puts.Add(h.sendPE, 1)
+	m.ctr.bytes.Add(h.sendPE, int64(h.sendBuf.Size()))
 	if m.rt != nil {
 		m.realPut(h, onLocalDone)
 		return nil

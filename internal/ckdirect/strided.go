@@ -113,9 +113,7 @@ func (m *Manager) PutStrided(h *StridedHandle) error {
 	}
 	// Descriptor-build cost on the sender, then the ordinary put path.
 	m.rts.ChargeOn(h.sendPE, sim.Microseconds(descriptorCostUS*float64(h.layout.Count)))
-	if rec := m.rts.Recorder(); rec != nil {
-		rec.Incr("ckd.strided_puts", 1)
-	}
+	m.ctr.strided.Add(h.sendPE, 1)
 	return m.Put(h.Handle)
 }
 

@@ -105,16 +105,26 @@ const (
 )
 
 // Recorder accumulates named statistics. The zero value is not usable;
-// call NewRecorder. A mutex makes it safe for concurrent use: under the
-// real-execution backend every PE goroutine records into the same
-// instance (the uncontended-lock cost is negligible next to what the
-// counters instrument, and the simulator path is single-threaded anyway).
+// call NewRecorder. It is safe for concurrent use, and under the live
+// backends every PE goroutine of a process records into the same
+// instance. The per-message and per-put sites therefore update their
+// counters through pre-registered handles (Counter): one atomic add on a
+// per-PE, cache-line-padded slot, where a shared mutex and map would
+// bounce one cache line between the PEs' cores on every operation. Incr
+// is the by-name path for sites off the hot path, under the mutex like
+// times and series. A name's by-name total and its slots are one
+// counter to every reader.
 type Recorder struct {
+	enabled bool
+	// The pad keeps enabled, which every handle update reads, off the
+	// line that mu's writers dirty.
+	_ [cacheLine]byte
+
 	mu       sync.Mutex
-	counters map[string]int64
+	counters map[string]int64 // by-name updates
+	blocks   []block          // handle storage
 	times    map[string]sim.Time
 	series   map[string][]float64
-	enabled  bool
 }
 
 // NewRecorder returns an enabled recorder.
@@ -148,7 +158,14 @@ func (r *Recorder) Count(name string) int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[name]
+	v := r.counters[name]
+	for _, b := range r.blocks {
+		if b.name == name {
+			n, _ := b.sum()
+			v += n
+		}
+	}
+	return v
 }
 
 // AddTime accumulates virtual time into the named bucket. The benchmark
@@ -201,18 +218,33 @@ func (r *Recorder) Counters() map[string]int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.countersLocked()
+}
+
+// countersLocked snapshots every counter updated since the recorder was
+// made or last Reset; a registered handle alone adds no name.
+func (r *Recorder) countersLocked() map[string]int64 {
 	out := make(map[string]int64, len(r.counters))
 	for n, v := range r.counters {
 		out[n] = v
+	}
+	for _, b := range r.blocks {
+		if v, ok := b.sum(); ok {
+			out[b.name] += v
+		}
 	}
 	return out
 }
 
 // Reset clears all accumulated state but preserves the enabled flag.
+// Counter handles stay valid: their slots are zeroed in place.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters = make(map[string]int64)
+	for _, b := range r.blocks {
+		b.clear()
+	}
 	r.times = make(map[string]sim.Time)
 	r.series = make(map[string][]float64)
 }
@@ -259,13 +291,14 @@ func (r *Recorder) String() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var b strings.Builder
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
+	counts := r.countersLocked()
+	names := make([]string, 0, len(counts))
+	for n := range counts {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Fprintf(&b, "count %-32s %d\n", n, r.counters[n])
+		fmt.Fprintf(&b, "count %-32s %d\n", n, counts[n])
 	}
 	names = names[:0]
 	for n := range r.times {
