@@ -939,8 +939,16 @@ func (n *Node) pollState() (realrt.PollState, bool) {
 // with others (kick) also kicks them for direct puts (handlePuts), which
 // a sleeping reader no longer does; a PE alone on its rank finds its
 // puts itself and skips that load.
-func (n *Node) watchRings(kick bool) {
-	for _, l := range *n.rings.Load() {
+//
+// It reports whether the rank holds a ring, which is whether the PE
+// should spin on (realrt.SetPollerHooks). Only a direct shm put lands
+// without waking a PE, so a rank with no ring — read on every pass,
+// because lazy edges add rings and a Rejoin retires them — gets every
+// arrival from a reader goroutine that enqueues or kicks, and its PE
+// parks at once rather than keep Go's run queue from the netpoller.
+func (n *Node) watchRings(kick bool) bool {
+	links := *n.rings.Load()
+	for _, l := range links {
 		if at := l.watch.sleepAt.Load(); at != 0 && l.in.tail.load() != at-1 {
 			l.watch.poke()
 		}
@@ -948,6 +956,7 @@ func (n *Node) watchRings(kick bool) {
 			n.handlePuts(l)
 		}
 	}
+	return len(links) > 0
 }
 
 // wakeRingReaders hands every ring back to its reader: no PE of the rank

@@ -130,9 +130,12 @@ func (p *peerConn) start() {
 // stay on TCP beside the EOF that is the instant death signal.
 //
 // A frame sent through the kernel is read late exactly when it matters:
-// while PEs spin, no P runs dry, and Go reaches the
-// netpoller only from a P with nothing to run (sysmon's 10 ms poll
-// aside). A TCP probe sat for 0.5–2 ms of a 2 ms job, a put-buffer
+// while PEs spin, no P runs dry, and Go reaches the netpoller only from a
+// P with nothing to run (sysmon's 10 ms poll aside). Only a rank that
+// holds a ring spins its idle PEs — a rank with none parks them after one
+// empty pass (Node.watchRings) — so this holds on ring ranks, which is
+// where a frame can take the ring instead. A TCP probe sat for 0.5–2 ms
+// of a 2 ms job, a put-buffer
 // registration (FShmReg) arrived after hundreds of a stencil's puts, and
 // a worker entered a served job's run a mean 380–500 µs after rank 0
 // (22–24 µs with the job announce, FJob, on the ring; 2-rank in-process

@@ -118,7 +118,7 @@ func (n *Node) NewRuntime(npes int) (*Runtime, error) {
 		rt.rt.Hold()
 		rt.rt.SetIdleHook(rt.idleEdge)
 		kick := hi-lo > 1
-		rt.rt.SetPollerHooks(func() { n.watchRings(kick) }, n.wakeRingReaders)
+		rt.rt.SetPollerHooks(func() bool { return n.watchRings(kick) }, n.wakeRingReaders)
 	}
 	if dead != nil {
 		rt.abort(dead)

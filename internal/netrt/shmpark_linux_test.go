@@ -192,6 +192,24 @@ func TestShmIdleWorldCostsNoCPU(t *testing.T) {
 	}
 }
 
+// TestTCPIdleWorldCostsNoCPU is TestShmIdleWorldCostsNoCPU on a ShmOff
+// world: 16 ranks over loopback TCP, no run attached, under the same 5 %
+// of one core. Nothing but the netpoller and the keepalive tickers may
+// wake.
+func TestTCPIdleWorldCostsNoCPU(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures 500 ms of idleness")
+	}
+	startWorldConfig(t, 16, Config{ShmOff: true})
+	time.Sleep(300 * time.Millisecond)
+	const window = 500 * time.Millisecond
+	before := cpuTime(t)
+	time.Sleep(window)
+	if used := cpuTime(t) - before; used > window/20 {
+		t.Errorf("idle 16-rank TCP world used %v of CPU in %v (over 5%% of a core)", used, window)
+	}
+}
+
 // cpuTime is the user+system CPU this process has used so far.
 func cpuTime(t *testing.T) time.Duration {
 	t.Helper()

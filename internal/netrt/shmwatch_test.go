@@ -388,3 +388,63 @@ func TestShmReaderStreamsToBusyRank(t *testing.T) {
 		t.Errorf("rank 1 took %v to read the stream while its PE was at work, want under 1s", d)
 	}
 }
+
+// TestPassHookSpinsOnRingRanksOnly: after a short eager pingpong, the
+// idle-pass hook a run installs (Node.watchRings) tells its PEs to spin
+// on exactly when the rank holds a shm ring. Every arrival at a TCP-only
+// rank comes from a goroutine that enqueues or kicks, so its PEs must
+// park after one empty pass instead of keeping Go from the netpoller.
+func TestPassHookSpinsOnRingRanksOnly(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		shmOff bool
+	}{{"tcp", true}, {"shm", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			if !c.shmOff {
+				skipNoShm(t)
+			}
+			nodes := startWorldConfig(t, 2, Config{ShmOff: c.shmOff})
+			eagerPingpong(t, nodes, 50)
+			for r, n := range nodes {
+				for _, kick := range []bool{false, true} {
+					if spin := n.watchRings(kick); spin != !c.shmOff {
+						t.Errorf("rank %d (kick=%v): pass hook says spin=%v, want %v", r, kick, spin, !c.shmOff)
+					}
+				}
+			}
+		})
+	}
+}
+
+// eagerPingpong bounces one 1 KiB eager message rounds times each way
+// between the one-PE ranks of a 2-rank world and checks every hop landed.
+func eagerPingpong(t *testing.T, nodes []*Node, rounds int) {
+	t.Helper()
+	rts := newRuntimes(t, nodes)
+	var delivered atomic.Int64
+	for _, rt := range rts {
+		rt := rt
+		rt.SetDeliver(func(env Env, pooled []byte) {
+			rt.Enqueue(env.DstPE, func() {
+				delivered.Add(1)
+				if env.Tag > 0 {
+					rt.SendMsg(&Env{Kind: EnvPE, Array: -1, SrcPE: env.DstPE, DstPE: env.SrcPE, Tag: env.Tag - 1, Data: env.Data})
+				}
+				bufpool.Put(pooled) // env.Data aliases it
+			})
+		})
+	}
+	payload := bytes.Repeat([]byte{0x3C}, 1024)
+	rts[0].Enqueue(0, func() {
+		rts[0].SendMsg(&Env{Kind: EnvPE, Array: -1, SrcPE: 0, DstPE: 1, Tag: 2*rounds - 1, Data: payload})
+	})
+	runAll(rts)
+	for r, rt := range rts {
+		if errs := rt.Errors(); len(errs) > 0 {
+			t.Fatalf("rank %d errors: %v", r, errs)
+		}
+	}
+	if got := delivered.Load(); got != int64(2*rounds) {
+		t.Fatalf("delivered %d hops, want %d", got, 2*rounds)
+	}
+}

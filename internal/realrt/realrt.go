@@ -45,6 +45,10 @@ import (
 // before parking on its notifier. Long enough that a pingpong receiver
 // rides out a one-way flight without ever parking; short enough that a
 // genuinely idle PE stops burning its core within a few microseconds.
+// The budget holds only while spinning can find something: an idle-pass
+// hook (SetPollerHooks) that reports false parks the worker right after
+// that pass, because every arrival it waits for then kicks the notifier
+// and the spin could only delay the goroutine that delivers it.
 const spinIters = 128
 
 // Runtime executes tasks on one goroutine per PE.
@@ -94,11 +98,12 @@ type Runtime struct {
 	// found no task and no arrival on their last pass, and neither took
 	// work nor parked since — how many are parked or exited, and how many
 	// times a PE stopped polling. It is kept only when onPass is installed
-	// (SetPollerHooks). onPass runs on each idle pass of a polling PE;
-	// onVacate runs when the readers must take their rings back: no PE
-	// polls any more while one is parked or gone (see worker).
+	// (SetPollerHooks). onPass runs on each idle pass of a polling PE and
+	// reports whether spinning can find anything; onVacate runs when the
+	// readers must take their rings back: no PE polls any more while one
+	// is parked or gone (see worker).
 	pollers  atomic.Uint64
-	onPass   func()
+	onPass   func() bool
 	onVacate func()
 
 	// StallTimeout is how long the runtime tolerates outstanding work with
@@ -178,11 +183,14 @@ type PollState struct {
 }
 
 // SetPollerHooks installs the ring-watch hooks (see pollers): pass runs
-// on every idle pass of a PE between work items, on that PE's goroutine;
-// vacate runs when no PE polls any more and one is parked or exited, on
-// the PE that made it so, before that PE's last full poll. Both must be
-// cheap and must not block. Must be called before Run.
-func (rt *Runtime) SetPollerHooks(pass, vacate func()) {
+// on every idle pass of a PE between work items, on that PE's goroutine,
+// and reports whether spinning on can find anything — false parks the PE
+// right after that pass instead of yielding out the spinIters budget, so
+// it must be false only when every arrival kicks the PE; vacate runs when
+// no PE polls any more and one is parked or exited, on the PE that made it
+// so, before that PE's last full poll. Both must be cheap and must not
+// block. Must be called before Run.
+func (rt *Runtime) SetPollerHooks(pass func() bool, vacate func()) {
 	if rt.npes > unitMask {
 		panic(fmt.Sprintf("realrt: %d PEs overflow the poller counts", rt.npes))
 	}
@@ -206,16 +214,17 @@ func (rt *Runtime) Busy(pe int) {
 }
 
 // startPolling counts a PE that found nothing to do as polling and runs
-// the idle-pass hook.
-func (rt *Runtime) startPolling(pe int) {
+// the idle-pass hook, returning its verdict: whether the PE should spin
+// on. Without hooks it always should.
+func (rt *Runtime) startPolling(pe int) bool {
 	if rt.onPass == nil {
-		return
+		return true
 	}
 	if n := rt.notes[pe]; !n.polling {
 		n.polling = true
 		rt.pollers.Add(pollUnit)
 	}
-	rt.onPass()
+	return rt.onPass()
 }
 
 // stopPolling ends a PE's polling stretch, if it is in one, and counts
@@ -374,6 +383,15 @@ func (rt *Runtime) Run() sim.Time {
 // small hosts (GOMAXPROCS may be below the PE count); the park hands the
 // core back entirely until the next Enqueue or put kicks the notifier.
 //
+// The spin runs only while the idle-pass hook says it can find something
+// (SetPollerHooks). A yield puts the PE back on Go's global run queue, and
+// Go polls the network only when that queue and the P's own are empty, so
+// a PE that spins waiting for a socket delays the very reader goroutine
+// it waits for. A distributed rank with no shm ring gets every arrival
+// through a goroutine that enqueues or kicks, so its PEs park after one
+// empty pass; a rank with a ring, and a runtime with no hooks, spin out
+// the budget.
+//
 // Who watches a distributed rank's shm rings (poller hooks installed):
 //   - A PE between work items polls, and each spin pass also looks at the
 //     rings' tails (onPass): the ring readers sleep on a channel instead
@@ -417,9 +435,8 @@ func (rt *Runtime) worker(pe int, wg *sync.WaitGroup) {
 			rt.quiesce()
 			return
 		}
-		rt.startPolling(pe)
 		spins++
-		if spins < spinIters {
+		if rt.startPolling(pe) && spins < spinIters {
 			runtime.Gosched()
 			continue
 		}

@@ -258,7 +258,7 @@ func TestShmReaderPollState(t *testing.T) {
 	rt := New(1)
 	var passes int
 	var vacated []PollState
-	rt.SetPollerHooks(func() { passes++ }, func() { vacated = append(vacated, rt.PollState()) })
+	rt.SetPollerHooks(func() bool { passes++; return true }, func() { vacated = append(vacated, rt.PollState()) })
 	var inTask, inCallback, inTimer PollState
 	armed := false
 	rt.SetPoll(func(pe int, full bool) bool {
@@ -298,5 +298,53 @@ func TestShmReaderPollState(t *testing.T) {
 	}
 	if passes < spinIters {
 		t.Errorf("%d idle passes before the park, want at least %d", passes, spinIters)
+	}
+}
+
+// TestPassHookFalseParksAfterOnePass: a pass hook that says spinning can
+// find nothing parks the PE right after that pass. A driver waits for
+// each park and wakes the PE with a task, so every idle stretch ends in a
+// park, and each park (vacate runs at it) must follow exactly one pass;
+// the exit, at quiescence, follows none. Counts only, no timing: a
+// spurious wake (a sticky token) is one more stretch of one pass.
+func TestPassHookFalseParksAfterOnePass(t *testing.T) {
+	rt := New(1)
+	var passes int
+	var stretches []int // passes before each vacate, in order
+	rt.SetPollerHooks(func() bool { passes++; return false }, func() {
+		stretches = append(stretches, passes)
+		passes = 0
+	})
+	const wakes = 20
+	var ran atomic.Int64
+	rt.Hold()
+	go func() {
+		for i := 0; i < wakes; i++ {
+			for rt.PollState().Parked == 0 {
+				runtime.Gosched()
+			}
+			rt.Enqueue(0, func() { ran.Add(1) })
+			for ran.Load() <= int64(i) {
+				runtime.Gosched()
+			}
+		}
+		for rt.PollState().Parked == 0 {
+			runtime.Gosched()
+		}
+		rt.Release()
+	}()
+	rt.Run()
+	// Run returned, so the worker's writes are visible here.
+	if len(stretches) < wakes+2 {
+		t.Fatalf("%d vacates, want at least %d (a park per wake, one more before the release, the exit)", len(stretches), wakes+2)
+	}
+	parks, exit := stretches[:len(stretches)-1], stretches[len(stretches)-1]
+	for i, p := range parks {
+		if p != 1 {
+			t.Errorf("park %d followed %d idle passes, want exactly 1", i, p)
+		}
+	}
+	if exit != 0 {
+		t.Errorf("the exit followed %d idle passes, want 0", exit)
 	}
 }
