@@ -309,10 +309,11 @@ func (c *chare) maybeUpdate(ctx *charm.Ctx) {
 	a.arr.ContributeFrom(charm.Idx1(c.part), 1, residual)
 }
 
-// gather assembles the global vertex field (every part holds identical
-// values for shared vertices, asserted by tests). Under the net backend
-// only hosted parts hold live data; the other vertices are marked NaN
-// so a comparison cannot silently pass on never-computed values.
+// gather assembles the global vertex field from the first hosted copy
+// of each vertex (sharedConsistent checks the others). Under the net
+// backend only hosted parts hold live data; the other vertices are
+// marked NaN so a comparison cannot silently pass on never-computed
+// values.
 func (a *app) gather() []float64 {
 	out := make([]float64, a.mesh.NumVerts)
 	seen := make([]bool, a.mesh.NumVerts)
@@ -336,9 +337,9 @@ func (a *app) gather() []float64 {
 }
 
 // sharedConsistent verifies that every part holds the same value for
-// every shared vertex (tests). Under the net backend the check covers
-// the hosted parts — a remote part's copy is checked by its own rank
-// against the same serial reference.
+// every shared vertex (Run reports a disagreement as an error). Under
+// the net backend the check covers the hosted parts — a remote part's
+// copy is checked by its own rank against the same serial reference.
 func (a *app) sharedConsistent() bool {
 	vals := make(map[int]float64)
 	for _, c := range a.chares {

@@ -1,6 +1,8 @@
 package fem
 
 import (
+	"errors"
+
 	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/charm"
@@ -65,7 +67,8 @@ type Result struct {
 	Residual float64
 	Field    []float64 // final vertex values (validate mode)
 	// SharedConsistent reports whether every part held bit-identical
-	// values for shared vertices at the end (validate mode).
+	// values for shared vertices at the end (validate mode); when it is
+	// false, Errors says so too.
 	SharedConsistent bool
 	Channels         int
 }
@@ -132,7 +135,9 @@ func Run(cfg Config) Result {
 		if cfg.Validate {
 			// A net worker's own parts' vertices, the rest NaN.
 			res.Field = a.gather()
-			res.SharedConsistent = a.sharedConsistent()
+			if res.SharedConsistent = a.sharedConsistent(); !res.SharedConsistent {
+				res.Errors = append(res.Errors, errors.New("fem: hosted parts disagree on shared vertices"))
+			}
 		}
 	}
 	return res

@@ -220,15 +220,3 @@ func TestResidualShrinks(t *testing.T) {
 		t.Fatalf("diffusion residual did not shrink: %g -> %g", short.Residual, long.Residual)
 	}
 }
-
-func TestDeterministic(t *testing.T) {
-	cfg := Config{
-		Platform: netmodel.SurveyorBGP, Mode: Ckd,
-		PEs: 8, Virtualization: 2,
-		NX: 64, NY: 64, Iters: 2, Warmup: 1,
-	}
-	a, b := Run(cfg), Run(cfg)
-	if a.IterTime != b.IterTime || a.TotalEvents != b.TotalEvents {
-		t.Fatalf("nondeterministic")
-	}
-}

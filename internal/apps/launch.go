@@ -122,13 +122,8 @@ func (l *Launcher) parse(args []string) error {
 	if l.Kill, err = chaos.ParseKill(l.kill); err != nil {
 		return err
 	}
-	switch l.mode {
-	case "", "ckd":
-		l.Mode = Ckd
-	case "msg":
-		l.Mode = Msg
-	default:
-		return fmt.Errorf("unknown mode %q (msg | ckd)", l.mode)
+	if l.Mode, err = ParseMode(l.mode); err != nil {
+		return err
 	}
 	if (l.ckptEvery > 0) != (l.ckptDir != "") {
 		return fmt.Errorf("-ckpt.every and -ckpt.dir go together (got every=%d, dir=%q)", l.ckptEvery, l.ckptDir)
@@ -146,6 +141,24 @@ func (l *Launcher) parse(args []string) error {
 		// Keep every rank's listener open past bootstrap so Rejoin can
 		// rebuild the mesh around a respawned rank.
 		l.net.Recover = true
+	}
+	return l.checkWorld()
+}
+
+// checkWorld refuses a net world with more ranks than the app's -pes:
+// every rank hosts at least one PE, and a rank with none would panic
+// in the runtime after every rank was spawned.
+func (l *Launcher) checkWorld() error {
+	f := l.fs.Lookup("pes")
+	if l.Backend != charm.NetBackend || f == nil {
+		return nil
+	}
+	world := l.net.World
+	if len(l.net.Peers) > 0 {
+		world = len(l.net.Peers)
+	}
+	if pes := f.Value.(flag.Getter).Get().(int); pes < world {
+		return fmt.Errorf("-pes %d is fewer than the %d ranks of the net world; every rank hosts at least one PE", pes, world)
 	}
 	return nil
 }
@@ -201,6 +214,18 @@ func (l *Launcher) Exit(errs []error) {
 func (l *Launcher) Fatal(err error) {
 	fmt.Fprintf(l.stderr, "%s: %v\n", l.Prog, err)
 	l.exit(2)
+}
+
+// ParseMode names a communication variant: msg, or ckd (the default
+// when name is empty).
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "", "ckd":
+		return Ckd, nil
+	case "msg":
+		return Msg, nil
+	}
+	return Ckd, fmt.Errorf("unknown mode %q (msg | ckd)", name)
 }
 
 // ParsePlatform names a modelled platform: abe (or ib, infiniband) or

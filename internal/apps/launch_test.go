@@ -18,6 +18,7 @@ func parseExit(t *testing.T, feat Feature, args ...string) (l *Launcher, code in
 	var buf bytes.Buffer
 	fs := flag.NewFlagSet("app", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
+	fs.Int("pes", 4, "processing elements")
 	l = newLauncher(fs, "app", feat)
 	l.exit = func(c int) { panic(c) }
 	l.stderr = &buf
@@ -49,6 +50,8 @@ func TestLauncherRefusals(t *testing.T) {
 		{"compare with recovery", all, []string{"-backend=net", "-chaos.kill=1@3", "-compare"}, "cannot combine"},
 		{"net in a one-process binary", Modes, []string{"-backend=net"}, "runs in one process"},
 		{"bad kill spec", all, []string{"-backend=net", "-chaos.kill=0@3"}, "rank 0"},
+		{"fewer PEs than ranks", all, []string{"-backend=net", "-net.world=5"}, "fewer than the 5 ranks"},
+		{"fewer PEs than listed peers", Net, []string{"-backend=net", "-net.rank=0", "-pes=1", "-net.peers=:1,:2"}, "fewer than the 2 ranks"},
 		{"bad mode", all, []string{"-mode=rdma"}, "unknown mode"},
 		{"bad platform", all, []string{"-platform=cray"}, "unknown platform"},
 		{"unregistered flag", Net, []string{"-ckpt.every=2"}, "not defined"},

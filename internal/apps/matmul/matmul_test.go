@@ -30,17 +30,19 @@ func TestChooseGridNearCubic(t *testing.T) {
 // TestValidateProductCorrect: both transports must produce the exact
 // reference product.
 func TestValidateProductCorrect(t *testing.T) {
-	for _, mode := range []Mode{Msg, Ckd} {
-		res := Run(Config{
-			Platform: netmodel.AbeIB,
-			Mode:     mode,
-			PEs:      8,
-			N:        32,
-			Iters:    2, Warmup: 0,
-			Validate: true,
-		})
-		if res.MaxError > 1e-9 {
-			t.Errorf("%v: max error %g", mode, res.MaxError)
+	for _, shape := range []struct{ pes, warmup int }{{8, 0}, {4, 1}} {
+		for _, mode := range []Mode{Msg, Ckd} {
+			res := Run(Config{
+				Platform: netmodel.AbeIB,
+				Mode:     mode,
+				PEs:      shape.pes,
+				N:        32,
+				Iters:    2, Warmup: shape.warmup,
+				Validate: true,
+			})
+			if res.MaxError > 1e-9 {
+				t.Errorf("%d PEs %v: max error %g", shape.pes, mode, res.MaxError)
+			}
 		}
 	}
 }
@@ -106,29 +108,6 @@ func TestExecutionTimeDropsWithProcessors(t *testing.T) {
 		t512 := Run(Config{Platform: netmodel.AbeIB, Mode: mode, PEs: 512, N: 2048, Iters: 2, Warmup: 1})
 		if t512.IterTime >= t64.IterTime {
 			t.Errorf("%v: no strong scaling: %v at 64, %v at 512", mode, t64.IterTime, t512.IterTime)
-		}
-	}
-}
-
-func TestDeterministic(t *testing.T) {
-	cfg := Config{Platform: netmodel.AbeIB, Mode: Ckd, PEs: 32, N: 1024, Iters: 2, Warmup: 1}
-	a, b := Run(cfg), Run(cfg)
-	if a.IterTime != b.IterTime {
-		t.Fatalf("nondeterministic: %v vs %v", a.IterTime, b.IterTime)
-	}
-}
-
-// TestVirtualMatchesValidateTiming: stripping payloads leaves virtual
-// time untouched.
-func TestVirtualMatchesValidateTiming(t *testing.T) {
-	for _, mode := range []Mode{Msg, Ckd} {
-		base := Config{Platform: netmodel.SurveyorBGP, Mode: mode, PEs: 8, N: 64, Iters: 2, Warmup: 1}
-		v := base
-		v.Validate = true
-		real := Run(v)
-		model := Run(base)
-		if real.IterTime != model.IterTime {
-			t.Errorf("%v: validate %v != model %v", mode, real.IterTime, model.IterTime)
 		}
 	}
 }

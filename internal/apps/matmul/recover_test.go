@@ -8,9 +8,24 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/charm"
 	"repro/internal/ckpt"
+	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/netrt/nettest"
 )
+
+// netOracleConfig is the validated configuration the recovery test
+// reruns.
+func netOracleConfig(mode Mode) Config {
+	return Config{
+		Platform: netmodel.AbeIB,
+		Mode:     mode,
+		PEs:      4,
+		N:        32,
+		Iters:    2,
+		Warmup:   1,
+		Validate: true,
+	}
+}
 
 // TestRecoveryKillRejoin: a 3-rank mesh checkpointing every 2 barriers
 // (Warmup 1 + Iters 2 = 4 steps) loses rank 1 to the kill -9 chaos tier

@@ -148,31 +148,6 @@ func TestNoPollingPathologyOnBGP(t *testing.T) {
 	}
 }
 
-func TestDeterministic(t *testing.T) {
-	cfg := Config{
-		Platform: netmodel.AbeIB, Mode: Ckd, Scope: FullStep, PEs: 16,
-		NStates: 32, NPlanes: 4, Grain: 8, Points: 128,
-		Steps: 2, Warmup: 1,
-	}
-	a, b := Run(cfg), Run(cfg)
-	if a.StepTime != b.StepTime || a.TotalEvents != b.TotalEvents {
-		t.Fatalf("nondeterministic: %v vs %v", a.StepTime, b.StepTime)
-	}
-}
-
-// TestVirtualMatchesValidateTiming.
-func TestVirtualMatchesValidateTiming(t *testing.T) {
-	for _, mode := range []Mode{Msg, Ckd} {
-		v := small(netmodel.AbeIB, mode, FullStep)
-		m := v
-		m.Validate = false
-		rv, rm := Run(v), Run(m)
-		if rv.StepTime != rm.StepTime {
-			t.Errorf("%v: validate %v != model %v", mode, rv.StepTime, rm.StepTime)
-		}
-	}
-}
-
 // TestCoresPerNodeOverride: the Abe OpenAtom study used 2 cores/node;
 // fewer cores per node means more inter-node traffic and a different
 // step time than the default 8.

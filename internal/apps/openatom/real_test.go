@@ -7,43 +7,6 @@ import (
 	"repro/internal/netmodel"
 )
 
-// TestRealBackendMatchesSim: the PairCalculator pipeline — including the
-// lambda feedback loop through the orthonormalization reduction — must
-// produce bit-identical coefficients on both backends. This is the
-// sharpest of the oracles: the reduction value feeds back into the next
-// step's data, so any ordering leak in the deterministic reduction fold
-// compounds across steps.
-func TestRealBackendMatchesSim(t *testing.T) {
-	for _, mode := range []Mode{Msg, Ckd, CkdNaive} {
-		cfg := Config{
-			Platform: netmodel.AbeIB,
-			Mode:     mode,
-			Scope:    FullStep,
-			PEs:      4,
-			NStates:  16,
-			NPlanes:  2,
-			Grain:    4,
-			Points:   32,
-			Steps:    2,
-			Warmup:   1,
-			Validate: true,
-		}
-		simRes := Run(cfg)
-		cfg.Backend = charm.RealBackend
-		realRes := Run(cfg)
-
-		if len(realRes.Errors) > 0 {
-			t.Fatalf("%v: real backend errors: %v", mode, realRes.Errors)
-		}
-		if simRes.Overlap != realRes.Overlap {
-			t.Errorf("%v: overlap differs: sim %v real %v", mode, simRes.Overlap, realRes.Overlap)
-		}
-		if simRes.Checksum != realRes.Checksum {
-			t.Errorf("%v: checksum differs: sim %v real %v", mode, simRes.Checksum, realRes.Checksum)
-		}
-	}
-}
-
 // TestRealBackendPCOnly exercises the PC-only scope (the §5.2 arm
 // broadcast path) on the real backend.
 func TestRealBackendPCOnly(t *testing.T) {

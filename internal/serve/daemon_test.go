@@ -15,6 +15,8 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/charm"
 	"repro/internal/netmodel"
+	"repro/internal/netrt"
+	"repro/internal/netrt/nettest"
 )
 
 func realEnv() Env {
@@ -191,6 +193,10 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := srv.Submit(Spec{Kind: "matmul", PEs: 8, N: 6}); !errors.As(err, &bad) {
 		t.Fatalf("matmul n the PE grid's shard split does not divide: got %v, want ErrBadSpec", err)
 	}
+	if _, err := srv.Submit(Spec{Kind: "pingpong", Warmup: 2}); !errors.As(err, &bad) {
+		t.Fatalf("pingpong warmup: got %v, want ErrBadSpec", err)
+	}
+	netAdmission(t)
 
 	// Occupy the executor with a long job, then flood the depth-1
 	// queue: at most one of the quick submissions can be queued, so at
@@ -231,6 +237,34 @@ func TestAdmissionControl(t *testing.T) {
 	for _, a := range accepted {
 		if j, done := srv.Wait(a.ID, time.Minute); !done || j.State != StateDone {
 			t.Fatalf("queued job %d: done=%v state %s", a.ID, done, j.State)
+		}
+	}
+}
+
+// netAdmission pins the net-only refusals: every rank hosts at least one
+// PE, so a spec with fewer PEs than the world has ranks is a bad spec,
+// not a job that panics in the runtime, and every kind's default PE
+// count fits a world wider than it.
+func netAdmission(t *testing.T) {
+	nodes, err := netrt.StartLocal(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nettest.CloseAll(t, nodes)
+	env := Env{Backend: charm.NetBackend, Net: nodes[0], Platform: netmodel.AbeIB}
+	srv, err := New(Options{Env: env, ReportWait: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var bad *ErrBadSpec
+	for _, kind := range []string{"stencil", "fem", "matmul"} {
+		if _, err := srv.Submit(Spec{Kind: kind, PEs: 4}); !errors.As(err, &bad) {
+			t.Errorf("%s with 4 PEs on 5 ranks: got %v, want ErrBadSpec", kind, err)
+		}
+		spec := Spec{Kind: kind}
+		if err := Normalize(env, &spec); err != nil || spec.PEs < env.world() {
+			t.Errorf("%s defaults on 5 ranks: pes %d, err %v", kind, spec.PEs, err)
 		}
 	}
 }

@@ -22,6 +22,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind":"stencil","mode":"msg","pes":4,"nx":16,"ny":16,"nz":8,"vr":2,"iters":3,"warmup":1}`,
 		`{"kind":"stencil","lb_every":2,"skew":200}`,
 		`{"kind":"pingpong","size":1024,"iters":10}`,
+		`{"kind":"pingpong","warmup":2}`,
 		`{"kind":"matmul","n":64,"pes":4,"validate":true}`,
 		`{"kind":"fem","nx":16,"ny":16,"kill":"1@3"}`,
 		// Edges whose product wraps past the cell ceiling to zero.

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/apps/fem"
 	"repro/internal/apps/matmul"
 	"repro/internal/apps/pingpong"
@@ -41,12 +42,12 @@ func (e Env) world() int {
 // kind is one registered workload: parameter normalization (applied at
 // admission on rank 0, so the broadcast spec is canonical and every
 // rank receives identical, pre-validated parameters) and the run
-// function. run returns the wire-ready Outcome plus the raw typed
-// errors — the recovery loop needs the types (netrt.Recoverable) that
-// the Outcome's strings have shed.
+// function. run executes one attempt of a normalized spec in mode m
+// and returns the app's outcome (pingpong's round trip is its
+// IterTime) and its answer, whose digest a validated job reports.
 type kind struct {
 	normalize func(env Env, s *Spec) error
-	run       func(env Env, s Spec) (Outcome, []error)
+	run       func(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64)
 }
 
 // Parameter ceilings. The daemon is a long-lived service; a single
@@ -86,13 +87,11 @@ func Normalize(env Env, s *Spec) error {
 	if !ok {
 		return fmt.Errorf("unknown kind %q (registered: %v)", s.Kind, Kinds())
 	}
-	switch s.Mode {
-	case "":
-		s.Mode = "ckd"
-	case "msg", "ckd":
-	default:
-		return fmt.Errorf("unknown mode %q (msg | ckd)", s.Mode)
+	m, err := apps.ParseMode(s.Mode)
+	if err != nil {
+		return err
 	}
+	s.Mode = m.String()
 	if s.Iters < 0 || s.Iters > maxIters || s.Warmup < 0 || s.Warmup > maxIters {
 		return fmt.Errorf("iters/warmup out of range [0, %d]", maxIters)
 	}
@@ -114,7 +113,15 @@ func Normalize(env Env, s *Spec) error {
 			return fmt.Errorf("kill step %d out of range [1, %d]", k.Step, maxKillAt)
 		}
 	}
-	return k.normalize(env, s)
+	if err := k.normalize(env, s); err != nil {
+		return err
+	}
+	// Every rank hosts at least one PE (pingpong places its own, and
+	// keeps pes 0).
+	if s.PEs > 0 && s.PEs < env.world() {
+		return fmt.Errorf("pes %d is fewer than the world's %d ranks", s.PEs, env.world())
+	}
+	return nil
 }
 
 // Execute runs a normalized spec against the warmed environment. It
@@ -149,10 +156,16 @@ func Execute(env Env, s Spec) (out Outcome, raw []error) {
 		out.Errors = []string{err.Error()}
 		return out, []error{err}
 	}
-	out, raw = k.run(env, s)
-	out.Rank = rank
-	out.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return out, raw
+	m, _ := apps.ParseMode(s.Mode) // normalized
+	o, answer := k.run(env, s, m)
+	out.OK = len(o.Errors) == 0
+	out.Errors = errStrings(o.Errors)
+	out.Metric = o.IterTime.Micros()
+	out.Counters = o.Counters
+	if s.Validate && out.OK {
+		out.Checksum = checksumF64(answer)
+	}
+	return out, o.Errors
 }
 
 // cellsWithin reports whether every dimension is positive and their
@@ -218,15 +231,15 @@ func normalizePingpong(env Env, s *Spec) error {
 	if s.Validate {
 		return fmt.Errorf("pingpong has no validate oracle (its check is completing the round trips)")
 	}
-	if s.NX != 0 || s.NY != 0 || s.NZ != 0 || s.N != 0 || s.Virtualization != 0 || s.PEs != 0 || s.LBEvery != 0 || s.LBStrategy != "" || s.Skew != 0 {
+	if s.Warmup != 0 || s.NX != 0 || s.NY != 0 || s.NZ != 0 || s.N != 0 || s.Virtualization != 0 || s.PEs != 0 || s.LBEvery != 0 || s.LBStrategy != "" || s.Skew != 0 {
 		return fmt.Errorf("pingpong takes size/iters/mode only")
 	}
 	return nil
 }
 
-func runPingpong(env Env, s Spec) (Outcome, []error) {
+func runPingpong(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
 	mode := pingpong.CkDirect
-	if s.Mode == "msg" {
+	if m == apps.Msg {
 		mode = pingpong.CharmMsg
 	}
 	res := pingpong.Run(pingpong.Config{
@@ -238,12 +251,7 @@ func runPingpong(env Env, s Spec) (Outcome, []error) {
 		Net:      env.Net,
 		Kill:     s.chaosKill,
 	})
-	return Outcome{
-		OK:       len(res.Errors) == 0,
-		Errors:   errStrings(res.Errors),
-		Metric:   res.RTTMicros(),
-		Counters: res.Counters,
-	}, res.Errors
+	return apps.Outcome{IterTime: res.RTT, Errors: res.Errors, Counters: res.Counters}, nil
 }
 
 // --- stencil ---
@@ -289,14 +297,10 @@ func normalizeStencil(env Env, s *Spec) error {
 	return stencil.Config{PEs: s.PEs, Virtualization: s.Virtualization, NX: s.NX, NY: s.NY, NZ: s.NZ}.Check()
 }
 
-func runStencil(env Env, s Spec) (Outcome, []error) {
-	mode := stencil.Ckd
-	if s.Mode == "msg" {
-		mode = stencil.Msg
-	}
+func runStencil(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
 	res := stencil.Run(stencil.Config{
 		Platform: env.Platform,
-		Mode:     mode,
+		Mode:     m,
 		PEs:      s.PEs, Virtualization: s.Virtualization,
 		NX: s.NX, NY: s.NY, NZ: s.NZ,
 		Iters: s.Iters, Warmup: s.Warmup,
@@ -307,23 +311,14 @@ func runStencil(env Env, s Spec) (Outcome, []error) {
 		LBEvery:  s.LBEvery, LBStrategy: s.LBStrategy,
 		Skew: s.Skew,
 	})
-	out := Outcome{
-		OK:       len(res.Errors) == 0,
-		Errors:   errStrings(res.Errors),
-		Metric:   res.IterTime.Micros(),
-		Counters: res.Counters,
-	}
-	if s.Validate && out.OK {
-		out.Checksum = checksumF64(res.Field)
-	}
-	return out, res.Errors
+	return res.Outcome, res.Field
 }
 
 // --- matmul ---
 
 func normalizeMatmul(env Env, s *Spec) error {
 	if s.PEs == 0 {
-		s.PEs = 4
+		s.PEs = max(4, env.world())
 	}
 	if s.N == 0 {
 		s.N = 32
@@ -340,14 +335,10 @@ func normalizeMatmul(env Env, s *Spec) error {
 	return matmul.Config{PEs: s.PEs, N: s.N}.Check()
 }
 
-func runMatmul(env Env, s Spec) (Outcome, []error) {
-	mode := matmul.Ckd
-	if s.Mode == "msg" {
-		mode = matmul.Msg
-	}
+func runMatmul(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
 	res := matmul.Run(matmul.Config{
 		Platform: env.Platform,
-		Mode:     mode,
+		Mode:     m,
 		PEs:      s.PEs,
 		N:        s.N,
 		Iters:    s.Iters, Warmup: s.Warmup,
@@ -356,16 +347,7 @@ func runMatmul(env Env, s Spec) (Outcome, []error) {
 		Net:      env.Net,
 		Kill:     s.chaosKill,
 	})
-	out := Outcome{
-		OK:       len(res.Errors) == 0,
-		Errors:   errStrings(res.Errors),
-		Metric:   res.IterTime.Micros(),
-		Counters: res.Counters,
-	}
-	if s.Validate && out.OK {
-		out.Checksum = checksumF64(res.C)
-	}
-	return out, res.Errors
+	return res.Outcome, res.C
 }
 
 // --- fem ---
@@ -395,14 +377,10 @@ func normalizeFem(env Env, s *Spec) error {
 	return nil
 }
 
-func runFem(env Env, s Spec) (Outcome, []error) {
-	mode := fem.Ckd
-	if s.Mode == "msg" {
-		mode = fem.Msg
-	}
+func runFem(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
 	res := fem.Run(fem.Config{
 		Platform: env.Platform,
-		Mode:     mode,
+		Mode:     m,
 		PEs:      s.PEs, Virtualization: s.Virtualization,
 		NX: s.NX, NY: s.NY,
 		Iters: s.Iters, Warmup: s.Warmup,
@@ -411,19 +389,5 @@ func runFem(env Env, s Spec) (Outcome, []error) {
 		Net:      env.Net,
 		Kill:     s.chaosKill,
 	})
-	out := Outcome{
-		OK:       len(res.Errors) == 0,
-		Errors:   errStrings(res.Errors),
-		Metric:   res.IterTime.Micros(),
-		Counters: res.Counters,
-	}
-	if s.Validate && out.OK {
-		if !res.SharedConsistent {
-			out.OK = false
-			out.Errors = append(out.Errors, "fem: hosted parts disagree on shared vertices")
-			return out, []error{fmt.Errorf("fem: hosted parts disagree on shared vertices")}
-		}
-		out.Checksum = checksumF64(res.Field)
-	}
-	return out, res.Errors
+	return res.Outcome, res.Field
 }

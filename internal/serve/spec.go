@@ -32,7 +32,9 @@ type Spec struct {
 	// Mode is the transport: "msg" or "ckd" (default).
 	Mode string `json:"mode,omitempty"`
 	// PEs is the processing-element count (stencil/matmul/fem; pingpong
-	// derives its own placement). Defaults to the world size under net.
+	// derives its own placement). Under net it is at least the world's
+	// rank count; it defaults to twice that (stencil, fem) or to the
+	// larger of 4 and the rank count (matmul).
 	PEs int `json:"pes,omitempty"`
 	// Iters/Warmup are measured and warmup iterations.
 	Iters  int `json:"iters,omitempty"`
