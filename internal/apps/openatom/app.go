@@ -139,9 +139,6 @@ func (a *app) build(d *apps.Driver) *charm.Array {
 	if cfg.Mode != Msg {
 		a.buildChannels()
 	}
-	if testPostBuild != nil {
-		testPostBuild(a.rts)
-	}
 	return a.gs
 }
 

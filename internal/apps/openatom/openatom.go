@@ -181,11 +181,6 @@ func Improvement(cfg Config) (msg, ckd Result, pct float64) {
 	})
 }
 
-// testPostBuild, when set (tests), runs after the arrays and channels are
-// built and before the simulation starts — used to attach observers like
-// the CkDirect channel learner.
-var testPostBuild func(rts *charm.RTS)
-
 // Run executes one configuration.
 func Run(cfg Config) Result {
 	cfg.fillDefaults()

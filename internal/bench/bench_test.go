@@ -2,6 +2,8 @@ package bench
 
 import (
 	"math"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -9,14 +11,25 @@ import (
 // TestAllExperimentsRunAtQuickScale runs every registered experiment twice:
 // each must produce well-formed tables, and — because the registry holds
 // model output only — the second run must format byte for byte like the
-// first.
+// first. The whole registry's text, rendered as ckbench prints it, must
+// also equal testdata/quick.txt, so a change to the simulator or the cost
+// model that moves any printed figure fails here; regenerate the file with
+// `go run ./cmd/ckbench > internal/bench/testdata/quick.txt` when the
+// figures are meant to move.
 func TestAllExperimentsRunAtQuickScale(t *testing.T) {
-	for _, e := range All() {
+	var rendered strings.Builder
+	ran := 0
+	all := All()
+	for _, e := range all {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			ran++
 			tables := e.Run(Quick)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
+			}
+			for _, tab := range tables {
+				rendered.WriteString(tab.Format() + "\n")
 			}
 			if first, again := formatAll(tables), formatAll(e.Run(Quick)); first != again {
 				t.Fatalf("not deterministic: first run\n%s\nsecond run\n%s", first, again)
@@ -39,6 +52,34 @@ func TestAllExperimentsRunAtQuickScale(t *testing.T) {
 			}
 		})
 	}
+	if ran < len(all) || t.Failed() {
+		return // a -run filter skipped experiments, or one already failed
+	}
+	want, err := os.ReadFile("testdata/quick.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rendered.String(); got != string(want) {
+		t.Fatalf("quick-scale output differs from testdata/quick.txt:\n%s", firstDiff(got, string(want)))
+	}
+}
+
+// firstDiff names the first line on which got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return "line " + strconv.Itoa(i+1) + ":\n got  " + gl + "\n want " + wl
+		}
+	}
+	return "(no line differs)"
 }
 
 func formatAll(tables []*Table) string {

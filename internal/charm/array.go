@@ -189,9 +189,6 @@ func (a *Array) Send(srcPE int, idx Index, ep EP, msg *Message) {
 	h := a.eps[ep]
 	a.rts.ctr.msgs.Add(srcPE, 1)
 	a.rts.ctr.bytes.Add(srcPE, int64(msg.Size))
-	if a.rts.sendObserver != nil {
-		a.rts.sendObserver(srcPE, el.pe, a.name, ep, msg.Size)
-	}
 	if !a.rts.HostsPE(el.pe) {
 		a.rts.netrt.SendMsg(&netrt.Env{
 			Kind: netrt.EnvArray, Array: a.ord, EP: int(ep), Index: el.idx,

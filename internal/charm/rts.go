@@ -53,10 +53,6 @@ type RTS struct {
 	castMu       sync.Mutex
 	castSessions []castSession
 
-	// sendObserver, when installed, sees every array message send
-	// (the hook used by the CkDirect channel learner).
-	sendObserver func(srcPE, dstPE int, array string, ep EP, size int)
-
 	// loadMeter, when installed, observes every element entry-method
 	// dispatch (the hook the load balancer's per-element metering uses).
 	loadMeter LoadMeter
@@ -79,12 +75,6 @@ type RTS struct {
 
 // SetTimeline attaches a span recorder; nil detaches.
 func (rts *RTS) SetTimeline(tl *trace.Timeline) { rts.timeline = tl }
-
-// SetSendObserver installs a hook called for every chare-array message
-// send. Passing nil removes it.
-func (rts *RTS) SetSendObserver(fn func(srcPE, dstPE int, array string, ep EP, size int)) {
-	rts.sendObserver = fn
-}
 
 // LoadMeter observes chare-array entry-method dispatches — the seam the
 // load balancer (internal/lb) hooks to attribute compute and message

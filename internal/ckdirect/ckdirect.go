@@ -10,6 +10,13 @@
 // with no per-message synchronization: the receiver learns of arrival via
 // a plain function callback, never through the scheduler.
 //
+// A channel is the one shape the paper evaluates: a contiguous receive
+// buffer whose last 8-byte word is the sentinel, so every deposit is one
+// contiguous copy followed by the sentinel's store. The receiver-driven
+// get of §2 exists only as a sim-side cost study (get.go, ErrSimOnly on
+// the live backends); the §6 future-work channels (strided, multicast,
+// reduction, automatic learning) are not implemented.
+//
 // Two backend behaviours are modelled, selected by the platform:
 //
 //   - Infiniband (§2.1): the put is a true RDMA write. The receiving RTS
@@ -131,12 +138,14 @@ type Handle struct {
 	// clears it instead of counting the put a second time.
 	arena    bool
 	credited atomic.Bool
-	// strided, when set, scatters each put across the destination per
-	// the layout (§6 extension; see strided.go).
-	strided *StridedLayout
-	// deliveryWatch holds one-shot callbacks fired when the next payload
-	// lands (multicast completion tracking).
-	deliveryWatch []func()
+	// _ keeps a Handle at 360 bytes, in the allocator's 384-byte size
+	// class: a whole number of 64-byte cache lines, so every Handle
+	// starts on a line and the line holding sw and arena, which each
+	// put reads, is one the receiver's re-arm (pollRemove, pollInsert)
+	// does not write. Without it a Handle is 328 bytes, the class is
+	// 352, every other Handle straddles lines, and pp-real-1k's ckd p50
+	// read 7 % higher.
+	_ [32]byte
 	// pendingDeliver records data that landed while the handle was not
 	// in the polling queue (between ReadyMark and ReadyPollQ); ReadyPollQ
 	// then detects it immediately (paper §2.1).
@@ -229,10 +238,11 @@ type Manager struct {
 	getHandles  []*GetHandle
 	getSignalEP charm.EP
 
-	// ctr holds the recorder's handles for the per-put, per-get and
-	// channel-kind counters (charm.RTS.Counter).
+	// ctr holds the recorder's handles for the per-put and per-get
+	// counters (charm.RTS.Counter); the get pair is registered only on
+	// sim, the one backend that can create a get.
 	ctr struct {
-		puts, bytes, strided, multicasts, gets, getSignals trace.Counter
+		puts, bytes, gets, getSignals trace.Counter
 	}
 }
 
@@ -246,10 +256,6 @@ func NewManager(rts *charm.RTS) *Manager {
 	}
 	m.ctr.puts = rts.Counter("ckd.puts")
 	m.ctr.bytes = rts.Counter("ckd.bytes")
-	m.ctr.strided = rts.Counter("ckd.strided_puts")
-	m.ctr.multicasts = rts.Counter("ckd.multicasts")
-	m.ctr.gets = rts.Counter("ckd.gets")
-	m.ctr.getSignals = rts.Counter("ckd.get_signals")
 	if rt := rts.Real(); rt != nil {
 		// Real backend: the scheduler loops poll for arrivals directly —
 		// no modelled tax, the scan costs what it costs.
@@ -268,6 +274,8 @@ func NewManager(rts *charm.RTS) *Manager {
 		nrt.SetPutStream(m.netPutStream)
 		return m
 	}
+	m.ctr.gets = rts.Counter("ckd.gets")
+	m.ctr.getSignals = rts.Counter("ckd.get_signals")
 	plat := rts.Platform()
 	if !plat.CkdRecvIsCallback && plat.PollPerHandleNS > 0 {
 		rts.SetPollTax(func(pe int) sim.Time {
@@ -295,10 +303,6 @@ func (m *Manager) PolledOn(pe int) int {
 // the last word of received data (e.g. a NaN payload in an array of
 // doubles).
 func (m *Manager) CreateHandle(pe int, buf *machine.Region, oob uint64, cb func(ctx *charm.Ctx)) (*Handle, error) {
-	return m.createHandle(pe, buf, oob, cb, nil)
-}
-
-func (m *Manager) createHandle(pe int, buf *machine.Region, oob uint64, cb func(ctx *charm.Ctx), layout *StridedLayout) (*Handle, error) {
 	if buf == nil {
 		return nil, fmt.Errorf("ckdirect: CreateHandle with nil buffer")
 	}
@@ -320,7 +324,6 @@ func (m *Manager) createHandle(pe int, buf *machine.Region, oob uint64, cb func(
 		cb:      cb,
 		sendPE:  -1,
 		state:   Armed,
-		strided: layout,
 	}
 	m.nextID++
 	if m.rt != nil {
@@ -329,11 +332,7 @@ func (m *Manager) createHandle(pe int, buf *machine.Region, oob uint64, cb func(
 		if buf.Virtual() {
 			return nil, fmt.Errorf("ckdirect: handle %d needs a real buffer on the real backend", h.id)
 		}
-		pos := buf.Size() - 8
-		if layout != nil {
-			pos = stridedSentinelPos(layout)
-		}
-		sw, err := buf.Uint64At(pos)
+		sw, err := buf.Uint64At(buf.Size() - 8)
 		if err != nil {
 			return nil, fmt.Errorf("ckdirect: handle %d sentinel: %v (size the buffer in 8-byte words)", h.id, err)
 		}
@@ -373,13 +372,9 @@ func (m *Manager) AssocLocal(h *Handle, pe int, src *machine.Region) error {
 		if src.Virtual() {
 			return fmt.Errorf("ckdirect: handle %d needs a real source buffer on the real backend", h.id)
 		}
-		want := h.recvBuf.Size()
-		if h.strided != nil {
-			want = h.strided.TotalBytes()
-		}
-		if src.Size() != want {
+		if src.Size() != h.recvBuf.Size() {
 			return fmt.Errorf("ckdirect: handle %d source is %d bytes, destination transfer is %d (the real put lands the source's final word in the sentinel position)",
-				h.id, src.Size(), want)
+				h.id, src.Size(), h.recvBuf.Size())
 		}
 	}
 	h.sendPE = pe
@@ -425,9 +420,7 @@ func (m *Manager) usesPolling() bool {
 func (m *Manager) UsesPolling() bool { return m.usesPolling() }
 
 // writeSentinel stamps the out-of-band pattern into the last 8 bytes of
-// the transfer's final destination (the region end for contiguous
-// channels, the tail of the last block for strided ones) — detection
-// later compares against it.
+// the receive buffer — detection later compares against it.
 func (m *Manager) writeSentinel(h *Handle) {
 	if h.sw != nil {
 		// Real backend: an atomic store keeps the re-arm write ordered
@@ -437,15 +430,9 @@ func (m *Manager) writeSentinel(h *Handle) {
 		atomic.StoreUint64(h.sw, h.oob)
 		return
 	}
-	b := h.recvBuf.Bytes()
-	if len(b) < 8 {
-		return
+	if b := h.recvBuf.Bytes(); len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b[len(b)-8:], h.oob)
 	}
-	pos := len(b) - 8
-	if h.strided != nil {
-		pos = stridedSentinelPos(h.strided)
-	}
-	binary.LittleEndian.PutUint64(b[pos:], h.oob)
 }
 
 // sentinelCleared reports whether the sentinel double word no longer
@@ -457,25 +444,7 @@ func (m *Manager) sentinelCleared(h *Handle) bool {
 		// with identical timing.
 		return h.pendingDeliver
 	}
-	pos := len(b) - 8
-	if h.strided != nil {
-		pos = stridedSentinelPos(h.strided)
-	}
-	return binary.LittleEndian.Uint64(b[pos:]) != h.oob
-}
-
-// depositPayload moves put data into receiver memory, honouring a
-// strided destination layout when present.
-func (m *Manager) depositPayload(h *Handle) {
-	if h.strided == nil {
-		h.sendBuf.CopyTo(h.recvBuf)
-		return
-	}
-	src, dst := h.sendBuf.Bytes(), h.recvBuf.Bytes()
-	if src == nil || dst == nil {
-		return
-	}
-	scatter(src, dst, h.strided)
+	return binary.LittleEndian.Uint64(b[len(b)-8:]) != h.oob
 }
 
 // pollInsert (re)arms polling for h. Handles always enter the hot tier:

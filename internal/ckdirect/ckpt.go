@@ -33,11 +33,7 @@ func (m *Manager) Quiescent() error {
 			return fmt.Errorf("ckdirect: handle %d has a delivery pending at checkpoint", h.id)
 		}
 		if b := h.recvBuf.Bytes(); len(b) >= 8 {
-			pos := len(b) - 8
-			if h.strided != nil {
-				pos = stridedSentinelPos(h.strided)
-			}
-			if binary.LittleEndian.Uint64(b[pos:]) != h.oob {
+			if binary.LittleEndian.Uint64(b[len(b)-8:]) != h.oob {
 				return fmt.Errorf("ckdirect: handle %d sentinel not armed at checkpoint (put in flight)", h.id)
 			}
 		}

@@ -2,17 +2,13 @@ package ckdirect
 
 import "fmt"
 
-// SubWordError reports a transfer geometry too small to carry the 8-byte
-// out-of-band sentinel word that CkDirect's detection protocol lives on:
-// a strided block shorter than 8 bytes, or a contiguous receive buffer
-// under 8 bytes. Both are rejected at CreateHandle/CreateStridedHandle
-// (and defensively at PutStrided) — before this check, a sub-word strided
-// layout reached the real backend's deposit path and sliced the source at
-// a negative index, panicking mid-put or corrupting the neighbouring
-// block. Callers can match it with errors.As.
+// SubWordError reports a receive buffer too small to carry the 8-byte
+// out-of-band sentinel word that CkDirect's detection protocol lives on.
+// CreateHandle rejects it on every backend, before the real backend's
+// deposit could slice the source at a negative index. Callers can match
+// it with errors.As.
 type SubWordError struct {
-	// What names the undersized geometry ("strided block", "receive
-	// buffer").
+	// What names the undersized geometry ("receive buffer").
 	What string
 	// Bytes is the offending size.
 	Bytes int

@@ -43,11 +43,7 @@ func (m *Manager) netPutStream(id int64, size int, r io.Reader) error {
 		m.rts.ReportError(fmt.Errorf("ckdirect: wire put for handle %d on PE %d, not hosted here", id, h.recvPE))
 		return discardPut(r, size)
 	}
-	want := h.recvBuf.Size()
-	if h.strided != nil {
-		want = h.strided.TotalBytes()
-	}
-	if size != want {
+	if want := h.recvBuf.Size(); size != want {
 		m.rts.ReportError(fmt.Errorf("ckdirect: wire put for handle %d carries %d bytes, transfer is %d", id, size, want))
 		return discardPut(r, size)
 	}
@@ -76,28 +72,7 @@ func (m *Manager) netPutStream(id int64, size int, r io.Reader) error {
 // the out-of-band state before the rest of the payload is in place.
 func (m *Manager) depositStream(h *Handle, r io.Reader) (uint64, error) {
 	dst := h.recvBuf.Bytes()
-	if h.strided == nil {
-		pos := len(dst) - 8
-		if _, err := io.ReadFull(r, dst[:pos]); err != nil {
-			return 0, err
-		}
-		if _, err := io.ReadFull(r, h.tail8[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(h.tail8[:]), nil
-	}
-	l := h.strided
-	for b := 0; b < l.Count-1; b++ {
-		at := l.Offset + b*l.Stride
-		if _, err := io.ReadFull(r, dst[at:at+l.BlockLen]); err != nil {
-			return 0, err
-		}
-	}
-	// Last block: all but its final word directly, the final word into
-	// the tail scratch. BlockLen >= 8 is guaranteed by layout validation
-	// (SubWordError), so the sub-word slices cannot go negative.
-	at := l.Offset + (l.Count-1)*l.Stride
-	if _, err := io.ReadFull(r, dst[at:at+l.BlockLen-8]); err != nil {
+	if _, err := io.ReadFull(r, dst[:len(dst)-8]); err != nil {
 		return 0, err
 	}
 	if _, err := io.ReadFull(r, h.tail8[:]); err != nil {
@@ -118,12 +93,12 @@ func discardPut(r io.Reader, size int) error {
 // put — one memcpy and the sentinel's release-store, by the sender —
 // instead of a framed payload. Runs on the receiving rank at AssocLocal
 // time (SPMD setup executes AssocLocal everywhere, so by then the handle
-// knows its sender). Best-effort: any reason not to — strided layout,
-// in-process sender, no shm link, arena full — leaves the handle on its
+// knows its sender). Best-effort: any reason not to — in-process
+// sender, no shm link, arena full — leaves the handle on its
 // heap buffer and every transport path still works, just without the
 // zero-frame deposit.
 func (m *Manager) placeRecvInShm(h *Handle) {
-	if m.net == nil || h.strided != nil || !m.rts.HostsPE(h.recvPE) || m.rts.HostsPE(h.sendPE) {
+	if m.net == nil || !m.rts.HostsPE(h.recvPE) || m.rts.HostsPE(h.sendPE) {
 		return
 	}
 	size := h.recvBuf.Size()

@@ -83,7 +83,7 @@ func (m *Manager) issuePut(h *Handle, seq int64, cost netmodel.PathCost, onLocal
 		// RecvCPU term of the CkdPut table.
 		hooks.OnDeliver = func() {
 			if h.delivered < seq {
-				m.depositPayload(h)
+				h.sendBuf.CopyTo(h.recvBuf)
 			}
 		}
 		hooks.OnArrive = func() { m.deliverCallback(h, seq) }
@@ -105,11 +105,10 @@ func (m *Manager) deliverRDMA(h *Handle, seq int64) {
 		return
 	}
 	m.checkOverwrite(h)
-	m.depositPayload(h)
+	h.sendBuf.CopyTo(h.recvBuf)
 	h.inFlight = false
 	h.delivered = seq
 	m.wdDisarm(h)
-	h.notifyDelivery()
 	// pendingDeliver means "bytes are in memory but no poll pass has
 	// noticed yet"; for virtual regions it also stands in for the cleared
 	// sentinel. Detection resets it.
@@ -135,7 +134,6 @@ func (m *Manager) deliverCallback(h *Handle, seq int64) {
 	h.delivered = seq
 	m.wdDisarm(h)
 	h.state = Fired
-	h.notifyDelivery()
 	h.cb(m.rts.CtxOn(h.recvPE))
 }
 

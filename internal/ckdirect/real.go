@@ -50,37 +50,20 @@ func (m *Manager) realPut(h *Handle, onLocalDone func()) {
 // word is release-stored into the sentinel position.
 func (m *Manager) realDeposit(h *Handle) { m.depositBytes(h, h.sendBuf.Bytes()) }
 
-// depositBytes lands src into h's registered receive buffer — plain
-// copies for everything but the transfer's final word, which is
-// release-stored into the sentinel position so the receiver's
-// acquire-loading poll pass orders the whole payload behind it. src is
-// the local source region. The caller took the put's credit already, so
-// an arena-resident buffer is marked credited before the store (see
-// realDetect).
+// depositBytes lands src into h's registered receive buffer — one plain
+// copy of everything but the final word, which is release-stored into
+// the sentinel position so the receiver's acquire-loading poll pass
+// orders the whole payload behind it. src is the local source region.
+// The caller took the put's credit already, so an arena-resident buffer
+// is marked credited before the store (see realDetect).
 func (m *Manager) depositBytes(h *Handle, src []byte) {
 	if h.arena {
 		h.credited.Store(true)
 	}
 	dst := h.recvBuf.Bytes()
-	if h.strided == nil {
-		pos := len(dst) - 8
-		copy(dst[:pos], src[:pos])
-		atomic.StoreUint64(h.sw, binary.LittleEndian.Uint64(src[pos:]))
-		return
-	}
-	l := h.strided
-	for b := 0; b < l.Count-1; b++ {
-		copy(dst[l.Offset+b*l.Stride:l.Offset+b*l.Stride+l.BlockLen],
-			src[b*l.BlockLen:(b+1)*l.BlockLen])
-	}
-	// Last block: all but its final word plainly, the final word as the
-	// publishing release-store. BlockLen >= 8 is guaranteed by layout
-	// validation (SubWordError), so the sub-word slices below cannot go
-	// negative.
-	lastDst := l.Offset + (l.Count-1)*l.Stride
-	lastSrc := (l.Count - 1) * l.BlockLen
-	copy(dst[lastDst:lastDst+l.BlockLen-8], src[lastSrc:lastSrc+l.BlockLen-8])
-	atomic.StoreUint64(h.sw, binary.LittleEndian.Uint64(src[lastSrc+l.BlockLen-8:]))
+	pos := len(dst) - 8
+	copy(dst[:pos], src[:pos])
+	atomic.StoreUint64(h.sw, binary.LittleEndian.Uint64(src[pos:]))
 }
 
 // Cold-tier pacing for the real backend's poll pass: a hot handle whose
@@ -168,14 +151,13 @@ func (m *Manager) realDetect(pe int, h *Handle) {
 	h.pollMisses = 0
 	h.state = Fired
 	h.delivered++
-	h.notifyDelivery()
 	h.cb(h.recvCtx)
 	m.rt.PutDetected()
 }
 
-// ErrSimOnly is what creating a §6 extension channel (get, multicast,
-// channel reduction) returns on a live backend, real or net: those
-// extensions are cost-model studies built on simulator event scheduling.
+// ErrSimOnly is what creating a get channel returns on a live backend,
+// real or net: the get model is a cost-model study (ablation-putget)
+// built on simulator event scheduling.
 var ErrSimOnly = errors.New("sim backend only")
 
 // rejectSimOnly wraps ErrSimOnly with the refused extension's name.

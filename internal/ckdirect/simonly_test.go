@@ -12,9 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestExtensionsRejectedOnLiveBackends: creating a get, multicast or
-// channel-reduction channel on the real or the net backend fails with an
-// error that wraps ErrSimOnly and names the extension.
+// TestExtensionsRejectedOnLiveBackends: creating a get channel on the
+// real or the net backend fails with an error that wraps ErrSimOnly and
+// names the extension.
 func TestExtensionsRejectedOnLiveBackends(t *testing.T) {
 	backends := []struct {
 		name string
@@ -37,16 +37,6 @@ func TestExtensionsRejectedOnLiveBackends(t *testing.T) {
 		{"get", func(m *Manager) error {
 			mach := m.rts.Machine()
 			_, err := m.CreateGetHandle(0, mach.AllocRegion(0, 64, false), 1, mach.AllocRegion(1, 64, false), func(*charm.Ctx) {})
-			return err
-		}},
-		{"multicast", func(m *Manager) error {
-			mach := m.rts.Machine()
-			_, err := m.CreateMulticast(0, mach.AllocRegion(0, 64, false), oob,
-				[]MulticastMember{{PE: 1, Buf: mach.AllocRegion(1, 64, false), Callback: func(*charm.Ctx) {}}})
-			return err
-		}},
-		{"channel-reduction", func(m *Manager) error {
-			_, err := m.CreateReduceChannel(0, 2, 1, charm.Sum, oob, func(*charm.Ctx, []float64) {})
 			return err
 		}},
 	}

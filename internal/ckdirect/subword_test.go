@@ -1,13 +1,11 @@
 package ckdirect
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"repro/internal/charm"
 	"repro/internal/netmodel"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -24,41 +22,9 @@ func newRealRig(t *testing.T, pes int) (*charm.RTS, *Manager) {
 	return rts, NewManager(rts)
 }
 
-// TestSubWordStridedLayoutRejected: every block length 1..7 is too small
-// to carry the 8-byte sentinel word. Before validation learned this, such
-// a layout sailed through to the real backend's deposit, which slices the
-// source at BlockLen-8 — a negative index panic mid-put (or silent
-// corruption of the neighbouring block for the larger sub-word lengths).
-// Both backends must now refuse at creation time with a typed error.
-func TestSubWordStridedLayoutRejected(t *testing.T) {
-	for bl := 1; bl <= 7; bl++ {
-		layout := StridedLayout{BlockLen: bl, Stride: 16, Count: 4}
-		var sub *SubWordError
-		if err := layout.Validate(256); !errors.As(err, &sub) {
-			t.Fatalf("BlockLen %d: Validate returned %v, want *SubWordError", bl, err)
-		} else if sub.Bytes != bl {
-			t.Fatalf("BlockLen %d: SubWordError reports %d bytes", bl, sub.Bytes)
-		}
-
-		// Sim backend.
-		_, simRTS, simMgr := newRig(t, netmodel.AbeIB, 2, true)
-		buf := simRTS.Machine().AllocRegion(1, 256, false)
-		if _, err := simMgr.CreateStridedHandle(1, buf, layout, oob, func(*charm.Ctx) {}); !errors.As(err, new(*SubWordError)) {
-			t.Fatalf("BlockLen %d: sim CreateStridedHandle returned %v, want *SubWordError", bl, err)
-		}
-
-		// Real backend: the panic used to live here.
-		realRTS, realMgr := newRealRig(t, 2)
-		rbuf := realRTS.Machine().AllocRegion(1, 256, false)
-		if _, err := realMgr.CreateStridedHandle(1, rbuf, layout, oob, func(*charm.Ctx) {}); !errors.As(err, new(*SubWordError)) {
-			t.Fatalf("BlockLen %d: real CreateStridedHandle returned %v, want *SubWordError", bl, err)
-		}
-	}
-}
-
-// TestSubWordReceiveBufferRejected: a contiguous receive buffer under 8
-// bytes cannot hold the sentinel either; CreateHandle reports the same
-// typed error on both backends.
+// TestSubWordReceiveBufferRejected: a receive buffer under 8 bytes
+// cannot hold the sentinel; CreateHandle reports the typed error on both
+// backends.
 func TestSubWordReceiveBufferRejected(t *testing.T) {
 	_, simRTS, simMgr := newRig(t, netmodel.AbeIB, 2, true)
 	tiny := simRTS.Machine().AllocRegion(1, 4, false)
@@ -69,95 +35,5 @@ func TestSubWordReceiveBufferRejected(t *testing.T) {
 	rtiny := realRTS.Machine().AllocRegion(1, 4, false)
 	if _, err := realMgr.CreateHandle(1, rtiny, oob, func(*charm.Ctx) {}); !errors.As(err, new(*SubWordError)) {
 		t.Fatalf("real CreateHandle on a 4-byte buffer returned %v, want *SubWordError", err)
-	}
-}
-
-// singleBlockRoundTrip drives one put through a single-block strided
-// layout (Count == 1 — the smallest legal strided channel, whose last
-// block is also its first) and returns the destination region's bytes.
-func singleBlockLayout() StridedLayout {
-	return StridedLayout{Offset: 8, BlockLen: 16, Stride: 16, Count: 1}
-}
-
-// TestSingleBlockStridedSim: the Count==1 edge on the simulator — the
-// whole payload is "the last block", so sentinel placement and scatter
-// must coincide exactly with the block bounds.
-func TestSingleBlockStridedSim(t *testing.T) {
-	eng, rts, m := newRig(t, netmodel.AbeIB, 2, true)
-	layout := singleBlockLayout()
-	dst := rts.Machine().AllocRegion(1, 64, false)
-	fired := false
-	sh, err := m.CreateStridedHandle(1, dst, layout, oob, func(*charm.Ctx) { fired = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rts.Machine().AllocRegion(0, layout.TotalBytes(), false)
-	rng.New(5).Fill(src.Bytes())
-	if err := m.AssocLocal(sh.Handle, 0, src); err != nil {
-		t.Fatal(err)
-	}
-	rts.StartAt(0, func(ctx *charm.Ctx) {
-		if err := m.PutStrided(sh); err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run()
-	if !fired {
-		t.Fatal("single-block callback never fired")
-	}
-	checkSingleBlock(t, dst.Bytes(), src.Bytes(), layout)
-	if errs := rts.Errors(); len(errs) != 0 {
-		t.Fatalf("errors: %v", errs)
-	}
-}
-
-// TestSingleBlockStridedReal: the same edge executed for real — the
-// deposit path's "every block but the last" loop runs zero times, and the
-// sentinel release-store must land inside the one real block.
-func TestSingleBlockStridedReal(t *testing.T) {
-	rts, m := newRealRig(t, 2)
-	layout := singleBlockLayout()
-	dst := rts.Machine().AllocRegion(1, 64, false)
-	fired := false
-	var sh *StridedHandle
-	sh, err := m.CreateStridedHandle(1, dst, layout, oob, func(*charm.Ctx) { fired = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rts.Machine().AllocRegion(0, layout.TotalBytes(), false)
-	rng.New(5).Fill(src.Bytes())
-	if err := m.AssocLocal(sh.Handle, 0, src); err != nil {
-		t.Fatal(err)
-	}
-	rts.StartAt(0, func(ctx *charm.Ctx) {
-		if err := m.PutStrided(sh); err != nil {
-			t.Error(err)
-		}
-	})
-	rts.Run()
-	if !fired {
-		t.Fatal("single-block callback never fired on the real backend")
-	}
-	checkSingleBlock(t, dst.Bytes(), src.Bytes(), layout)
-	if errs := rts.Errors(); len(errs) != 0 {
-		t.Fatalf("errors: %v", errs)
-	}
-}
-
-// checkSingleBlock asserts the block landed intact at its offset and
-// every byte outside it stayed zero.
-func checkSingleBlock(t *testing.T, dst, src []byte, l StridedLayout) {
-	t.Helper()
-	got := dst[l.Offset : l.Offset+l.BlockLen]
-	if !bytes.Equal(got, src) {
-		t.Fatalf("block mismatch: got %x want %x", got, src)
-	}
-	for i, b := range dst {
-		if i >= l.Offset && i < l.Offset+l.BlockLen {
-			continue
-		}
-		if b != 0 {
-			t.Fatalf("byte %d outside the block overwritten (%#x)", i, b)
-		}
 	}
 }

@@ -254,12 +254,25 @@ func TestNowMonotonic(t *testing.T) {
 // or a put callback (Busy) ends its polling stretch without the vacate
 // hook, because a PE at work comes back; a park counts it parked and runs
 // vacate, and so does its exit.
+//
+// No clock drives the sequence. A standing hold keeps the runtime alive
+// after the put; a helper goroutine waits for the park, then enqueues the
+// task that wakes the PE and returns the hold, so the exit follows that
+// task with no polling stretch between. (A timer would not do: After
+// retires its own credit only after its task is queued, so under load
+// the task can run first and the PE polls, and parks, once more while
+// that credit is outstanding.)
 func TestShmReaderPollState(t *testing.T) {
 	rt := New(1)
-	var passes int
+	var passes, passesAtPark int
 	var vacated []PollState
-	rt.SetPollerHooks(func() bool { passes++; return true }, func() { vacated = append(vacated, rt.PollState()) })
-	var inTask, inCallback, inTimer PollState
+	rt.SetPollerHooks(func() bool { passes++; return true }, func() {
+		if len(vacated) == 0 {
+			passesAtPark = passes
+		}
+		vacated = append(vacated, rt.PollState())
+	})
+	var inTask, inCallback, inWake PollState
 	armed := false
 	rt.SetPoll(func(pe int, full bool) bool {
 		if !armed || passes == 0 {
@@ -268,8 +281,6 @@ func TestShmReaderPollState(t *testing.T) {
 		armed = false
 		rt.Busy(pe)
 		inCallback = rt.PollState()
-		// Long enough to run out the spins and park.
-		rt.After(0, sim.FromDuration(30*time.Millisecond), func() { inTimer = rt.PollState() })
 		rt.PutDetected()
 		return true
 	})
@@ -278,14 +289,27 @@ func TestShmReaderPollState(t *testing.T) {
 		rt.PutIssued()
 		armed = true
 	})
+	rt.Hold()
+	go func() {
+		// Parked counts a park or an exit, and the hold rules out the
+		// exit: this is the park that ends the second polling stretch.
+		for rt.PollState().Parked == 0 {
+			runtime.Gosched()
+		}
+		rt.Enqueue(0, func() {
+			inWake = rt.PollState()
+			rt.Release()
+		})
+	}()
 	rt.Run()
+	// Run returned, so the worker's writes are visible here.
 	for _, c := range []struct {
 		at        string
 		got, want PollState
 	}{
 		{"a task", inTask, PollState{}},
 		{"a put callback", inCallback, PollState{Leaves: 1}},
-		{"the timer's task", inTimer, PollState{Leaves: 2}},
+		{"the task that ends the park", inWake, PollState{Leaves: 2}},
 	} {
 		if c.got != c.want {
 			t.Errorf("in %s: %+v, want %+v", c.at, c.got, c.want)
@@ -296,8 +320,8 @@ func TestShmReaderPollState(t *testing.T) {
 	if fmt.Sprint(vacated) != fmt.Sprint(want) {
 		t.Errorf("vacate saw %+v, want %+v (the park, then the exit)", vacated, want)
 	}
-	if passes < spinIters {
-		t.Errorf("%d idle passes before the park, want at least %d", passes, spinIters)
+	if passesAtPark < spinIters {
+		t.Errorf("%d idle passes before the park, want at least %d", passesAtPark, spinIters)
 	}
 }
 

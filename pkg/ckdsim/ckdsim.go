@@ -63,6 +63,9 @@ type (
 	Manager = ckdirect.Manager
 	// Handle is one CkDirect channel.
 	Handle = ckdirect.Handle
+	// GetHandle is the receiver-initiated (get) alternative the paper
+	// argued against — provided for comparison.
+	GetHandle = ckdirect.GetHandle
 	// Recorder accumulates instrumentation.
 	Recorder = trace.Recorder
 	// ReduceOp selects a reduction combiner.

@@ -80,3 +80,43 @@ func TestPlatformsExposed(t *testing.T) {
 		t.Fatal("BGP should use callback delivery")
 	}
 }
+
+func TestPublicSection(t *testing.T) {
+	sys := ckdsim.NewSystem(ckdsim.AbeIB(), 3, ckdsim.Options{})
+	arr := sys.RTS().NewArray("a", ckdsim.RRMap(3))
+	type obj struct{ got int }
+	for i := 0; i < 9; i++ {
+		arr.Insert(ckdsim.Idx1(i), &obj{})
+	}
+	sec := arr.NewSection("thirds", []ckdsim.Index{ckdsim.Idx1(0), ckdsim.Idx1(3), ckdsim.Idx1(6)})
+	var total float64
+	sec.SetReductionClient(ckdsim.Sum, func(ctx *ckdsim.Ctx, vals []float64) { total = vals[0] })
+	ep := arr.EntryMethod("p", func(ctx *ckdsim.Ctx, msg *ckdsim.Message) {
+		ctx.Obj().(*obj).got++
+		sec.ContributeFrom(ctx.Index(), float64(ctx.Index()[0]))
+	})
+	sys.RTS().StartAt(0, func(ctx *ckdsim.Ctx) {
+		ctx.MulticastSection(sec, ep, &ckdsim.Message{Size: 8})
+	})
+	sys.Run()
+	if total != 9 {
+		t.Fatalf("section reduction = %v, want 9", total)
+	}
+	if arr.Obj(ckdsim.Idx1(1)).(*obj).got != 0 {
+		t.Fatal("non-member received section multicast")
+	}
+}
+
+func TestPublicQuiescence(t *testing.T) {
+	sys := ckdsim.NewSystem(ckdsim.AbeIB(), 2, ckdsim.Options{})
+	ep := sys.RTS().RegisterPEHandler(func(ctx *ckdsim.Ctx, msg *ckdsim.Message) {})
+	fired := false
+	sys.RTS().StartAt(0, func(ctx *ckdsim.Ctx) {
+		ctx.SendPE(1, ep, &ckdsim.Message{Size: 64})
+		sys.RTS().OnQuiescence(func() { fired = true })
+	})
+	sys.Run()
+	if !fired {
+		t.Fatal("quiescence not detected through the public API")
+	}
+}
