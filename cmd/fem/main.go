@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	l := apps.NewLauncher("fem", apps.Net|apps.Ckpt|apps.Kill|apps.Compare|apps.Modes)
+	l := apps.NewLauncher("fem", apps.Net|apps.Ckpt|apps.Kill|apps.Compare|apps.Modes|apps.Trace)
 	var (
 		pes      = flag.Int("pes", 16, "processing elements")
 		mesh     = flag.String("mesh", "512x512", "quad grid NXxNY (2*NX*NY triangles)")
@@ -32,7 +32,6 @@ func main() {
 	if !ok || err1 != nil || err2 != nil || nx <= 0 || ny <= 0 {
 		l.Fatal(fmt.Errorf("bad mesh %q (want NXxNY)", *mesh))
 	}
-	l.Start()
 	cfg := fem.Config{
 		Platform: l.Platform,
 		Mode:     l.Mode,
@@ -41,11 +40,16 @@ func main() {
 		Iters: *iters, Warmup: *warmup,
 		Validate: *validate,
 		Backend:  l.Backend,
-		Net:      l.Node,
+		Timeline: l.Timeline,
 		Chaos:    l.Chaos,
 		Ckpt:     l.Ckpt,
 		Kill:     l.Kill,
 	}
+	if err := cfg.Check(); err != nil {
+		l.Fatal(err)
+	}
+	l.Start()
+	cfg.Net = l.Node
 	if l.Compare {
 		msg, ckd, pct := fem.Improvement(cfg)
 		if !l.Quiet() {
@@ -72,5 +76,6 @@ func main() {
 			fmt.Printf("  residual %.6g, shared-vertex consistency: %v\n", res.Residual, res.SharedConsistent)
 		}
 	}
+	l.WriteTrace(res.Counters)
 	l.Exit(errs)
 }

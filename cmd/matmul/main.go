@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	l := apps.NewLauncher("matmul", apps.Net|apps.Ckpt|apps.Kill|apps.Compare|apps.Modes)
+	l := apps.NewLauncher("matmul", apps.Net|apps.Ckpt|apps.Kill|apps.Compare|apps.Modes|apps.Trace)
 	var (
 		pes      = flag.Int("pes", 64, "processing elements")
 		n        = flag.Int("n", 2048, "matrix edge")
@@ -22,7 +22,6 @@ func main() {
 		validate = flag.Bool("validate", false, "move real matrices and verify the product (small n)")
 	)
 	l.Parse()
-	l.Start()
 	cfg := matmul.Config{
 		Platform: l.Platform,
 		Mode:     l.Mode,
@@ -31,11 +30,16 @@ func main() {
 		Iters:    *iters, Warmup: *warmup,
 		Validate: *validate,
 		Backend:  l.Backend,
-		Net:      l.Node,
+		Timeline: l.Timeline,
 		Chaos:    l.Chaos,
 		Ckpt:     l.Ckpt,
 		Kill:     l.Kill,
 	}
+	if err := cfg.Check(); err != nil {
+		l.Fatal(err)
+	}
+	l.Start()
+	cfg.Net = l.Node
 	if l.Compare {
 		msg, ckd, pct := matmul.Improvement(cfg)
 		if !l.Quiet() {
@@ -62,5 +66,6 @@ func main() {
 			fmt.Printf("  max error %.2e\n", res.MaxError)
 		}
 	}
+	l.WriteTrace(res.Counters)
 	l.Exit(errs)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	l := apps.NewLauncher("openatom", apps.Net|apps.Compare)
+	l := apps.NewLauncher("openatom", apps.Net|apps.Compare|apps.Trace)
 	var (
 		pes       = flag.Int("pes", 64, "processing elements")
 		cores     = flag.Int("cores-per-node", 0, "override cores per node (paper's Abe study: 2)")
@@ -28,27 +28,14 @@ func main() {
 		modeName  = flag.String("mode", "ckd", "msg | ckd | ckd-naive")
 	)
 	l.Parse()
-	var scope openatom.Scope
-	switch *scopeName {
-	case "full":
-		scope = openatom.FullStep
-	case "pc-only", "pc":
-		scope = openatom.PCOnly
-	default:
-		l.Fatal(fmt.Errorf("unknown scope %q", *scopeName))
+	scope, err := openatom.ParseScope(*scopeName)
+	if err != nil {
+		l.Fatal(err)
 	}
-	var mode openatom.Mode
-	switch *modeName {
-	case "msg":
-		mode = openatom.Msg
-	case "ckd":
-		mode = openatom.Ckd
-	case "ckd-naive":
-		mode = openatom.CkdNaive
-	default:
-		l.Fatal(fmt.Errorf("unknown mode %q", *modeName))
+	mode, err := openatom.ParseMode(*modeName)
+	if err != nil {
+		l.Fatal(err)
 	}
-	l.Start()
 	cfg := openatom.Config{
 		Platform: l.Platform,
 		Mode:     mode,
@@ -57,10 +44,15 @@ func main() {
 		NStates: *nstates, NPlanes: *nplanes, Grain: *grain, Points: *points,
 		FFTWeight: *fftWeight,
 		Steps:     *steps, Warmup: *warmup,
-		Backend: l.Backend,
-		Net:     l.Node,
-		Chaos:   l.Chaos,
+		Backend:  l.Backend,
+		Timeline: l.Timeline,
+		Chaos:    l.Chaos,
 	}
+	if err := cfg.Check(); err != nil {
+		l.Fatal(err)
+	}
+	l.Start()
+	cfg.Net = l.Node
 	if l.Compare {
 		msg, ckd, pct := openatom.Improvement(cfg)
 		if !l.Quiet() {
@@ -78,5 +70,6 @@ func main() {
 		fmt.Printf("openatom proxy, mode %v, scope %v, %d PEs: %v per step (%d channels)\n",
 			cfg.Mode, scope, *pes, res.StepTime, res.Channels)
 	}
+	l.WriteTrace(res.Counters)
 	l.Exit(res.Errors)
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/apps/pingpong"
-	"repro/internal/charm"
 )
 
 func main() {
@@ -24,22 +23,32 @@ func main() {
 		iters    = flag.Int("iters", 1000, "round trips to average over")
 	)
 	l.Parse()
-	mode, err := parseMode(*modeName)
+	mode, err := pingpong.ParseMode(*modeName)
 	if err != nil {
 		l.Fatal(err)
 	}
-	if l.Backend != charm.SimBackend && mode != pingpong.CharmMsg && mode != pingpong.CkDirect {
-		l.Fatal(fmt.Errorf("mode %v models a foreign MPI stack and is sim-only (use charm-msg or ckdirect with -backend=%v)", mode, l.Backend))
-	}
-	var sizes []int
+	var cfgs []pingpong.Config
 	for _, field := range strings.Split(*sizesArg, ",") {
 		size, err := strconv.Atoi(strings.TrimSpace(field))
 		if err != nil {
 			l.Fatal(fmt.Errorf("bad size %q: %v", field, err))
 		}
-		sizes = append(sizes, size)
+		cfg := pingpong.Config{
+			Platform: l.Platform,
+			Mode:     mode,
+			Size:     size,
+			Iters:    *iters,
+			Virtual:  size > 65536,
+			Backend:  l.Backend,
+			Chaos:    l.Chaos,
+			Kill:     l.Kill,
+		}
+		if err := cfg.Check(); err != nil {
+			l.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
 	}
-	if l.Kill != nil && len(sizes) > 1 {
+	if l.Kill != nil && len(cfgs) > 1 {
 		l.Fatal(errors.New("-chaos.kill fires once per process; run it with a single -sizes value"))
 	}
 	l.Start()
@@ -48,18 +57,8 @@ func main() {
 		fmt.Printf("%12s %14s\n", "size (B)", "RTT (us)")
 	}
 	var errs []error
-	for _, size := range sizes {
-		cfg := pingpong.Config{
-			Platform: l.Platform,
-			Mode:     mode,
-			Size:     size,
-			Iters:    *iters,
-			Virtual:  size > 65536,
-			Backend:  l.Backend,
-			Net:      l.Node,
-			Chaos:    l.Chaos,
-			Kill:     l.Kill,
-		}
+	for _, cfg := range cfgs {
+		cfg.Net = l.Node
 		// Pingpong takes no checkpoints: after a rank death the mesh
 		// rebuilds around the respawned rank and the benchmark restarts
 		// from iteration zero.
@@ -68,27 +67,11 @@ func main() {
 			res = pingpong.Run(cfg)
 			return res.Errors
 		}) {
-			errs = append(errs, fmt.Errorf("size %d: %w", size, e))
+			errs = append(errs, fmt.Errorf("size %d: %w", cfg.Size, e))
 		}
 		if !l.Quiet() {
-			fmt.Printf("%12d %14.3f\n", size, res.RTTMicros())
+			fmt.Printf("%12d %14.3f\n", cfg.Size, res.RTTMicros())
 		}
 	}
 	l.Exit(errs)
-}
-
-func parseMode(name string) (pingpong.Mode, error) {
-	switch name {
-	case "charm-msg", "msg":
-		return pingpong.CharmMsg, nil
-	case "ckdirect", "ckd":
-		return pingpong.CkDirect, nil
-	case "mpi":
-		return pingpong.MPI, nil
-	case "mpi-put":
-		return pingpong.MPIPut, nil
-	case "mpi-alt", "mpich-vmi":
-		return pingpong.MPIAlt, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", name)
 }

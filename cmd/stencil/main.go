@@ -5,7 +5,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,14 +13,12 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/apps/stencil"
-	"repro/internal/charm"
-	"repro/internal/lb"
 	"repro/internal/netrt"
 	"repro/internal/trace"
 )
 
 func main() {
-	l := apps.NewLauncher("stencil", apps.Net|apps.Ckpt|apps.Kill|apps.Compare|apps.Modes)
+	l := apps.NewLauncher("stencil", apps.Net|apps.Ckpt|apps.Kill|apps.Compare|apps.Modes|apps.Trace)
 	var (
 		pes        = flag.Int("pes", 64, "processing elements")
 		domain     = flag.String("domain", "1024x1024x512", "global domain NXxNYxNZ")
@@ -29,7 +26,6 @@ func main() {
 		iters      = flag.Int("iters", 3, "measured iterations")
 		warmup     = flag.Int("warmup", 1, "warmup iterations")
 		validate   = flag.Bool("validate", false, "move real data and check against the serial reference (small domains)")
-		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
 		lbEvery    = flag.Int("lb.every", 0, "run a load-balancing round every N reduction barriers, 0 disables")
 		lbStrategy = flag.String("lb.strategy", "greedy", "rebalancing strategy: greedy | none")
 		skew       = flag.Float64("skew", 0, "artificial imbalance: the first half of the chare array wastes this many times extra compute")
@@ -39,16 +35,6 @@ func main() {
 	if err != nil {
 		l.Fatal(err)
 	}
-	if *traceFile != "" && l.Backend != charm.SimBackend {
-		l.Fatal(errors.New("-trace records the virtual timeline and is sim-only (drop it or use -backend=sim)"))
-	}
-	if *lbEvery > 0 {
-		if s, err := lb.ParseStrategy(*lbStrategy); err != nil {
-			l.Fatal(err)
-		} else if s == nil {
-			l.Fatal(fmt.Errorf("-lb.every needs a real -lb.strategy (got %q)", *lbStrategy))
-		}
-	}
 	cfg := stencil.Config{
 		Platform: l.Platform,
 		Mode:     l.Mode,
@@ -57,6 +43,7 @@ func main() {
 		Iters: *iters, Warmup: *warmup,
 		Validate: *validate,
 		Backend:  l.Backend,
+		Timeline: l.Timeline,
 		Chaos:    l.Chaos,
 		Ckpt:     l.Ckpt,
 		Kill:     l.Kill,
@@ -68,9 +55,6 @@ func main() {
 	}
 	l.Start()
 	cfg.Net = l.Node
-	if *traceFile != "" {
-		cfg.Timeline = trace.NewTimeline(0)
-	}
 	if l.Compare {
 		msg, ckd, pct := stencil.Improvement(cfg)
 		if !l.Quiet() {
@@ -80,7 +64,8 @@ func main() {
 			fmt.Printf("  ckd: %v per iteration\n", ckd.IterTime)
 			fmt.Printf("  improvement: %.2f%%\n", pct)
 		}
-		finish(l, cfg.Timeline, *traceFile, append(msg.Errors, ckd.Errors...))
+		printNetStats(l.Node)
+		l.Exit(append(msg.Errors, ckd.Errors...))
 		return
 	}
 	var res stencil.Result
@@ -112,24 +97,7 @@ func main() {
 				res.Counters[trace.CntLBForwards])
 		}
 	}
-	finish(l, cfg.Timeline, *traceFile, errs)
-}
-
-// finish writes the -trace timeline, prints the net-stats line and
-// exits through the launcher.
-func finish(l *apps.Launcher, tl *trace.Timeline, traceFile string, errs []error) {
-	if tl != nil {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			l.Fatal(err)
-		}
-		defer f.Close()
-		if err := tl.WriteChromeTrace(f); err != nil {
-			l.Fatal(err)
-		}
-		fmt.Printf("wrote %d spans to %s (open in chrome://tracing or Perfetto)\n",
-			len(tl.Spans()), traceFile)
-	}
+	l.WriteTrace(res.Counters)
 	printNetStats(l.Node)
 	l.Exit(errs)
 }

@@ -98,10 +98,22 @@ func partGrid(want, nx, ny int) [2]int {
 	return g
 }
 
+// Check reports the parameter error Run panics on: a non-positive PE
+// count or a negative warmup.
+func (cfg Config) Check() error {
+	if cfg.PEs <= 0 {
+		return errors.New("fem: PEs must be positive")
+	}
+	if cfg.Warmup < 0 {
+		return errors.New("fem: Warmup must not be negative")
+	}
+	return nil
+}
+
 // Run executes one FEM configuration.
 func Run(cfg Config) Result {
-	if cfg.PEs <= 0 {
-		panic("fem: PEs must be positive")
+	if err := cfg.Check(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.NX <= 0 || cfg.NY <= 0 {
 		cfg.NX, cfg.NY = 128, 128

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/charm"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
+	"repro/internal/trace"
 )
 
 // Feature selects the flags a launcher adds to the common set
@@ -25,12 +27,15 @@ const (
 	Kill                        // -chaos.kill
 	Compare                     // -compare
 	Modes                       // -mode msg | ckd
+	Trace                       // -trace FILE (see WriteTrace)
 )
 
 // Launcher is the command line the paper's app binaries share. It
 // registers the common flags, refuses combinations that cannot run,
-// starts the net backend's node, drives the recovery loop and owns the
-// exit codes: 2 for a bad command line, 1 for a failed run.
+// starts the net backend's node, drives the recovery loop, writes the
+// -trace file and owns the exit codes: 2 for a bad command line, 1 for
+// a failed run. Each app's Config.Check, which the main calls before
+// Start, refuses the shapes the app cannot run.
 type Launcher struct {
 	Prog     string
 	Platform *netmodel.Platform
@@ -41,17 +46,20 @@ type Launcher struct {
 	Ckpt     *charm.CkptOptions // nil unless -ckpt.every
 	Kill     *chaos.Kill
 	Node     *netrt.Node // the started node under -backend=net
+	// Timeline records the run under -trace on sim (nil otherwise).
+	Timeline *trace.Timeline
 
-	fs     *flag.FlagSet
-	feat   Feature
-	net    *netrt.Config
-	exit   func(code int) // os.Exit; tests observe the code instead
-	stderr io.Writer
+	fs             *flag.FlagSet
+	feat           Feature
+	net            *netrt.Config
+	exit           func(code int) // os.Exit; tests observe the code instead
+	stdout, stderr io.Writer
 
 	platform, backend, mode string
 	chaos                   chaos.Options
 	ckptEvery               int
 	ckptDir, kill           string
+	traceFile               string
 }
 
 // NewLauncher registers prog's common flags on the process command line.
@@ -60,7 +68,7 @@ func NewLauncher(prog string, feat Feature) *Launcher {
 }
 
 func newLauncher(fs *flag.FlagSet, prog string, feat Feature) *Launcher {
-	l := &Launcher{Prog: prog, fs: fs, feat: feat, exit: os.Exit, stderr: os.Stderr}
+	l := &Launcher{Prog: prog, fs: fs, feat: feat, exit: os.Exit, stdout: os.Stdout, stderr: os.Stderr}
 	backends := "sim (modelled network) | real (goroutines + shared memory)"
 	if feat&Net != 0 {
 		backends += " | net (multiple OS processes over TCP)"
@@ -85,6 +93,9 @@ func newLauncher(fs *flag.FlagSet, prog string, feat Feature) *Launcher {
 	}
 	if feat&Kill != 0 {
 		fs.StringVar(&l.kill, "chaos.kill", "", `kill -9 a worker rank mid-run: "RANK@STEP" (net backend only; the world recovers and reruns)`)
+	}
+	if feat&Trace != 0 {
+		fs.StringVar(&l.traceFile, "trace", "", "write the run's trace here: the Chrome trace-event timeline on sim, the trace counters as JSON on real")
 	}
 	return l
 }
@@ -142,6 +153,16 @@ func (l *Launcher) parse(args []string) error {
 		// rebuild the mesh around a respawned rank.
 		l.net.Recover = true
 	}
+	if l.traceFile != "" {
+		switch {
+		case l.Backend == charm.NetBackend:
+			return errors.New("-trace records one process's run (drop it or use -backend=sim for the timeline, -backend=real for the counters)")
+		case l.Compare:
+			return errors.New("-trace records one run and cannot combine with -compare (pick one -mode)")
+		case l.Backend == charm.SimBackend:
+			l.Timeline = trace.NewTimeline(0)
+		}
+	}
 	return l.checkWorld()
 }
 
@@ -149,19 +170,21 @@ func (l *Launcher) parse(args []string) error {
 // every rank hosts at least one PE, and a rank with none would panic
 // in the runtime after every rank was spawned.
 func (l *Launcher) checkWorld() error {
-	f := l.fs.Lookup("pes")
-	if l.Backend != charm.NetBackend || f == nil {
+	if l.Backend != charm.NetBackend || l.fs.Lookup("pes") == nil {
 		return nil
 	}
 	world := l.net.World
 	if len(l.net.Peers) > 0 {
 		world = len(l.net.Peers)
 	}
-	if pes := f.Value.(flag.Getter).Get().(int); pes < world {
+	if pes := l.pes(); pes < world {
 		return fmt.Errorf("-pes %d is fewer than the %d ranks of the net world; every rank hosts at least one PE", pes, world)
 	}
 	return nil
 }
+
+// pes reads the app's -pes flag.
+func (l *Launcher) pes() int { return l.fs.Lookup("pes").Value.(flag.Getter).Get().(int) }
 
 func (l *Launcher) recovery() bool { return l.Ckpt != nil || l.Kill != nil }
 
@@ -212,7 +235,7 @@ func (l *Launcher) Exit(errs []error) {
 
 // Fatal reports a bad command line and exits 2.
 func (l *Launcher) Fatal(err error) {
-	fmt.Fprintf(l.stderr, "%s: %v\n", l.Prog, err)
+	fmt.Fprintf(l.stderr, "%s: %s\n", l.Prog, strings.TrimPrefix(err.Error(), l.Prog+": "))
 	l.exit(2)
 }
 

@@ -2,8 +2,11 @@ package apps
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -35,7 +38,7 @@ func parseExit(t *testing.T, feat Feature, args ...string) (l *Launcher, code in
 // TestLauncherRefusals is the shared command line's refusal table: each
 // combination that cannot run is one line on stderr and exit status 2.
 func TestLauncherRefusals(t *testing.T) {
-	all := Net | Ckpt | Kill | Compare | Modes
+	all := Net | Ckpt | Kill | Compare | Modes | Trace
 	cases := []struct {
 		name string
 		feat Feature
@@ -55,6 +58,8 @@ func TestLauncherRefusals(t *testing.T) {
 		{"bad mode", all, []string{"-mode=rdma"}, "unknown mode"},
 		{"bad platform", all, []string{"-platform=cray"}, "unknown platform"},
 		{"unregistered flag", Net, []string{"-ckpt.every=2"}, "not defined"},
+		{"trace on net", all, []string{"-backend=net", "-trace=t.json"}, "one process's run"},
+		{"trace with compare", all, []string{"-compare", "-trace=t.json"}, "cannot combine with -compare"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,5 +86,44 @@ func TestLauncherAccepts(t *testing.T) {
 	}
 	if l, _, _ := parseExit(t, Net|Modes); l.Mode != Ckd || l.Chaos != nil || l.net.Recover {
 		t.Fatalf("defaults: mode %v, chaos %v, recover %v", l.Mode, l.Chaos, l.net.Recover)
+	}
+}
+
+// TestWriteTrace pins what -trace leaves behind: on sim a timeline is
+// attached and written as Chrome trace-event JSON with a utilization
+// summary; on real no timeline is attached and the file holds the
+// counters as a JSON object; without -trace nothing is written.
+func TestWriteTrace(t *testing.T) {
+	dir := t.TempDir()
+	if l, _, _ := parseExit(t, Trace); l.Timeline != nil {
+		t.Fatal("a timeline without -trace")
+	}
+	sim := filepath.Join(dir, "sim.json")
+	l, code, out := parseExit(t, Trace, "-trace="+sim)
+	if code != 0 || l.Timeline == nil {
+		t.Fatalf("sim: exit %d (%s), timeline %v", code, out, l.Timeline)
+	}
+	l.Timeline.AddSpan(1, "entry", "dispatch", 0, 10)
+	var stdout bytes.Buffer
+	l.stdout = &stdout
+	l.WriteTrace(nil)
+	var doc struct{ TraceEvents []map[string]any }
+	if b, err := os.ReadFile(sim); err != nil || json.Unmarshal(b, &doc) != nil || len(doc.TraceEvents) != 1 {
+		t.Fatalf("sim trace %q: %v", b, err)
+	}
+	if !strings.Contains(stdout.String(), "wrote 1 spans") || !strings.Contains(stdout.String(), "PE   3     0.0%") {
+		t.Fatalf("sim summary:\n%s", stdout.String())
+	}
+
+	live := filepath.Join(dir, "real.json")
+	l, code, out = parseExit(t, Trace, "-backend=real", "-trace="+live)
+	if code != 0 || l.Timeline != nil {
+		t.Fatalf("real: exit %d (%s), timeline %v", code, out, l.Timeline)
+	}
+	l.stdout = io.Discard
+	l.WriteTrace(map[string]int64{"ckd.puts": 7, "mem.allocs": 3})
+	var counters map[string]int64
+	if b, err := os.ReadFile(live); err != nil || json.Unmarshal(b, &counters) != nil || counters["ckd.puts"] != 7 {
+		t.Fatalf("real trace %q: %v", b, err)
 	}
 }

@@ -110,10 +110,14 @@ func chooseGrid(pes int) [3]int {
 }
 
 // Check reports the parameter error Run panics on: a non-positive PE
-// count, or an N that the PE grid (or its shard split) does not divide.
+// count, a negative warmup, or an N that the PE grid (or its shard
+// split) does not divide.
 func (cfg Config) Check() error {
 	if cfg.PEs <= 0 {
 		return errors.New("matmul: PEs must be positive")
+	}
+	if cfg.Warmup < 0 {
+		return errors.New("matmul: Warmup must not be negative")
 	}
 	grid := chooseGrid(cfg.PEs)
 	for d := 0; d < 3; d++ {

@@ -33,6 +33,7 @@
 package openatom
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/apps"
@@ -68,6 +69,16 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ParseMode names a transport variant: msg, ckd or ckd-naive.
+func ParseMode(name string) (Mode, error) {
+	for _, m := range []Mode{Msg, Ckd, CkdNaive} {
+		if name == m.String() {
+			return m, nil
+		}
+	}
+	return Ckd, fmt.Errorf("unknown mode %q (msg | ckd | ckd-naive)", name)
+}
+
 // Scope selects full-step or PairCalculator-only simulation.
 type Scope int
 
@@ -83,6 +94,17 @@ func (s Scope) String() string {
 		return "full"
 	}
 	return "pc-only"
+}
+
+// ParseScope names a scope: full, or pc-only (or pc).
+func ParseScope(name string) (Scope, error) {
+	switch name {
+	case "full":
+		return FullStep, nil
+	case "pc-only", "pc":
+		return PCOnly, nil
+	}
+	return FullStep, fmt.Errorf("unknown scope %q (full | pc-only)", name)
 }
 
 // Config parameterizes an OpenAtom proxy run.
@@ -145,9 +167,26 @@ func (c *Config) fillDefaults() {
 	if c.FFTWeight == 0 {
 		c.FFTWeight = 12
 	}
-	if c.NStates%c.Grain != 0 {
-		panic(fmt.Sprintf("openatom: NStates %d not divisible by Grain %d", c.NStates, c.Grain))
+}
+
+// Check reports the parameter error Run panics on, once the defaults
+// are filled in: a non-positive PE count, state count, plane count,
+// grain or point count, a negative warmup, step count or FFT weight, or
+// an NStates that Grain does not divide.
+func (cfg Config) Check() error {
+	cfg.fillDefaults()
+	switch {
+	case cfg.PEs <= 0:
+		return errors.New("openatom: PEs must be positive")
+	case cfg.NStates <= 0 || cfg.NPlanes <= 0 || cfg.Grain <= 0 || cfg.Points <= 0:
+		return fmt.Errorf("openatom: NStates %d, NPlanes %d, Grain %d and Points %d must be positive",
+			cfg.NStates, cfg.NPlanes, cfg.Grain, cfg.Points)
+	case cfg.Warmup < 0 || cfg.Steps < 0 || cfg.FFTWeight < 0:
+		return errors.New("openatom: Warmup, Steps and FFTWeight must not be negative")
+	case cfg.NStates%cfg.Grain != 0:
+		return fmt.Errorf("openatom: NStates %d not divisible by Grain %d", cfg.NStates, cfg.Grain)
 	}
+	return nil
 }
 
 // Result reports the measured step time and validation data.
@@ -183,10 +222,10 @@ func Improvement(cfg Config) (msg, ckd Result, pct float64) {
 
 // Run executes one configuration.
 func Run(cfg Config) Result {
-	cfg.fillDefaults()
-	if cfg.PEs <= 0 {
-		panic("openatom: PEs must be positive")
+	if err := cfg.Check(); err != nil {
+		panic(err.Error())
 	}
+	cfg.fillDefaults()
 	a := &app{cfg: cfg}
 	o, ok := apps.Run(apps.Spec{
 		Name: "openatom", Platform: cfg.Platform, CoresPerNode: cfg.CoresPerNode, PEs: cfg.PEs,

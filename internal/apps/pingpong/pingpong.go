@@ -6,6 +6,7 @@ package pingpong
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/apps"
@@ -46,6 +47,22 @@ func (m Mode) String() string {
 		return "mpi-alt"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
+}
+
+// modeAliases are the names ParseMode takes beside String's.
+var modeAliases = map[string]Mode{"msg": CharmMsg, "ckd": CkDirect, "mpich-vmi": MPIAlt}
+
+// ParseMode names a stack as String does, or by one of modeAliases.
+func ParseMode(name string) (Mode, error) {
+	if m, ok := modeAliases[name]; ok {
+		return m, nil
+	}
+	for m := CharmMsg; m <= MPIAlt; m++ {
+		if name == m.String() {
+			return m, nil
+		}
+	}
+	return CkDirect, fmt.Errorf("unknown mode %q (charm-msg | ckdirect | mpi | mpi-put | mpi-alt)", name)
 }
 
 // Config parameterizes one pingpong run.
@@ -104,18 +121,32 @@ type Result struct {
 // the paper's tables.
 func (r Result) RTTMicros() float64 { return r.RTT.Micros() }
 
+// Check reports the parameter error Run panics on: a non-positive size,
+// an unknown mode, an MPI mode on a live backend, or mpi-alt on a
+// platform without that personality.
+func (cfg Config) Check() error {
+	switch {
+	case cfg.Size <= 0:
+		return errors.New("pingpong: non-positive size")
+	case cfg.Mode < CharmMsg || cfg.Mode > MPIAlt:
+		return fmt.Errorf("pingpong: unknown mode %v", cfg.Mode)
+	case cfg.Backend != charm.SimBackend && cfg.Mode != CharmMsg && cfg.Mode != CkDirect:
+		return fmt.Errorf("pingpong: mode %v models a foreign MPI stack and is sim-only (use charm-msg or ckdirect with -backend=%v)", cfg.Mode, cfg.Backend)
+	case cfg.Mode == MPIAlt && cfg.Platform.MPIAlt == nil:
+		return fmt.Errorf("pingpong: platform %s has no alternate MPI personality", cfg.Platform.Name)
+	}
+	return nil
+}
+
 // Run executes the benchmark and returns the averaged round-trip time.
 func Run(cfg Config) Result {
+	if err := cfg.Check(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.Iters <= 0 {
 		cfg.Iters = 100
 	}
-	if cfg.Size <= 0 {
-		panic("pingpong: non-positive size")
-	}
 	if cfg.Backend != charm.SimBackend {
-		if cfg.Mode != CharmMsg && cfg.Mode != CkDirect {
-			panic(fmt.Sprintf("pingpong: mode %v is sim-only (the real and net backends run charm-msg and ckdirect)", cfg.Mode))
-		}
 		cfg.Virtual = false
 		cfg.Size = (cfg.Size + 7) &^ 7
 	}
@@ -124,10 +155,8 @@ func Run(cfg Config) Result {
 		return runCharm(cfg)
 	case CkDirect:
 		return runCkDirect(cfg)
-	case MPI, MPIPut, MPIAlt:
-		return runMPI(cfg)
 	}
-	panic(fmt.Sprintf("pingpong: unknown mode %v", cfg.Mode))
+	return runMPI(cfg)
 }
 
 // peers returns the two endpoint PEs, placed on different nodes, and the
@@ -311,9 +340,6 @@ func runMPI(cfg Config) Result {
 	mach, net := cfg.Platform.BuildMachine(eng, pes)
 	table := cfg.Platform.MPI
 	if cfg.Mode == MPIAlt {
-		if cfg.Platform.MPIAlt == nil {
-			panic("pingpong: platform has no alternate MPI personality")
-		}
 		table = cfg.Platform.MPIAlt
 	}
 	w := mpisim.NewWorld(eng, mach, net, mpisim.Config{

@@ -259,12 +259,11 @@ func (d *Driver) sequence() {
 	if d.s.LBEvery <= 0 {
 		return
 	}
+	// The app's Check refused an unknown or missing strategy before the
+	// run, so these errors are bugs.
 	strat, err := lb.ParseStrategy(d.s.LBStrategy)
 	if err != nil {
 		panic(err)
-	}
-	if strat == nil {
-		panic(d.s.Name + ": LBEvery set without an LBStrategy")
 	}
 	d.LB, err = lb.New(d.RTS, lb.Options{
 		Every:     d.s.LBEvery,

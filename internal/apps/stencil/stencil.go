@@ -17,6 +17,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/chaos"
 	"repro/internal/charm"
+	"repro/internal/lb"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 	"repro/internal/sim"
@@ -73,7 +74,7 @@ type Config struct {
 	// rehomed in place. Check refuses it together with Ckpt.
 	LBEvery int
 	// LBStrategy names the rebalancing strategy ("greedy"; "none" or ""
-	// disables). Required when LBEvery is set.
+	// disables). Check requires one when LBEvery is set.
 	LBStrategy string
 	// Skew, when positive, makes every chare in the first half of the
 	// linearized chare order perform Skew times extra (wasted) compute
@@ -137,10 +138,18 @@ var ErrCkptWithLB = errors.New("stencil: checkpointing cannot be combined with l
 
 // Check reports the parameter error Run panics on: a non-positive PE
 // count or virtualization, a domain too small to give every PE a chare,
-// or checkpointing together with load balancing (ErrCkptWithLB).
+// an unknown LBStrategy, LBEvery without a strategy, or checkpointing
+// together with load balancing (ErrCkptWithLB).
 func (cfg Config) Check() error {
 	if cfg.PEs <= 0 || cfg.Virtualization <= 0 {
 		return errors.New("stencil: PEs and Virtualization must be positive")
+	}
+	strat, err := lb.ParseStrategy(cfg.LBStrategy)
+	if err != nil {
+		return err
+	}
+	if cfg.LBEvery > 0 && strat == nil {
+		return fmt.Errorf("stencil: LBEvery needs a strategy (got %q; have: greedy)", cfg.LBStrategy)
 	}
 	if cfg.Ckpt != nil && cfg.LBEvery > 0 {
 		return ErrCkptWithLB

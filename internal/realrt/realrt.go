@@ -281,14 +281,16 @@ func (rt *Runtime) Enqueue(pe int, task func()) {
 }
 
 // After runs task on a PE's scheduler queue once the wall-clock delay
-// elapses. The timer holds its own work credit so the runtime cannot
-// terminate underneath it.
+// elapses. The timer takes a work credit now, so the runtime cannot
+// terminate underneath it, and hands that credit to the task when it
+// fires: the worker retires it after the task runs, as for any queued
+// task, and no credit is outstanding once the task is done.
 func (rt *Runtime) After(pe int, d sim.Time, task func()) {
 	rt.checkPE(pe, "After")
 	rt.work.Add(1)
 	time.AfterFunc(d.Duration(), func() {
-		rt.Enqueue(pe, task)
-		rt.noteDone()
+		rt.pes[pe].push(task)
+		rt.notes[pe].kick()
 	})
 }
 

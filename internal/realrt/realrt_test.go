@@ -72,6 +72,35 @@ func TestAfter(t *testing.T) {
 	}
 }
 
+// TestAfterTaskHoldsOnlyItsOwnCredit: a timer's task runs on the credit
+// the timer took, so inside the task that credit is the only one out. A
+// second credit would be the timer's, still outstanding when the task
+// ran first, and it would send the PE into one more polling stretch and
+// park after the task instead of ending the run. The chain fires with no
+// delay, so the worker is often still spinning when the timer pushes.
+func TestAfterTaskHoldsOnlyItsOwnCredit(t *testing.T) {
+	const rounds = 2000
+	rt := New(1)
+	var seen []int64
+	var next func()
+	next = func() {
+		seen = append(seen, rt.Outstanding())
+		if len(seen) < rounds {
+			rt.After(0, 0, next)
+		}
+	}
+	rt.After(0, 0, next)
+	rt.Run()
+	if len(seen) != rounds {
+		t.Fatalf("%d of %d timer tasks ran", len(seen), rounds)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("timer task %d saw %d credits outstanding, want 1 (its own)", i, n)
+		}
+	}
+}
+
 // TestPutCreditBlocksTermination: an issued-but-undetected put keeps the
 // runtime alive until PutDetected, even with empty queues.
 func TestPutCreditBlocksTermination(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/apps/stencil"
 	"repro/internal/chaos"
 	"repro/internal/charm"
-	"repro/internal/lb"
 	"repro/internal/netmodel"
 	"repro/internal/netrt"
 )
@@ -284,17 +283,11 @@ func normalizeStencil(env Env, s *Spec) error {
 	if s.LBEvery > 0 && s.LBStrategy == "" {
 		s.LBStrategy = "greedy"
 	}
-	strat, err := lb.ParseStrategy(s.LBStrategy)
-	if err != nil {
-		return err
-	}
-	if s.LBEvery > 0 && strat == nil {
-		return fmt.Errorf("lb_every needs a strategy (have: greedy)")
-	}
 	if s.Skew < 0 || s.Skew > 1e6 {
 		return fmt.Errorf("skew out of range [0, 1e6]")
 	}
-	return stencil.Config{PEs: s.PEs, Virtualization: s.Virtualization, NX: s.NX, NY: s.NY, NZ: s.NZ}.Check()
+	return stencil.Config{PEs: s.PEs, Virtualization: s.Virtualization, NX: s.NX, NY: s.NY, NZ: s.NZ,
+		LBEvery: s.LBEvery, LBStrategy: s.LBStrategy}.Check()
 }
 
 func runStencil(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
@@ -374,7 +367,7 @@ func normalizeFem(env Env, s *Spec) error {
 	if s.Size != 0 || s.N != 0 || s.LBEvery != 0 || s.LBStrategy != "" || s.Skew != 0 {
 		return fmt.Errorf("fem takes pes/nx/ny/vr/iters/warmup/validate/mode only")
 	}
-	return nil
+	return fem.Config{PEs: s.PEs}.Check()
 }
 
 func runFem(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
