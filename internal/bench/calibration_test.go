@@ -35,7 +35,7 @@ func TestAblationChannelSetupBreakEven(t *testing.T) {
 				t.Errorf("%s col %d: break-even %.0f < 1 (setup cannot be free)", plat, i, be[i])
 			}
 			// Iterative codes run thousands of iterations; channels must
-			// amortize quickly to be worth the learner suggesting them.
+			// amortize quickly to be worth creating.
 			if be[i] > 20 {
 				t.Errorf("%s col %d: break-even %.0f puts implausibly high", plat, i, be[i])
 			}

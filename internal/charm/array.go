@@ -29,9 +29,7 @@ func (ix Index) String() string {
 }
 
 // element is one array element: the user chare object plus placement.
-// Reduction generation tracking lives in each reducer (an element may
-// participate in the array's reduction and several section reductions
-// independently).
+// Reduction generation tracking lives in the array's reducer.
 type element struct {
 	idx Index
 	pe  int

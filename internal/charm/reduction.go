@@ -55,12 +55,11 @@ func (op ReduceOp) identity(width int) []float64 {
 	return vals
 }
 
-// reducer implements Charm++-style contribute/reduce over a set of
-// elements (a whole array, or an array section): each element contributes
-// once per reduction generation; per-PE partials combine locally, flow up
-// a binomial tree of runtime messages over the participating PEs, and the
-// completed result is delivered to the reduction client on the root PE
-// through its scheduler.
+// reducer implements Charm++-style contribute/reduce over an array's
+// elements: each element contributes once per reduction generation;
+// per-PE partials combine locally, flow up a binomial tree of runtime
+// messages over the participating PEs, and the completed result is
+// delivered to the reduction client on the root PE through its scheduler.
 //
 // Contributions are buffered and folded in a fixed order — rank-local
 // element order first, then child partials by ascending child rank — only

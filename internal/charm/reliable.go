@@ -46,9 +46,6 @@ func (rts *RTS) EnableReliability(cfg Reliability) {
 	rts.rel = &reliableState{cfg: cfg}
 }
 
-// ReliabilityEnabled reports whether the protocol is active.
-func (rts *RTS) ReliabilityEnabled() bool { return rts.rel != nil }
-
 // reliableState is the protocol engine: a sequence counter for flow ids
 // plus the configuration. Per-message state lives in closures — the
 // simulation is single-threaded, so no locking anywhere.

@@ -216,18 +216,3 @@ func ReadCommit(dir string, world int) (step int, ok bool, err error) {
 	}
 	return s.Step, true, nil
 }
-
-// Clear removes every checkpoint artifact in dir — called when a fresh
-// run must not resume from a previous invocation's commit record.
-func Clear(dir string) error {
-	files, err := filepath.Glob(filepath.Join(dir, "*.ck"))
-	if err != nil {
-		return err
-	}
-	for _, f := range files {
-		if rerr := os.Remove(f); rerr != nil && err == nil {
-			err = rerr
-		}
-	}
-	return err
-}

@@ -85,12 +85,6 @@ func TestSnapshotFilesAndCommit(t *testing.T) {
 	if _, _, err := ReadCommit(dir, world+1); err == nil {
 		t.Fatal("world-mismatched commit read cleanly")
 	}
-	if err := Clear(dir); err != nil {
-		t.Fatalf("clear: %v", err)
-	}
-	if _, ok, _ := ReadCommit(dir, world); ok {
-		t.Fatal("commit survived Clear")
-	}
 }
 
 func TestReadCommitMissing(t *testing.T) {

@@ -60,11 +60,9 @@ type Balancer struct {
 	mu      sync.Mutex
 	arrived int
 	// Root-side round state.
-	pending    bool
-	reports    int
-	loads      []ElementLoad
-	rounds     int64
-	migrations int64
+	pending bool
+	reports int
+	loads   []ElementLoad
 	// Apply state (every rank).
 	applied     bool
 	outstanding int
@@ -206,7 +204,6 @@ func (b *Balancer) Begin(ctx *charm.Ctx) {
 	b.pending = true
 	b.reports = 0
 	b.loads = b.loads[:0]
-	b.rounds++
 	b.mu.Unlock()
 	if rec := b.rts.Recorder(); rec != nil {
 		rec.Incr(trace.CntLBRounds, 1)
@@ -231,14 +228,6 @@ func (b *Balancer) Finish() {
 	b.mu.Lock()
 	b.pending = false
 	b.mu.Unlock()
-}
-
-// Migrations returns how many element moves this process has planned
-// (root) — the cumulative count across rounds.
-func (b *Balancer) Migrations() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.migrations
 }
 
 // need counts the local elements a balancing barrier waits for,
@@ -396,9 +385,6 @@ func (b *Balancer) plan() {
 		rec.Incr(trace.CntLBSpreadBefore, before)
 		rec.Incr(trace.CntLBSpreadAfter, after)
 	}
-	b.mu.Lock()
-	b.migrations += int64(len(moves))
-	b.mu.Unlock()
 	if b.nrt != nil && b.world > 1 {
 		b.nrt.SendLoc(encodePlan(moves))
 	}

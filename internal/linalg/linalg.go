@@ -129,15 +129,6 @@ func MaxAbsDiff(a, b *Matrix) float64 {
 	return max
 }
 
-// FrobeniusNorm returns sqrt(sum of squares).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // naiveGemm is the reference used by tests.
 func naiveGemm(c, a, b *Matrix) {
 	for i := 0; i < a.Rows; i++ {

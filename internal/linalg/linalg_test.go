@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -122,13 +121,6 @@ func TestGemmFlops(t *testing.T) {
 	// No overflow for OpenAtom-scale products.
 	if GemmFlops(100000, 100000, 100000) <= 0 {
 		t.Fatal("GemmFlops overflowed")
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromRows([][]float64{{3, 4}})
-	if math.Abs(m.FrobeniusNorm()-5) > 1e-12 {
-		t.Fatalf("norm = %v", m.FrobeniusNorm())
 	}
 }
 

@@ -145,6 +145,5 @@ func (pe *PE) FreeAt() sim.Time {
 	return pe.busyUntil
 }
 
-// BusyTotal reports the total CPU time reserved on this PE so far; the
-// benchmark harness uses it for utilization accounting.
+// BusyTotal reports the total CPU time reserved on this PE so far.
 func (pe *PE) BusyTotal() sim.Time { return pe.busyTotal }

@@ -1,7 +1,6 @@
 // Package mpisim implements the MPI baseline the paper compares against:
 // two-sided Send/Recv with tag matching (eager and rendezvous regimes) and
-// one-sided MPI_Put under post-start-complete-wait (PSCW) and fence
-// synchronization, §2.3.
+// one-sided MPI_Put under post-start-complete-wait (PSCW), §2.3.
 //
 // Ranks map 1:1 onto simulated PEs. The API is continuation-passing
 // (Recv(src, tag, fn)) because the simulation is event-driven; a blocking
@@ -25,12 +24,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Wildcards for Recv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // Msg is an MPI message: size for the cost model, optional real payload,
 // plus source/tag metadata filled in on delivery.
 type Msg struct {
@@ -42,21 +35,13 @@ type Msg struct {
 
 // World is an MPI job: one rank per PE.
 type World struct {
-	eng     *sim.Engine
-	mach    *machine.Machine
-	net     *netmodel.Net
-	sendT   netmodel.Table
-	putT    netmodel.Table
-	rec     *trace.Recorder
-	ranks   []*Rank
-	nextWin int
-
-	// collective state (see collectives.go)
-	barrier    *collState
-	barrierGen int
-	allred     *collState
-	allredGen  int
-	bcastGen   int
+	eng   *sim.Engine
+	mach  *machine.Machine
+	net   *netmodel.Net
+	sendT netmodel.Table
+	putT  netmodel.Table
+	rec   *trace.Recorder
+	ranks []*Rank
 }
 
 // Config selects the MPI personality.
@@ -117,8 +102,7 @@ func (r *Rank) ID() int { return r.id }
 
 // matches reports whether a posted (src,tag) pattern accepts a message.
 func matches(wantSrc, wantTag int, m *Msg) bool {
-	return (wantSrc == AnySource || wantSrc == m.Src) &&
-		(wantTag == AnyTag || wantTag == m.Tag)
+	return wantSrc == m.Src && wantTag == m.Tag
 }
 
 // Send transmits msg to rank dst with the given tag. Like an eager
@@ -159,9 +143,9 @@ func (r *Rank) arrive(m *Msg) {
 	r.unexpected = append(r.unexpected, m)
 }
 
-// Recv posts a receive for (src, tag) — wildcards allowed — and invokes
-// fn with the matched message. Unexpected messages are searched first in
-// arrival order, as MPI requires.
+// Recv posts a receive for exactly (src, tag) and invokes fn with the
+// matched message. Unexpected messages are searched first in arrival
+// order, as MPI requires.
 func (r *Rank) Recv(src, tag int, fn func(*Msg)) {
 	for i, m := range r.unexpected {
 		if matches(src, tag, m) {

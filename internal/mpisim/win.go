@@ -8,17 +8,15 @@ import (
 )
 
 // Win is an MPI RMA window: one exposed memory region per rank, plus the
-// synchronization machinery (post-start-complete-wait and fence) the paper
-// contrasts with CkDirect's synchronization-free completion (§2.3).
+// post-start-complete-wait synchronization the paper contrasts with
+// CkDirect's synchronization-free completion (§2.3).
 type Win struct {
-	id    int
 	world *World
 	// regions[r] is rank r's exposed buffer (may be nil if a rank exposes
 	// nothing).
 	regions []*machine.Region
 
 	epochs []winEpoch
-	fence  *fenceState
 }
 
 // winEpoch is per-rank PSCW state.
@@ -39,21 +37,13 @@ type winEpoch struct {
 	putsInFlight int
 }
 
-type fenceState struct {
-	arrived int
-	issued  int
-	landed  int
-	fns     []func()
-}
-
 // NewWin creates a window exposing regions[r] on rank r. len(regions)
 // must equal the world size.
 func (w *World) NewWin(regions []*machine.Region) *Win {
 	if len(regions) != w.Size() {
 		panic(fmt.Sprintf("mpisim: NewWin with %d regions for %d ranks", len(regions), w.Size()))
 	}
-	win := &Win{id: w.nextWin, world: w, regions: regions}
-	w.nextWin++
+	win := &Win{world: w, regions: regions}
 	win.epochs = make([]winEpoch, w.Size())
 	return win
 }
@@ -202,62 +192,4 @@ func (win *Win) maybeFinishWait(rank int) {
 	e.waitFn = nil
 	e.exposed = false
 	fn()
-}
-
-// PutFenced writes into target's window region under fence
-// synchronization: no access epoch is required, but completion is only
-// guaranteed after the next fence.
-func (win *Win) PutFenced(rank, target, size int, src *machine.Region) {
-	f := win.ensureFence()
-	f.issued++
-	cost := win.world.putT.Resolve(size)
-	if win.world.rec != nil {
-		win.world.rec.Incr("mpi.puts", 1)
-		win.world.rec.Incr("mpi.put_bytes", int64(size))
-	}
-	win.world.net.Transfer(rank, target, cost, netmodel.TransferHooks{
-		Kind: netmodel.KindMPIPut,
-		OnArrive: func() {
-			if src != nil && win.regions[target] != nil {
-				src.CopyTo(win.regions[target])
-			}
-			f.landed++
-			win.maybeFinishFence(f)
-		},
-	})
-}
-
-func (win *Win) ensureFence() *fenceState {
-	if win.fence == nil {
-		win.fence = &fenceState{}
-	}
-	return win.fence
-}
-
-// FenceBegin registers a rank's arrival at a fence (MPI_Win_fence). When
-// every rank has arrived and every fenced put issued in this epoch has
-// landed, all callbacks fire (this is the collective, everyone-synchronizes
-// behaviour the paper calls "overkill" for simple completion detection).
-// Every rank must call FenceBegin exactly once per fence generation.
-func (win *Win) FenceBegin(rank int, fn func()) {
-	f := win.ensureFence()
-	f.arrived++
-	f.fns = append(f.fns, fn)
-	win.maybeFinishFence(f)
-}
-
-func (win *Win) maybeFinishFence(f *fenceState) {
-	if win.fence != f {
-		return // epoch already closed
-	}
-	if f.arrived < win.world.Size() || f.landed < f.issued {
-		return
-	}
-	fns := f.fns
-	win.fence = nil
-	for _, fn := range fns {
-		if fn != nil {
-			fn()
-		}
-	}
 }

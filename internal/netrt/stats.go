@@ -45,8 +45,8 @@ type NetStats struct {
 	ShmDeclined int64
 	// PutsDirect and PutsFramed split the cross-rank CkDirect puts this
 	// node sent: deposited straight into a registered shm arena buffer,
-	// or shipped as an FPut frame (TCP edges, strided or unregistered
-	// handles, a put that raced its registration, a rehomed channel).
+	// or shipped as an FPut frame (TCP edges, unregistered handles, a
+	// put that raced its registration, a rehomed channel).
 	PutsDirect int64
 	PutsFramed int64
 	// BatchGrows and EagerShrinks are always 0: the writev window and

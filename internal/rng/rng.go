@@ -8,8 +8,6 @@
 // has a trivially verifiable reference implementation.
 package rng
 
-import "math"
-
 // RNG is a splitmix64 generator. The zero value is a valid generator
 // seeded with 0; prefer New for explicit seeding.
 type RNG struct {
@@ -50,19 +48,6 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniformly distributed value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Norm returns a standard normally distributed value using the
-// Marsaglia polar method.
-func (r *RNG) Norm() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
 }
 
 // Fill fills buf with pseudorandom bytes.

@@ -105,25 +105,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := New(5)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		v := r.Norm()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("variance = %v, want ~1", variance)
-	}
-}
-
 func TestFillDeterministicAndCoversAllLengths(t *testing.T) {
 	for n := 0; n <= 33; n++ {
 		a := make([]byte, n)

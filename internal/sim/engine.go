@@ -30,9 +30,6 @@ func (ev *Event) Cancel() bool {
 	return true
 }
 
-// Cancelled reports whether Cancel was called before the event fired.
-func (ev *Event) Cancelled() bool { return ev.cancelled }
-
 // Engine is a deterministic discrete-event simulator. All methods must be
 // called from a single goroutine (typically: from inside event functions,
 // or from the top-level driver before/after Run).
@@ -123,30 +120,9 @@ func (e *Engine) Run() Time {
 	return e.now
 }
 
-// RunUntil fires events with timestamps <= deadline, then advances the
-// clock to deadline (if the simulation did not already pass it) and
-// returns. Events scheduled beyond the deadline remain queued.
-func (e *Engine) RunUntil(deadline Time) Time {
-	if e.running {
-		panic("sim: RunUntil called re-entrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Stop halts Run/RunUntil after the current event completes. The queue is
+// Stop halts Run after the current event completes. The queue is
 // left intact; Resume re-enables stepping.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Resume clears a previous Stop.
 func (e *Engine) Resume() { e.stopped = false }
-
-// Stopped reports whether Stop has been called without a matching Resume.
-func (e *Engine) Stopped() bool { return e.stopped }

@@ -154,34 +154,6 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		e.At(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(12)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want 2 events", fired)
-	}
-	if e.Now() != 12 {
-		t.Fatalf("clock %v, want 12 (advanced to deadline)", e.Now())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("after Run fired %v, want 4 events", fired)
-	}
-}
-
-func TestRunUntilDeadlineInPastOfQueue(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(100)
-	if e.Now() != 100 {
-		t.Fatalf("clock %v, want 100 even with empty queue", e.Now())
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {

@@ -11,13 +11,11 @@ import (
 // Timeline records per-PE execution spans during a simulation — the
 // moral equivalent of Charm++'s Projections logs. The runtime emits one
 // span per scheduler dispatch (covering the dispatch overhead plus the
-// handler's charged compute) and instant markers for notable events
-// (sends, CkDirect detections). Spans export to the Chrome trace-event
+// handler's charged compute). Spans export to the Chrome trace-event
 // JSON format, viewable in chrome://tracing or Perfetto.
 type Timeline struct {
-	spans   []Span
-	markers []Marker
-	limit   int
+	spans []Span
+	limit int
 }
 
 // Span is one closed interval of PE activity.
@@ -27,13 +25,6 @@ type Span struct {
 	Name  string
 	Start sim.Time
 	End   sim.Time
-}
-
-// Marker is an instant event.
-type Marker struct {
-	PE   int
-	Name string
-	At   sim.Time
 }
 
 // NewTimeline creates a recorder holding at most limit spans (0 means a
@@ -54,19 +45,8 @@ func (tl *Timeline) AddSpan(pe int, kind, name string, start, end sim.Time) {
 	tl.spans = append(tl.spans, Span{PE: pe, Kind: kind, Name: name, Start: start, End: end})
 }
 
-// AddMarker records an instant event.
-func (tl *Timeline) AddMarker(pe int, name string, at sim.Time) {
-	if tl == nil || len(tl.markers) >= tl.limit {
-		return
-	}
-	tl.markers = append(tl.markers, Marker{PE: pe, Name: name, At: at})
-}
-
 // Spans returns the recorded spans (not a copy).
 func (tl *Timeline) Spans() []Span { return tl.spans }
-
-// Markers returns the recorded markers (not a copy).
-func (tl *Timeline) Markers() []Marker { return tl.markers }
 
 // Utilization reports the fraction of [0, upto] that PE pe spent inside
 // recorded spans (overlapping spans are merged).
@@ -113,7 +93,7 @@ type chromeEvent struct {
 // (chrome://tracing, Perfetto, speedscope all read it). PEs map to
 // threads of a single process.
 func (tl *Timeline) WriteChromeTrace(w io.Writer) error {
-	events := make([]chromeEvent, 0, len(tl.spans)+len(tl.markers))
+	events := make([]chromeEvent, 0, len(tl.spans))
 	for _, s := range tl.spans {
 		events = append(events, chromeEvent{
 			Name: s.Name,
@@ -123,15 +103,6 @@ func (tl *Timeline) WriteChromeTrace(w io.Writer) error {
 			PID:  0,
 			TID:  s.PE,
 			Args: map[string]interface{}{"kind": s.Kind},
-		})
-	}
-	for _, m := range tl.markers {
-		events = append(events, chromeEvent{
-			Name: m.Name,
-			Ph:   "i",
-			TS:   m.At.Micros(),
-			PID:  0,
-			TID:  m.PE,
 		})
 	}
 	enc := json.NewEncoder(w)

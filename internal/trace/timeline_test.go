@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -14,9 +13,8 @@ func TestTimelineSpansAndMarkers(t *testing.T) {
 	tl := NewTimeline(0)
 	tl.AddSpan(0, "entry", "work", 10, 20)
 	tl.AddSpan(1, "detect", "poll", 5, 6)
-	tl.AddMarker(0, "send", 12)
-	if len(tl.Spans()) != 2 || len(tl.Markers()) != 1 {
-		t.Fatalf("spans %d markers %d", len(tl.Spans()), len(tl.Markers()))
+	if len(tl.Spans()) != 2 {
+		t.Fatalf("spans %d", len(tl.Spans()))
 	}
 }
 
@@ -24,17 +22,15 @@ func TestTimelineCap(t *testing.T) {
 	tl := NewTimeline(3)
 	for i := 0; i < 10; i++ {
 		tl.AddSpan(0, "e", "w", sim.Time(i), sim.Time(i+1))
-		tl.AddMarker(0, "m", sim.Time(i))
 	}
-	if len(tl.Spans()) != 3 || len(tl.Markers()) != 3 {
-		t.Fatalf("cap not enforced: %d/%d", len(tl.Spans()), len(tl.Markers()))
+	if len(tl.Spans()) != 3 {
+		t.Fatalf("cap not enforced: %d", len(tl.Spans()))
 	}
 }
 
 func TestNilTimelineSafe(t *testing.T) {
 	var tl *Timeline
 	tl.AddSpan(0, "e", "w", 0, 1)
-	tl.AddMarker(0, "m", 0)
 }
 
 func TestUtilizationMergesOverlaps(t *testing.T) {
@@ -64,7 +60,6 @@ func TestUtilizationClampsToWindow(t *testing.T) {
 func TestChromeTraceOutput(t *testing.T) {
 	tl := NewTimeline(0)
 	tl.AddSpan(3, "entry", "jacobi", 1000, 3500)
-	tl.AddMarker(3, "put", 1500)
 	var buf bytes.Buffer
 	if err := tl.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -81,14 +76,11 @@ func TestChromeTraceOutput(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	if len(doc.TraceEvents) != 2 {
+	if len(doc.TraceEvents) != 1 {
 		t.Fatalf("%d events", len(doc.TraceEvents))
 	}
 	span := doc.TraceEvents[0]
 	if span.Name != "jacobi" || span.Ph != "X" || span.TS != 1.0 || span.Dur != 2.5 || span.TID != 3 {
 		t.Fatalf("span event %+v", span)
-	}
-	if !strings.Contains(buf.String(), `"ph":"i"`) {
-		t.Fatal("marker event missing")
 	}
 }

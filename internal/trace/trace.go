@@ -112,7 +112,7 @@ const (
 // per-PE, cache-line-padded slot, where a shared mutex and map would
 // bounce one cache line between the PEs' cores on every operation. Incr
 // is the by-name path for sites off the hot path, under the mutex like
-// times and series. A name's by-name total and its slots are one
+// times. A name's by-name total and its slots are one
 // counter to every reader.
 type Recorder struct {
 	enabled bool
@@ -124,7 +124,6 @@ type Recorder struct {
 	counters map[string]int64 // by-name updates
 	blocks   []block          // handle storage
 	times    map[string]sim.Time
-	series   map[string][]float64
 }
 
 // NewRecorder returns an enabled recorder.
@@ -132,7 +131,6 @@ func NewRecorder() *Recorder {
 	return &Recorder{
 		counters: make(map[string]int64),
 		times:    make(map[string]sim.Time),
-		series:   make(map[string][]float64),
 		enabled:  true,
 	}
 }
@@ -190,26 +188,6 @@ func (r *Recorder) Time(name string) sim.Time {
 	return r.times[name]
 }
 
-// Observe appends a sample to the named series.
-func (r *Recorder) Observe(name string, v float64) {
-	if r == nil || !r.enabled {
-		return
-	}
-	r.mu.Lock()
-	r.series[name] = append(r.series[name], v)
-	r.mu.Unlock()
-}
-
-// Series returns the raw samples of a series (nil if absent).
-func (r *Recorder) Series(name string) []float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.series[name]
-}
-
 // Counters returns a snapshot copy of all counters. Determinism tests
 // compare two runs' snapshots wholesale.
 func (r *Recorder) Counters() map[string]int64 {
@@ -246,43 +224,6 @@ func (r *Recorder) Reset() {
 		b.clear()
 	}
 	r.times = make(map[string]sim.Time)
-	r.series = make(map[string][]float64)
-}
-
-// Summary holds order statistics of a series.
-type Summary struct {
-	N              int
-	Min, Max, Mean float64
-	P50, P90, P99  float64
-}
-
-// Summarize computes order statistics for the named series. It returns a
-// zero Summary when the series is empty.
-func (r *Recorder) Summarize(name string) Summary {
-	s := r.Series(name)
-	if len(s) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(s))
-	copy(sorted, s)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	q := func(p float64) float64 {
-		idx := int(p * float64(len(sorted)-1))
-		return sorted[idx]
-	}
-	return Summary{
-		N:    len(sorted),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
-		Mean: sum / float64(len(sorted)),
-		P50:  q(0.50),
-		P90:  q(0.90),
-		P99:  q(0.99),
-	}
 }
 
 // String renders all counters and time buckets sorted by name, one per

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
@@ -39,8 +37,7 @@ func TestDisabledRecorderDropsUpdates(t *testing.T) {
 	r.SetEnabled(false)
 	r.Incr("x", 1)
 	r.AddTime("y", 1)
-	r.Observe("z", 1)
-	if r.Count("x") != 0 || r.Time("y") != 0 || len(r.Series("z")) != 0 {
+	if r.Count("x") != 0 || r.Time("y") != 0 {
 		t.Fatal("disabled recorder accumulated state")
 	}
 }
@@ -49,8 +46,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Incr("x", 1)
 	r.AddTime("y", 1)
-	r.Observe("z", 1)
-	if r.Count("x") != 0 || r.Time("y") != 0 || r.Series("z") != nil {
+	if r.Count("x") != 0 || r.Time("y") != 0 {
 		t.Fatal("nil recorder misbehaved")
 	}
 }
@@ -59,82 +55,13 @@ func TestReset(t *testing.T) {
 	r := NewRecorder()
 	r.Incr("a", 1)
 	r.AddTime("b", 1)
-	r.Observe("c", 1)
 	r.Reset()
-	if r.Count("a") != 0 || r.Time("b") != 0 || len(r.Series("c")) != 0 {
+	if r.Count("a") != 0 || r.Time("b") != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 	r.Incr("a", 2)
 	if r.Count("a") != 2 {
 		t.Fatal("recorder unusable after Reset")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	r := NewRecorder()
-	s := r.Summarize("nothing")
-	if s.N != 0 {
-		t.Fatalf("N = %d, want 0", s.N)
-	}
-}
-
-func TestSummarizeKnownSeries(t *testing.T) {
-	r := NewRecorder()
-	for i := 1; i <= 100; i++ {
-		r.Observe("lat", float64(i))
-	}
-	s := r.Summarize("lat")
-	if s.N != 100 || s.Min != 1 || s.Max != 100 {
-		t.Fatalf("N/Min/Max = %d/%v/%v", s.N, s.Min, s.Max)
-	}
-	if math.Abs(s.Mean-50.5) > 1e-9 {
-		t.Fatalf("Mean = %v, want 50.5", s.Mean)
-	}
-	if s.P50 != 50 {
-		t.Fatalf("P50 = %v, want 50", s.P50)
-	}
-	if s.P99 != 99 {
-		t.Fatalf("P99 = %v, want 99", s.P99)
-	}
-}
-
-// TestSummarizePropertyBounds: for any series, Min <= P50 <= P90 <= P99 <=
-// Max and Min <= Mean <= Max.
-func TestSummarizePropertyBounds(t *testing.T) {
-	prop := func(vals []float64) bool {
-		clean := vals[:0]
-		for _, v := range vals {
-			// Exclude NaN/Inf and magnitudes large enough for the sum to
-			// overflow — those are not realistic latency samples.
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e300 {
-				clean = append(clean, v)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		r := NewRecorder()
-		for _, v := range clean {
-			r.Observe("s", v)
-		}
-		s := r.Summarize("s")
-		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 &&
-			s.P99 <= s.Max && s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummarizeDoesNotMutateSeries(t *testing.T) {
-	r := NewRecorder()
-	r.Observe("s", 3)
-	r.Observe("s", 1)
-	r.Observe("s", 2)
-	r.Summarize("s")
-	got := r.Series("s")
-	if got[0] != 3 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("series mutated: %v", got)
 	}
 }
 

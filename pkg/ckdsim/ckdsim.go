@@ -41,9 +41,6 @@ type (
 	RTS = charm.RTS
 	// Array is a chare array.
 	Array = charm.Array
-	// Section is a fixed subset of an array with its own multicast and
-	// reduction machinery.
-	Section = charm.Section
 	// Index addresses an element of a chare array.
 	Index = charm.Index
 	// EP identifies a registered entry method.
