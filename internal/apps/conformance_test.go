@@ -58,7 +58,7 @@ var conformance = []app{
 		name: "stencil",
 		run: func(cfg any) view {
 			r := stencil.Run(cfg.(stencil.Config))
-			return view{r.Outcome, r.Field, []float64{r.Residual}, []float64{r.FieldSum}}
+			return view{r.Outcome, r.Field(), []float64{r.Residual}, []float64{r.FieldSum}}
 		},
 		real: stencil.Config{
 			Platform: netmodel.AbeIB, PEs: 4, Virtualization: 2,
@@ -82,7 +82,7 @@ var conformance = []app{
 		name: "matmul",
 		run: func(cfg any) view {
 			r := matmul.Run(cfg.(matmul.Config))
-			return view{r.Outcome, r.C, nil, []float64{r.MaxError}}
+			return view{r.Outcome, r.C(), nil, []float64{r.MaxError}}
 		},
 		real:       matmul.Config{Platform: netmodel.AbeIB, PEs: 4, N: 32, Iters: 2, Warmup: 1, Validate: true},
 		chaos:      matmul.Config{Platform: netmodel.AbeIB, PEs: 8, N: 32, Iters: 2, Warmup: 0, Validate: true},
@@ -94,7 +94,7 @@ var conformance = []app{
 		name: "fem",
 		run: func(cfg any) view {
 			r := fem.Run(cfg.(fem.Config))
-			return view{r.Outcome, r.Field, []float64{r.Residual}, nil}
+			return view{r.Outcome, r.Field(), []float64{r.Residual}, nil}
 		},
 		real: fem.Config{
 			Platform: netmodel.AbeIB, PEs: 4, Virtualization: 2,
@@ -124,7 +124,7 @@ var conformance = []app{
 		run: func(cfg any) view {
 			r := openatom.Run(cfg.(openatom.Config))
 			o := apps.Outcome{IterTime: r.StepTime, TotalEvents: r.TotalEvents, Errors: r.Errors, Counters: r.Counters}
-			return view{o, r.Field, []float64{r.Overlap}, []float64{r.Checksum}}
+			return view{o, r.Field(), []float64{r.Overlap}, []float64{r.Checksum}}
 		},
 		real: openatom.Config{
 			Platform: netmodel.AbeIB, Scope: openatom.FullStep, PEs: 4,

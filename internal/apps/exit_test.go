@@ -41,7 +41,7 @@ var exitApps = []struct {
 		r := stencil.Run(stencil.Config{Platform: netmodel.AbeIB, Mode: mode, PEs: 4,
 			NX: 16, NY: 16, NZ: 8, Virtualization: 2, Iters: 2, Warmup: 1, Validate: true,
 			Backend: be, Net: n})
-		return appRun{r.Field, r.Counters, r.Errors}
+		return appRun{r.Field(), r.Counters, r.Errors}
 	}},
 	{"matmul", func(be charm.Backend, n *netrt.Node, ckd bool) appRun {
 		mode := apps.Msg
@@ -50,7 +50,7 @@ var exitApps = []struct {
 		}
 		r := matmul.Run(matmul.Config{Platform: netmodel.AbeIB, Mode: mode, PEs: 4, N: 32,
 			Iters: 2, Warmup: 1, Validate: true, Backend: be, Net: n})
-		return appRun{r.C, r.Counters, r.Errors}
+		return appRun{r.C(), r.Counters, r.Errors}
 	}},
 	{"fem", func(be charm.Backend, n *netrt.Node, ckd bool) appRun {
 		mode := apps.Msg
@@ -59,7 +59,7 @@ var exitApps = []struct {
 		}
 		r := fem.Run(fem.Config{Platform: netmodel.AbeIB, Mode: mode, PEs: 4, NX: 16, NY: 16,
 			Virtualization: 2, Iters: 2, Warmup: 1, Validate: true, Backend: be, Net: n})
-		return appRun{r.Field, r.Counters, r.Errors}
+		return appRun{r.Field(), r.Counters, r.Errors}
 	}},
 	{"openatom", func(be charm.Backend, n *netrt.Node, ckd bool) appRun {
 		mode := openatom.Msg
@@ -69,7 +69,7 @@ var exitApps = []struct {
 		r := openatom.Run(openatom.Config{Platform: netmodel.AbeIB, Mode: mode, Scope: openatom.FullStep,
 			PEs: 4, NStates: 16, NPlanes: 2, Grain: 4, Points: 32, Steps: 2, Warmup: 1, Validate: true,
 			Backend: be, Net: n})
-		return appRun{r.Field, r.Counters, r.Errors}
+		return appRun{r.Field(), r.Counters, r.Errors}
 	}},
 	{"pingpong", func(be charm.Backend, n *netrt.Node, ckd bool) appRun {
 		mode := pingpong.CharmMsg

@@ -9,7 +9,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/charm"
 	"repro/internal/ckdirect"
-	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -20,6 +19,7 @@ type app struct {
 	mesh *Mesh
 	part *Partition
 	grid [2]int
+	d    *apps.Driver
 	rts  *charm.RTS
 	mgr  *ckdirect.Manager
 	arr  *charm.Array
@@ -47,13 +47,14 @@ type chare struct {
 	elems  [][3]int // local connectivity, local vertex ids
 	nVerts int
 	gids   []int // local -> global vertex id
-	deg    []float64
-
-	u, acc []float64
 
 	nbrs      []int         // neighbour parts, ascending
 	sharedOut map[int][]int // per neighbour: shared verts as local ids
-	plan      [][]contributor
+
+	// Validate-mode data, where the part's storage is real (see seed).
+	u, acc []float64
+	deg    []float64
+	plan   [][]contributor
 
 	sendBuf map[int][]byte
 	recvVal map[int][]float64
@@ -71,7 +72,7 @@ func (c *chare) Pup(p charm.Puper) {
 }
 
 func (a *app) build(d *apps.Driver) *charm.Array {
-	a.rts, a.mgr = d.RTS, d.Mgr
+	a.d, a.rts, a.mgr = d, d.RTS, d.Mgr
 	a.totalIters = a.cfg.Warmup + a.cfg.Iters + 1
 	parts := a.part.Parts
 	a.arr = a.rts.NewArray("fem", func(ix charm.Index) int {
@@ -114,17 +115,6 @@ func (a *app) buildChare(p int) *chare {
 		ge := mesh.Elems[e]
 		c.elems = append(c.elems, [3]int{lidx[ge[0]], lidx[ge[1]], lidx[ge[2]]})
 	}
-	c.deg = make([]float64, c.nVerts)
-	for l, g := range c.gids {
-		c.deg[l] = float64(mesh.Degree[g])
-	}
-	if a.cfg.Validate {
-		c.u = make([]float64, c.nVerts)
-		for l, g := range c.gids {
-			c.u[l] = seedVertex(g)
-		}
-		c.acc = make([]float64, c.nVerts)
-	}
 	c.nbrs = part.Neighbours(p)
 	c.sharedOut = make(map[int][]int, len(c.nbrs))
 	c.sendBuf = make(map[int][]byte, len(c.nbrs))
@@ -136,20 +126,34 @@ func (a *app) buildChare(p int) *chare {
 			locals[i] = lidx[g]
 		}
 		c.sharedOut[nb] = locals
-		if a.cfg.Validate || a.cfg.Backend != charm.SimBackend {
-			// The real and net backends move actual bytes even in model
-			// mode, so the send buffers must exist.
-			c.sendBuf[nb] = make([]byte, len(shared)*8)
-		}
+		c.sendBuf[nb] = a.d.Bytes(c.pe, len(shared)*8)
+	}
+	if a.cfg.Validate && a.d.Storage(c.pe) == apps.Real {
+		c.seed()
+	}
+	return c
+}
+
+// seed allocates and seeds the validate-mode data of a part whose
+// storage is real (apps.Driver.Storage): its vertex values, scratch,
+// degrees and combination plan.
+func (c *chare) seed() {
+	mesh, part := c.app.mesh, c.app.part
+	c.u = make([]float64, c.nVerts)
+	c.acc = make([]float64, c.nVerts)
+	c.deg = make([]float64, c.nVerts)
+	for l, g := range c.gids {
+		c.u[l] = seedVertex(g)
+		c.deg[l] = float64(mesh.Degree[g])
 	}
 	// Per-vertex combination plan: every contributing part in ascending
 	// order, with the slot to read its partial from.
 	c.plan = make([][]contributor, c.nVerts)
 	for l, g := range c.gids {
 		var cs []contributor
-		cs = append(cs, contributor{part: p, nb: -1})
+		cs = append(cs, contributor{part: c.part, nb: -1})
 		for _, nb := range c.nbrs {
-			shared := part.Shared[[2]int{p, nb}]
+			shared := part.Shared[[2]int{c.part, nb}]
 			if i := sort.SearchInts(shared, g); i < len(shared) && shared[i] == g {
 				cs = append(cs, contributor{part: nb, nb: nb, slot: i})
 			}
@@ -157,13 +161,10 @@ func (a *app) buildChare(p int) *chare {
 		sort.Slice(cs, func(i, j int) bool { return cs[i].part < cs[j].part })
 		c.plan[l] = cs
 	}
-	return c
 }
 
 // buildChannels wires one CkDirect channel per (part, neighbour) pair.
 func (a *app) buildChannels() {
-	mach := a.rts.Machine()
-	virtual := !a.cfg.Validate && a.cfg.Backend == charm.SimBackend
 	for _, c := range a.chares {
 		c.in = make(map[int]*ckdirect.Handle, len(c.nbrs))
 		c.out = make(map[int]*ckdirect.Handle, len(c.nbrs))
@@ -174,15 +175,8 @@ func (a *app) buildChannels() {
 		for _, nb := range c.nbrs {
 			nb := nb
 			size := len(c.app.part.Shared[[2]int{nb, c.part}]) * 8
-			var region *machine.Region
-			var backing []byte
-			if virtual {
-				region = mach.AllocRegion(c.pe, size, true)
-			} else {
-				backing = make([]byte, size)
-				region = mach.WrapRegion(c.pe, backing)
-			}
-			h, err := a.mgr.CreateHandle(c.pe, region, oobPattern, func(ctx *charm.Ctx) {
+			backing := a.d.Bytes(c.pe, size)
+			h, err := a.mgr.CreateHandle(c.pe, a.d.Region(c.pe, size, backing), oobPattern, func(ctx *charm.Ctx) {
 				c.onPartial(ctx, nb, backing)
 			})
 			if err != nil {
@@ -197,13 +191,7 @@ func (a *app) buildChannels() {
 		for _, nb := range c.nbrs {
 			peer := a.arr.Obj(charm.Idx1(nb)).(*chare)
 			h := peer.in[c.part]
-			size := len(c.sharedOut[nb]) * 8
-			var region *machine.Region
-			if virtual {
-				region = mach.AllocRegion(c.pe, size, true)
-			} else {
-				region = mach.WrapRegion(c.pe, c.sendBuf[nb])
-			}
+			region := a.d.Region(c.pe, len(c.sharedOut[nb])*8, c.sendBuf[nb])
 			if err := a.mgr.AssocLocal(h, c.pe, region); err != nil {
 				panic(err)
 			}
@@ -310,7 +298,8 @@ func (c *chare) maybeUpdate(ctx *charm.Ctx) {
 }
 
 // gather assembles the global vertex field from the first hosted copy
-// of each vertex (sharedConsistent checks the others). Under the net
+// of each vertex (sharedConsistent checks the others) when a caller
+// first reads Result.Field. Under the net
 // backend only hosted parts hold live data; the other vertices are
 // marked NaN so a comparison cannot silently pass on never-computed
 // values.

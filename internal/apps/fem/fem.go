@@ -2,6 +2,7 @@ package fem
 
 import (
 	"errors"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
@@ -38,8 +39,8 @@ type Config struct {
 	Validate bool
 	// Backend selects simulated virtual time (default), real
 	// goroutine-per-PE execution, or distributed multi-process execution,
-	// both with wall-clock timing. The real and net backends always
-	// allocate real payload buffers.
+	// both with wall-clock timing. The real and net backends allocate real
+	// payload buffers for the elements the process runs.
 	Backend charm.Backend
 	// Net is the started netrt node (required under the net backend).
 	Net *netrt.Node
@@ -65,12 +66,23 @@ type Result struct {
 	Parts    int
 	PartGrid [2]int
 	Residual float64
-	Field    []float64 // final vertex values (validate mode)
+	field    func() []float64
 	// SharedConsistent reports whether every part held bit-identical
 	// values for shared vertices at the end (validate mode); when it is
 	// false, Errors says so too.
 	SharedConsistent bool
 	Channels         int
+}
+
+// Field is the final vertex values (validate mode; nil otherwise), built
+// on first read: a run that nobody asks for its answer never assembles
+// it. A net rank's copy holds its hosted parts' vertices and NaN
+// elsewhere.
+func (r Result) Field() []float64 {
+	if r.field == nil {
+		return nil
+	}
+	return r.field()
 }
 
 // Improvement runs both transports and returns the percentage gain.
@@ -146,7 +158,7 @@ func Run(cfg Config) Result {
 		res.Residual = a.lastResidual
 		if cfg.Validate {
 			// A net worker's own parts' vertices, the rest NaN.
-			res.Field = a.gather()
+			res.field = sync.OnceValue(a.gather)
 			if res.SharedConsistent = a.sharedConsistent(); !res.SharedConsistent {
 				res.Errors = append(res.Errors, errors.New("fem: hosted parts disagree on shared vertices"))
 			}

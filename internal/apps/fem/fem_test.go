@@ -104,12 +104,12 @@ func TestDistributedMatchesSerialExactly(t *testing.T) {
 		})
 		p := PartitionRect(m, nx, ny, res.PartGrid[0], res.PartGrid[1])
 		ref := SerialReference(m, p, res.DT, iters+1)
-		if len(res.Field) != len(ref) {
-			t.Fatalf("%v: field size %d", mode, len(res.Field))
+		if len(res.Field()) != len(ref) {
+			t.Fatalf("%v: field size %d", mode, len(res.Field()))
 		}
 		for v := range ref {
-			if res.Field[v] != ref[v] {
-				t.Fatalf("%v: vertex %d = %g, reference %g", mode, v, res.Field[v], ref[v])
+			if res.Field()[v] != ref[v] {
+				t.Fatalf("%v: vertex %d = %g, reference %g", mode, v, res.Field()[v], ref[v])
 			}
 		}
 		if !res.SharedConsistent {
@@ -152,7 +152,7 @@ func TestPropertyRandomMeshesMatch(t *testing.T) {
 				want = SerialReference(m, p, res.DT, iters+1)
 			}
 			for v := range want {
-				if res.Field[v] != want[v] {
+				if res.Field()[v] != want[v] {
 					t.Logf("mode %v %dx%d pes=%d iters=%d: mismatch at %d", mode, nx, ny, pes, iters, v)
 					return false
 				}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/charm"
 	"repro/internal/ckdirect"
 	"repro/internal/linalg"
-	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -25,6 +24,7 @@ const (
 type app struct {
 	cfg  Config
 	grid [3]int
+	d    *apps.Driver
 	rts  *charm.RTS
 	mgr  *ckdirect.Manager
 	arr  *charm.Array
@@ -47,7 +47,8 @@ type chare struct {
 	pe      int
 	x, y, z int
 
-	// Assembled blocks (validate mode; nil in model mode).
+	// Assembled blocks, where the chare's storage is real (the live
+	// backends move actual bytes even in model mode; see allocData).
 	aBuf, bBuf []byte
 	// Outgoing shards: one buffer for A (fanned out to gy-1 handles), one
 	// for B (gx-1 handles), and per-destination C strips.
@@ -76,7 +77,7 @@ type chare struct {
 }
 
 func (a *app) build(d *apps.Driver) *charm.Array {
-	a.rts, a.mgr = d.RTS, d.Mgr
+	a.d, a.rts, a.mgr = d, d.RTS, d.Mgr
 	gx, gy, gz := a.grid[0], a.grid[1], a.grid[2]
 	n := a.cfg.N
 	a.rowsA, a.colsA = n/gx, n/gz
@@ -95,13 +96,9 @@ func (a *app) build(d *apps.Driver) *charm.Array {
 			for x := 0; x < gx; x++ {
 				c := &chare{app: a, idx: charm.Idx3(x, y, z), x: x, y: y, z: z}
 				c.pe = a.arr.PEOf(c.idx)
-				if a.cfg.Validate || a.cfg.Backend != charm.SimBackend {
-					// The real and net backends move actual bytes even in
-					// model mode, so the shard buffers must exist.
+				c.cStripsOut = make([][]byte, gz)
+				if d.Storage(c.pe) == apps.Real {
 					c.allocData()
-				}
-				if c.cStripsOut == nil {
-					c.cStripsOut = make([][]byte, gz)
 				}
 				a.chares = append(a.chares, c)
 				a.arr.Insert(c.idx, c)
@@ -144,6 +141,9 @@ func (c *chare) Pup(p charm.Puper) {
 func seedA(i, j int) float64 { return float64((i*7+j*3)%13) / 13 }
 func seedB(i, j int) float64 { return float64((i*5+j*11)%17) / 17 }
 
+// allocData allocates and seeds a chare whose storage is real
+// (apps.Driver.Storage): its assemblies, its owned A and B shards, its
+// strip of C and its outgoing C strips.
 func (c *chare) allocData() {
 	a := c.app
 	c.aBuf = make([]byte, a.rowsA*a.colsA*8)
@@ -151,7 +151,6 @@ func (c *chare) allocData() {
 	c.aShard = make([]byte, a.shardARows*a.colsA*8)
 	c.bShard = make([]byte, a.shardBRows*a.colsB*8)
 	c.cAccum = make([]float64, a.stripRows*a.colsC)
-	c.cStripsOut = make([][]byte, a.grid[2])
 	for dz := 0; dz < a.grid[2]; dz++ {
 		if dz != c.z {
 			c.cStripsOut[dz] = make([]byte, a.cStripBytes())
@@ -179,16 +178,24 @@ func (c *chare) allocData() {
 	copy(c.bSlot(c.x), c.bShard)
 }
 
-// aSlot returns the assembly slice where the shard from source y' lands.
+// aSlot returns the assembly slice where the shard from source y' lands
+// (nil where the chare's storage is not real).
 func (c *chare) aSlot(srcY int) []byte {
 	a := c.app
+	if c.aBuf == nil {
+		return nil
+	}
 	start := srcY * a.shardARows * a.colsA * 8
 	return c.aBuf[start : start+a.shardARows*a.colsA*8]
 }
 
-// bSlot returns the assembly slice for the shard from source x'.
+// bSlot returns the assembly slice for the shard from source x' (nil
+// where the chare's storage is not real).
 func (c *chare) bSlot(srcX int) []byte {
 	a := c.app
+	if c.bBuf == nil {
+		return nil
+	}
 	start := srcX * a.shardBRows * a.colsB * 8
 	return c.bBuf[start : start+a.shardBRows*a.colsB*8]
 }
@@ -199,19 +206,11 @@ func (a *app) cStripBytes() int { return a.stripRows * a.colsC * 8 }
 
 // buildChannels wires the persistent CkDirect channels: A shards land
 // directly in the destination's assembly slot, B shards likewise, C
-// strips land in per-source staging buffers.
+// strips land in per-source staging buffers. Every region wraps the
+// chare's own buffers where its storage is real and carries sizes only
+// elsewhere (apps.Driver.Region).
 func (a *app) buildChannels() {
-	mach := a.rts.Machine()
 	gx, gy, gz := a.grid[0], a.grid[1], a.grid[2]
-	virtual := !a.cfg.Validate && a.cfg.Backend == charm.SimBackend
-
-	region := func(pe int, backing []byte, size int) *machine.Region {
-		if virtual {
-			return mach.AllocRegion(pe, size, true)
-		}
-		return mach.WrapRegion(pe, backing)
-	}
-
 	// Receivers create handles.
 	for _, c := range a.chares {
 		c := c
@@ -223,11 +222,7 @@ func (a *app) buildChannels() {
 			if sy == c.y {
 				continue
 			}
-			var backing []byte
-			if !virtual {
-				backing = c.aSlot(sy)
-			}
-			h, err := a.mgr.CreateHandle(c.pe, region(c.pe, backing, a.aShardBytes()), oobPattern,
+			h, err := a.mgr.CreateHandle(c.pe, a.d.Region(c.pe, a.aShardBytes(), c.aSlot(sy)), oobPattern,
 				func(ctx *charm.Ctx) { c.onShard(ctx, kindA, -1, nil, a.aShardBytes()) })
 			if err != nil {
 				panic(err)
@@ -238,11 +233,7 @@ func (a *app) buildChannels() {
 			if sx == c.x {
 				continue
 			}
-			var backing []byte
-			if !virtual {
-				backing = c.bSlot(sx)
-			}
-			h, err := a.mgr.CreateHandle(c.pe, region(c.pe, backing, a.bShardBytes()), oobPattern,
+			h, err := a.mgr.CreateHandle(c.pe, a.d.Region(c.pe, a.bShardBytes(), c.bSlot(sx)), oobPattern,
 				func(ctx *charm.Ctx) { c.onShard(ctx, kindB, -1, nil, a.bShardBytes()) })
 			if err != nil {
 				panic(err)
@@ -254,10 +245,8 @@ func (a *app) buildChannels() {
 				continue
 			}
 			sz := sz
-			if !virtual {
-				c.cStageIn[sz] = make([]byte, a.cStripBytes())
-			}
-			h, err := a.mgr.CreateHandle(c.pe, region(c.pe, c.cStageIn[sz], a.cStripBytes()), oobPattern,
+			c.cStageIn[sz] = a.d.Bytes(c.pe, a.cStripBytes())
+			h, err := a.mgr.CreateHandle(c.pe, a.d.Region(c.pe, a.cStripBytes(), c.cStageIn[sz]), oobPattern,
 				func(ctx *charm.Ctx) { c.onShard(ctx, kindC, sz, c.cStageIn[sz], a.cStripBytes()) })
 			if err != nil {
 				panic(err)
@@ -271,10 +260,7 @@ func (a *app) buildChannels() {
 		c.aOut = make([]*ckdirect.Handle, gy)
 		c.bOut = make([]*ckdirect.Handle, gx)
 		c.cOut = make([]*ckdirect.Handle, gz)
-		if c.cStripsOut == nil {
-			c.cStripsOut = make([][]byte, gz)
-		}
-		aReg := region(c.pe, c.aShard, a.aShardBytes())
+		aReg := a.d.Region(c.pe, a.aShardBytes(), c.aShard)
 		for dy := 0; dy < gy; dy++ {
 			if dy == c.y {
 				continue
@@ -286,7 +272,7 @@ func (a *app) buildChannels() {
 			}
 			c.aOut[dy] = h
 		}
-		bReg := region(c.pe, c.bShard, a.bShardBytes())
+		bReg := a.d.Region(c.pe, a.bShardBytes(), c.bShard)
 		for dx := 0; dx < gx; dx++ {
 			if dx == c.x {
 				continue
@@ -304,7 +290,7 @@ func (a *app) buildChannels() {
 			}
 			peer := a.arr.Obj(charm.Idx3(c.x, c.y, dz)).(*chare)
 			h := peer.cIn[c.z]
-			if err := a.mgr.AssocLocal(h, c.pe, region(c.pe, c.cStripsOut[dz], a.cStripBytes())); err != nil {
+			if err := a.mgr.AssocLocal(h, c.pe, a.d.Region(c.pe, a.cStripBytes(), c.cStripsOut[dz])); err != nil {
 				panic(err)
 			}
 			c.cOut[dz] = h
@@ -579,7 +565,8 @@ func (a *app) verifyLocal() []error {
 }
 
 // gatherC assembles the distributed product into one row-major slice —
-// the payload the cross-backend equivalence tests compare bit-for-bit.
+// the payload the cross-backend equivalence tests compare bit-for-bit —
+// when a caller first reads Result.C.
 // Under the net backend only hosted chares hold live data; the rest of
 // the matrix is marked NaN so a comparison cannot silently pass on
 // never-computed strips.

@@ -25,6 +25,7 @@ package matmul
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
@@ -59,8 +60,8 @@ type Config struct {
 	Validate bool
 	// Backend selects simulated virtual time (default), real
 	// goroutine-per-PE execution, or distributed multi-process execution,
-	// both with wall-clock timing. The real and net backends always
-	// allocate real payload buffers.
+	// both with wall-clock timing. The real and net backends allocate real
+	// payload buffers for the elements the process runs.
 	Backend charm.Backend
 	// Net is the started netrt node (required under the net backend).
 	Net *netrt.Node
@@ -84,8 +85,19 @@ type Result struct {
 	Config
 	apps.Outcome
 	Grid     [3]int
-	MaxError float64   // |C - reference| in validate mode
-	C        []float64 // assembled product, row-major (validate mode)
+	MaxError float64 // |C - reference| in validate mode
+	c        func() []float64
+}
+
+// C is the assembled product, row-major (validate mode; nil otherwise),
+// built on first read: a run that nobody asks for its answer never
+// assembles it. A net rank's copy holds its hosted strips and NaN
+// elsewhere.
+func (r Result) C() []float64 {
+	if r.c == nil {
+		return nil
+	}
+	return r.c()
 }
 
 // Improvement runs both variants and returns the percentage improvement
@@ -159,7 +171,7 @@ func Run(cfg Config) Result {
 			res.MaxError = a.verify()
 		}
 		// A net worker's strips of C, the rest NaN.
-		res.C = a.gatherC()
+		res.c = sync.OnceValue(a.gatherC)
 	}
 	return res
 }

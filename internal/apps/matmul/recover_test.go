@@ -130,20 +130,20 @@ func testRecoveryKillRejoin(t *testing.T, mode Mode) {
 
 	covered := 0
 	for _, o := range finals {
-		if len(o.res.C) != len(simRes.C) {
-			t.Fatalf("rank %d: product size %d, sim %d", o.rank, len(o.res.C), len(simRes.C))
+		if len(o.res.C()) != len(simRes.C()) {
+			t.Fatalf("rank %d: product size %d, sim %d", o.rank, len(o.res.C()), len(simRes.C()))
 		}
-		for i, v := range o.res.C {
+		for i, v := range o.res.C() {
 			if math.IsNaN(v) {
 				continue // not hosted by this rank
 			}
 			covered++
-			if v != simRes.C[i] {
-				t.Fatalf("rank %d: C differs at %d after recovery: net %v sim %v", o.rank, i, v, simRes.C[i])
+			if v != simRes.C()[i] {
+				t.Fatalf("rank %d: C differs at %d after recovery: net %v sim %v", o.rank, i, v, simRes.C()[i])
 			}
 		}
 	}
-	if covered != len(simRes.C) {
-		t.Errorf("recovered ranks covered %d of %d elements", covered, len(simRes.C))
+	if covered != len(simRes.C()) {
+		t.Errorf("recovered ranks covered %d of %d elements", covered, len(simRes.C()))
 	}
 }

@@ -21,6 +21,7 @@ const (
 
 type app struct {
 	cfg Config
+	d   *apps.Driver
 	rts *charm.RTS
 	mgr *ckdirect.Manager
 
@@ -43,8 +44,8 @@ type gsChare struct {
 	s, p int
 	pe   int
 
-	coeffs  []float64 // 2*Points reals (validate mode)
-	sendBuf []byte
+	coeffs  []float64 // 2*Points reals (validate mode, where storage is real)
+	sendBuf []byte    // where storage is real
 	sendReg *machine.Region
 	out     []*ckdirect.Handle // one per destination PC
 
@@ -84,7 +85,7 @@ func (c *pcChare) Pup(p charm.Puper) {
 func (a *app) transferBytes() int { return a.cfg.Points * 16 }
 
 func (a *app) build(d *apps.Driver) *charm.Array {
-	a.rts, a.mgr = d.RTS, d.Mgr
+	a.d, a.rts, a.mgr = d, d.RTS, d.Mgr
 	cfg := &a.cfg
 	a.nblocks = cfg.NStates / cfg.Grain
 	a.lambda = 1
@@ -104,17 +105,13 @@ func (a *app) build(d *apps.Driver) *charm.Array {
 		for p := 0; p < cfg.NPlanes; p++ {
 			g := &gsChare{app: a, s: s, p: p}
 			g.pe = a.gs.PEOf(charm.Idx2(s, p))
-			if cfg.Validate {
+			if cfg.Validate && d.Storage(g.pe) == apps.Real {
 				g.coeffs = make([]float64, 2*cfg.Points)
 				for i := range g.coeffs {
 					g.coeffs[i] = seedCoeff(s, p, i)
 				}
 			}
-			if cfg.Validate || cfg.Backend != charm.SimBackend {
-				// The live backends move actual bytes even in model mode,
-				// so the send buffer must exist.
-				g.sendBuf = make([]byte, a.transferBytes())
-			}
+			g.sendBuf = d.Bytes(g.pe, a.transferBytes())
 			a.gs.Insert(charm.Idx2(s, p), g)
 		}
 	}
@@ -204,31 +201,18 @@ func (a *app) registerPCEntries() {
 // PC): the PC owns the receive buffer for that state's vector; the GS
 // element's single send buffer is associated with all its channels.
 func (a *app) buildChannels() {
-	mach := a.rts.Machine()
 	cfg := &a.cfg
-	virtual := !cfg.Validate && cfg.Backend == charm.SimBackend
 	bytes := a.transferBytes()
 
 	for s := 0; s < cfg.NStates; s++ {
 		for p := 0; p < cfg.NPlanes; p++ {
 			g := a.gs.Obj(charm.Idx2(s, p)).(*gsChare)
-			if virtual {
-				g.sendReg = mach.AllocRegion(g.pe, bytes, true)
-			} else {
-				g.sendReg = mach.WrapRegion(g.pe, g.sendBuf)
-			}
+			g.sendReg = a.d.Region(g.pe, bytes, g.sendBuf)
 			for _, dst := range a.destinations(s, p) {
 				c := a.pc.Obj(dst).(*pcChare)
-				var reg *machine.Region
-				var backing []byte
-				if virtual {
-					reg = mach.AllocRegion(c.pe, bytes, true)
-				} else {
-					backing = make([]byte, bytes)
-					reg = mach.WrapRegion(c.pe, backing)
-				}
+				backing := a.d.Bytes(c.pe, bytes)
 				cc, ss := c, s
-				h, err := a.mgr.CreateHandle(c.pe, reg, oobPattern, func(ctx *charm.Ctx) {
+				h, err := a.mgr.CreateHandle(c.pe, a.d.Region(c.pe, bytes, backing), oobPattern, func(ctx *charm.Ctx) {
 					cc.onArrival(ctx, ss, backing)
 				})
 				if err != nil {
@@ -460,7 +444,7 @@ func (c *pcChare) onCorrection(ctx *charm.Ctx, lambda float64) {
 
 // checksum sums the GS coefficients this process hosts (validate mode).
 // Under sim and real that is the whole array; under net each rank's
-// non-hosted mirrors never execute and keep their seed values.
+// non-hosted mirrors hold no coefficients.
 func (a *app) checksum() float64 {
 	if !a.cfg.Validate {
 		return 0

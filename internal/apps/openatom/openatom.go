@@ -35,6 +35,7 @@ package openatom
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
@@ -135,8 +136,8 @@ type Config struct {
 	Validate      bool
 	// Backend selects simulated virtual time (default), real
 	// goroutine-per-PE execution, or distributed multi-process execution,
-	// both with wall-clock timing. The real and net backends always
-	// allocate real payload buffers.
+	// both with wall-clock timing. The real and net backends allocate real
+	// payload buffers for the elements the process runs.
 	Backend charm.Backend
 	// Net is the started netrt node (required under the net backend).
 	Net *netrt.Node
@@ -196,11 +197,8 @@ type Result struct {
 	Overlap  float64 // last step's global overlap reduction value
 	// Checksum sums the final GS coefficients this process hosts
 	// (validate mode); under sim and real that is every element.
-	Checksum float64
-	// Field holds one coefficient sum per (state, plane) element in
-	// linearized order, NaN for elements this process does not host
-	// (validate mode) — the cross-rank comparison vector.
-	Field       []float64
+	Checksum    float64
+	field       func() []float64
 	Channels    int // CkDirect channels created (0 for Msg)
 	TotalEvents uint64
 	// Errors holds runtime contract violations and unrecovered faults
@@ -208,6 +206,18 @@ type Result struct {
 	Errors []error
 	// Counters is the final trace-counter snapshot.
 	Counters map[string]int64
+}
+
+// Field holds one coefficient sum per (state, plane) element in
+// linearized order, NaN for elements this process does not host
+// (validate mode; nil otherwise) — the cross-rank comparison vector. It
+// is built on first read: a run that nobody asks for its answer never
+// assembles it.
+func (r Result) Field() []float64 {
+	if r.field == nil {
+		return nil
+	}
+	return r.field()
 }
 
 // Improvement runs baseline and CkDirect variants and returns the
@@ -240,7 +250,7 @@ func Run(cfg Config) Result {
 		// A net worker's hosted elements' coefficient sums, the rest NaN.
 		res.Overlap, res.Checksum = a.lastOverlap, a.checksum()
 		if cfg.Validate {
-			res.Field = a.gather()
+			res.field = sync.OnceValue(a.gather)
 		}
 	}
 	return res

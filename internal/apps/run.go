@@ -131,6 +131,58 @@ type Driver struct {
 	killed  bool // this run fired the kill -9 tier
 }
 
+// Storage is how this process holds one element's data.
+type Storage int
+
+// The storage rule's three answers (Driver.Storage).
+const (
+	// Real: the element's bytes exist in this process.
+	Real Storage = iota
+	// Virtual: an unvalidated sim run prices sizes only, so no bytes
+	// exist anywhere.
+	Virtual
+	// Absent: another process runs the element, and this one keeps its
+	// descriptor only: placement, geometry and channel handles.
+	Absent
+)
+
+// Storage is the rule every app allocates and seeds element data
+// through, for an element on PE pe: real bytes on the process that runs
+// it, virtual on an unvalidated sim run, absent on every other process.
+// An app applies it at Build and again wherever an element lands later
+// (a balancing move); a checkpoint restore and a recovery rerun both
+// rebuild, so Build covers them.
+func (d *Driver) Storage(pe int) Storage {
+	switch {
+	case !d.RTS.HostsPE(pe):
+		return Absent
+	case !d.s.Validate && d.s.Backend == charm.SimBackend:
+		return Virtual
+	}
+	return Real
+}
+
+// Bytes allocates n bytes of an element on pe where its storage is
+// real, and returns nil elsewhere.
+func (d *Driver) Bytes(pe, n int) []byte {
+	if d.Storage(pe) != Real {
+		return nil
+	}
+	return make([]byte, n)
+}
+
+// Region registers size bytes of an element on pe: over backing where
+// the app holds the bytes itself, else over storage the region owns
+// (which CkDirect may move into a shm arena) where the element's storage
+// is real, else over sizes only.
+func (d *Driver) Region(pe, size int, backing []byte) *machine.Region {
+	mach := d.RTS.Machine()
+	if backing != nil {
+		return mach.WrapRegion(pe, backing)
+	}
+	return mach.AllocRegion(pe, size, d.Storage(pe) != Real)
+}
+
 // Mark stamps one barrier by hand, for an app without a barrier array;
 // the last one ends the run (see barrier).
 func (d *Driver) Mark(ctx *charm.Ctx) {

@@ -62,15 +62,15 @@ type chare struct {
 	nNbr      int
 	hot       bool // in the skewed (artificially loaded) half
 
-	// Validate-mode field data (nil in model mode).
+	// Validate-mode field data, where the chare's storage is real (see
+	// place; nil in model mode and on ranks that do not run the chare).
 	cur, next []float64
 
-	// Per-direction face buffers. faceOut is what this chare sends; in
-	// CKD mode it is the registered source region's storage. faceVals
-	// holds the decoded incoming ghost values (validate mode, allocated
-	// at build for every neighbour), and zero is one z-line of zeros the
-	// kernel reads across an x or y Dirichlet boundary.
-	faceOut  [nDirs][]byte
+	// faceVals holds the decoded incoming ghost values, one per
+	// neighbour, and zero is one z-line of zeros the kernel reads across
+	// an x or y Dirichlet boundary (validate mode, with cur). In CKD mode
+	// the outgoing faces are extracted straight into the send regions'
+	// storage.
 	faceVals [nDirs][]float64
 	zero     []float64
 
@@ -151,10 +151,7 @@ func (a *app) build(drv *apps.Driver) *charm.Array {
 						c.nNbr++
 					}
 				}
-				if a.cfg.Validate {
-					c.allocField()
-					c.initField()
-				}
+				c.place(drv.Storage(c.pe), true)
 				a.chares = append(a.chares, c)
 				a.arr.Insert(c.idx, c)
 			}
@@ -174,13 +171,18 @@ func (a *app) build(drv *apps.Driver) *charm.Array {
 	return a.arr
 }
 
-// onMigrate follows one chare to its new PE: placement bookkeeping plus
-// rehoming the six CkDirect channels touching it. Called on every rank
-// for every move (SPMD, like the location update itself); done fires
-// once the receive-side rehomes — which chain through scheduler tasks
-// on live backends — have all completed.
+// onMigrate follows one chare to its new PE: placement bookkeeping, the
+// storage rule (the rank the chare leaves drops its data, the rank it
+// reaches allocates what Pup does not carry) and rehoming the six
+// CkDirect channels touching it. Called on every rank for every move
+// (SPMD, like the location update itself), after the leaving rank
+// packed the chare; done fires once the receive-side rehomes — which
+// chain through scheduler tasks on live backends — have all completed.
 func (a *app) onMigrate(array int, idx charm.Index, from, to int, done func()) {
 	c := a.arr.Obj(idx).(*chare)
+	if st := a.d.Storage(to); st != a.d.Storage(from) {
+		c.place(st, false)
+	}
 	c.pe = to
 	if a.mgr == nil || c.nNbr == 0 {
 		done()
@@ -210,8 +212,6 @@ func (a *app) onMigrate(array int, idx charm.Index, from, to int, done func()) {
 // the receiver creates the handle over its face buffer; the neighbour
 // associates its matching outgoing face buffer.
 func (a *app) buildChannels() {
-	mach := a.rts.Machine()
-	virtual := !a.cfg.Validate && a.cfg.Backend == charm.SimBackend
 	// Pass 1: receivers create handles.
 	for _, c := range a.chares {
 		c := c
@@ -223,8 +223,8 @@ func (a *app) buildChannels() {
 			// The region owns its storage (the face is only ever read
 			// through region.Bytes()), so on the net backend CkDirect may
 			// move it into a shm arena and the neighbour's puts land
-			// there directly.
-			region := mach.AllocRegion(c.pe, c.faceBytes(d), virtual)
+			// there directly, and a migration may move it to another rank.
+			region := a.d.Region(c.pe, c.faceBytes(d), nil)
 			c.recvRegions[d] = region
 			h, err := a.mgr.CreateHandle(c.pe, region, oobPattern, func(ctx *charm.Ctx) {
 				c.onFace(ctx, d, region.Bytes())
@@ -243,14 +243,7 @@ func (a *app) buildChannels() {
 			}
 			nb := a.neighborOf(c, d)
 			h := nb.inHandles[opposite(d)]
-			size := c.faceBytes(d)
-			var region *machine.Region
-			if virtual {
-				region = mach.AllocRegion(c.pe, size, true)
-			} else {
-				c.faceOut[d] = make([]byte, size)
-				region = mach.WrapRegion(c.pe, c.faceOut[d])
-			}
+			region := a.d.Region(c.pe, c.faceBytes(d), nil)
 			c.sendRegions[d] = region
 			if err := a.mgr.AssocLocal(h, c.pe, region); err != nil {
 				panic(err)
@@ -287,24 +280,25 @@ func (c *chare) iterate(ctx *charm.Ctx) {
 		if !c.neighbors[d] {
 			continue
 		}
-		if a.cfg.Validate {
-			if a.cfg.Mode == Ckd {
-				c.extractFace(d, c.faceOut[d])
-			} else {
-				buf := make([]byte, c.faceBytes(d))
-				c.extractFace(d, buf)
-				c.faceOut[d] = buf
-			}
-		}
 		nb := a.neighborOf(c, d)
 		switch a.cfg.Mode {
 		case Msg:
+			// A fresh payload per send: the message arm's allocation is
+			// part of the Default Charm++ cost the paper measures.
+			var buf []byte
+			if a.cfg.Validate {
+				buf = make([]byte, c.faceBytes(d))
+				c.extractFace(d, buf)
+			}
 			ctx.Send(a.arr, nb.idx, a.faceEP, &charm.Message{
 				Size: c.faceBytes(d),
-				Data: c.faceOut[d],
+				Data: buf,
 				Tag:  opposite(d),
 			})
 		case Ckd:
+			if a.cfg.Validate {
+				c.extractFace(d, c.sendRegions[d].Bytes())
+			}
 			if err := a.mgr.Put(c.outHandles[d]); err != nil {
 				panic(err)
 			}
@@ -386,11 +380,33 @@ func spinFor(d sim.Time) {
 	}
 }
 
-// allocField allocates the validate-mode buffers: the field, its
-// next-iteration scratch, one decoded face per neighbour and the zero
-// line.
+// place applies the storage rule (apps.Driver.Storage) to the chare's
+// validate-mode data: it exists only where the chare's storage is real.
+// seed allocates the field and fills it from the initial condition; a
+// chare arriving by migration allocates only what its Pup does not
+// carry.
+func (c *chare) place(st apps.Storage, seed bool) {
+	switch {
+	case !c.app.cfg.Validate || st != apps.Real:
+		c.cur, c.next, c.faceVals, c.zero = nil, nil, [nDirs][]float64{}, nil
+	case seed:
+		c.allocField()
+		c.initField()
+	default:
+		c.allocScratch()
+	}
+}
+
+// allocField allocates the validate-mode field and its scratch.
 func (c *chare) allocField() {
 	c.cur = make([]float64, c.bx*c.by*c.bz)
+	c.allocScratch()
+}
+
+// allocScratch allocates the validate-mode buffers Pup does not carry:
+// the next-iteration scratch, one decoded face per neighbour and the
+// zero line.
+func (c *chare) allocScratch() {
 	c.next = make([]float64, c.bx*c.by*c.bz)
 	for d := 0; d < nDirs; d++ {
 		if c.neighbors[d] {
@@ -467,10 +483,10 @@ func (a *app) validateLocal() []error {
 	return errs
 }
 
-// GatherField assembles the full field from a validate-mode run (tests).
-// Under the net backend only hosted chares hold live data; the rest of
-// the domain is marked NaN so a comparison cannot silently pass on
-// never-computed cells.
+// gatherField assembles the full field from a validate-mode run, when a
+// caller first reads Result.Field. Under the net backend only hosted
+// chares hold live data; the rest of the domain is marked NaN so a
+// comparison cannot silently pass on never-computed cells.
 func gatherField(a *app) []float64 {
 	out := make([]float64, a.cfg.NX*a.cfg.NY*a.cfg.NZ)
 	if a.cfg.Backend == charm.NetBackend {

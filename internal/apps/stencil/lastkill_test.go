@@ -101,18 +101,18 @@ func TestRecoveryKillAtLastBarrier(t *testing.T) {
 			}
 			covered := 0
 			for _, o := range finals {
-				for i, v := range o.res.Field {
+				for i, v := range o.res.Field() {
 					if math.IsNaN(v) {
 						continue
 					}
 					covered++
-					if v != simRes.Field[i] {
-						t.Fatalf("rank %d: field differs at %d after recovery: net %v sim %v", o.rank, i, v, simRes.Field[i])
+					if v != simRes.Field()[i] {
+						t.Fatalf("rank %d: field differs at %d after recovery: net %v sim %v", o.rank, i, v, simRes.Field()[i])
 					}
 				}
 			}
-			if covered != len(simRes.Field) {
-				t.Errorf("recovered ranks covered %d of %d cells", covered, len(simRes.Field))
+			if covered != len(simRes.Field()) {
+				t.Errorf("recovered ranks covered %d of %d cells", covered, len(simRes.Field()))
 			}
 		})
 	}

@@ -53,9 +53,9 @@ func TestLBSimMigratesAndPreservesPhysics(t *testing.T) {
 		if res.FieldSum != baseRes.FieldSum {
 			t.Errorf("%v: checksum differs: lb %v base %v", mode, res.FieldSum, baseRes.FieldSum)
 		}
-		for i := range baseRes.Field {
-			if res.Field[i] != baseRes.Field[i] {
-				t.Fatalf("%v: field differs at %d: lb %v base %v", mode, i, res.Field[i], baseRes.Field[i])
+		for i := range baseRes.Field() {
+			if res.Field()[i] != baseRes.Field()[i] {
+				t.Fatalf("%v: field differs at %d: lb %v base %v", mode, i, res.Field()[i], baseRes.Field()[i])
 			}
 		}
 	}
@@ -122,9 +122,9 @@ func TestLBRealBackendMatchesSim(t *testing.T) {
 		if simRes.Residual != realRes.Residual {
 			t.Errorf("%v: residual differs: sim %v real %v", mode, simRes.Residual, realRes.Residual)
 		}
-		for i := range simRes.Field {
-			if simRes.Field[i] != realRes.Field[i] {
-				t.Fatalf("%v: field differs at %d: sim %v real %v", mode, i, simRes.Field[i], realRes.Field[i])
+		for i := range simRes.Field() {
+			if simRes.Field()[i] != realRes.Field()[i] {
+				t.Fatalf("%v: field differs at %d: sim %v real %v", mode, i, simRes.Field()[i], realRes.Field()[i])
 			}
 		}
 	}
@@ -163,18 +163,18 @@ func TestLBNetMigratesAcrossRanks(t *testing.T) {
 		}
 		covered := 0
 		for rank, res := range results {
-			for i, v := range res.Field {
+			for i, v := range res.Field() {
 				if math.IsNaN(v) {
 					continue
 				}
 				covered++
-				if v != simRes.Field[i] {
-					t.Fatalf("%v rank %d: field differs at %d: net %v sim %v", mode, rank, i, v, simRes.Field[i])
+				if v != simRes.Field()[i] {
+					t.Fatalf("%v rank %d: field differs at %d: net %v sim %v", mode, rank, i, v, simRes.Field()[i])
 				}
 			}
 		}
-		if covered != len(simRes.Field) {
-			t.Errorf("%v: ranks covered %d of %d cells after migration", mode, covered, len(simRes.Field))
+		if covered != len(simRes.Field()) {
+			t.Errorf("%v: ranks covered %d of %d cells after migration", mode, covered, len(simRes.Field()))
 		}
 	}
 }
@@ -216,8 +216,8 @@ func TestLBChaosPreservesPhysics(t *testing.T) {
 			if res.Counters[trace.CntLBMigrations] == 0 {
 				t.Fatalf("%v seed %d: no migrations under chaos — recovery interplay untested", mode, seed)
 			}
-			for i := range base.Field {
-				if res.Field[i] != base.Field[i] {
+			for i := range base.Field() {
+				if res.Field()[i] != base.Field()[i] {
 					t.Fatalf("%v seed %d: chaos+LB changed the physics at cell %d", mode, seed, i)
 				}
 			}

@@ -40,7 +40,7 @@ func TestPropertyRandomConfigsMatchSerial(t *testing.T) {
 			cfg.Mode = mode
 			res := Run(cfg)
 			for i := range ref {
-				if res.Field[i] != ref[i] {
+				if res.Field()[i] != ref[i] {
 					t.Logf("mode %v cfg %dx%dx%d pes=%d vr=%d iters=%d diverged at %d",
 						mode, nx, ny, nz, pes, vr, iters, i)
 					return false

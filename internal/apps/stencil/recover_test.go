@@ -132,20 +132,20 @@ func testRecoveryKillRejoin(t *testing.T, mode Mode) {
 	// must tile the domain and match the unfaulted sim run exactly.
 	covered := 0
 	for _, o := range finals {
-		if len(o.res.Field) != len(simRes.Field) {
-			t.Fatalf("rank %d: field size %d, sim %d", o.rank, len(o.res.Field), len(simRes.Field))
+		if len(o.res.Field()) != len(simRes.Field()) {
+			t.Fatalf("rank %d: field size %d, sim %d", o.rank, len(o.res.Field()), len(simRes.Field()))
 		}
-		for i, v := range o.res.Field {
+		for i, v := range o.res.Field() {
 			if math.IsNaN(v) {
 				continue // not hosted by this rank
 			}
 			covered++
-			if v != simRes.Field[i] {
-				t.Fatalf("rank %d: field differs at %d after recovery: net %v sim %v", o.rank, i, v, simRes.Field[i])
+			if v != simRes.Field()[i] {
+				t.Fatalf("rank %d: field differs at %d after recovery: net %v sim %v", o.rank, i, v, simRes.Field()[i])
 			}
 		}
 	}
-	if covered != len(simRes.Field) {
-		t.Errorf("recovered ranks covered %d of %d cells", covered, len(simRes.Field))
+	if covered != len(simRes.Field()) {
+		t.Errorf("recovered ranks covered %d of %d cells", covered, len(simRes.Field()))
 	}
 }

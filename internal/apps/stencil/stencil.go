@@ -13,6 +13,7 @@ package stencil
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/chaos"
@@ -49,8 +50,8 @@ type Config struct {
 	Validate bool
 	// Backend selects simulated virtual time (default), real
 	// goroutine-per-PE execution, or distributed multi-process execution,
-	// both with wall-clock timing. The real and net backends always
-	// allocate real payload buffers.
+	// both with wall-clock timing. The real and net backends allocate real
+	// payload buffers for the elements the process runs.
 	Backend charm.Backend
 	// Net is the started netrt node (required under the net backend).
 	Net *netrt.Node
@@ -94,7 +95,17 @@ type Result struct {
 	Chares    int
 	Residual  float64 // last iteration's global residual (validate mode)
 	FieldSum  float64 // checksum of the final field (validate mode)
-	Field     []float64
+	field     func() []float64
+}
+
+// Field is the final field (validate mode; nil otherwise), built on
+// first read: a run that nobody asks for its answer never assembles it.
+// A net rank's copy holds its hosted chares' cells and NaN elsewhere.
+func (r Result) Field() []float64 {
+	if r.field == nil {
+		return nil
+	}
+	return r.field()
 }
 
 // Improvement runs both variants of a configuration and returns the
@@ -188,7 +199,7 @@ func Run(cfg Config) Result {
 		// NaN) and its share of the checksum.
 		res.Residual, res.FieldSum = a.lastResidual, a.fieldSum()
 		if cfg.Validate {
-			res.Field = gatherField(a)
+			res.field = sync.OnceValue(func() []float64 { return gatherField(a) })
 		}
 	}
 	return res

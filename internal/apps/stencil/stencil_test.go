@@ -72,12 +72,12 @@ func TestValidateMatchesSerialReference(t *testing.T) {
 			NX: nx, NY: ny, NZ: nz,
 			Iters: iters, Warmup: 0, Validate: true,
 		})
-		if len(res.Field) != len(ref) {
-			t.Fatalf("%v: field size %d", mode, len(res.Field))
+		if len(res.Field()) != len(ref) {
+			t.Fatalf("%v: field size %d", mode, len(res.Field()))
 		}
 		for i := range ref {
-			if res.Field[i] != ref[i] {
-				t.Fatalf("%v: field[%d] = %g, reference %g", mode, i, res.Field[i], ref[i])
+			if res.Field()[i] != ref[i] {
+				t.Fatalf("%v: field[%d] = %g, reference %g", mode, i, res.Field()[i], ref[i])
 			}
 		}
 	}
@@ -101,8 +101,8 @@ func TestMsgAndCkdComputeIdenticalFields(t *testing.T) {
 	if msg.Residual != ckd.Residual {
 		t.Fatalf("residuals differ: msg %g ckd %g", msg.Residual, ckd.Residual)
 	}
-	for i := range msg.Field {
-		if msg.Field[i] != ckd.Field[i] {
+	for i := range msg.Field() {
+		if msg.Field()[i] != ckd.Field()[i] {
 			t.Fatalf("fields diverge at %d", i)
 		}
 	}

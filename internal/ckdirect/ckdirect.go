@@ -125,9 +125,9 @@ type Handle struct {
 	pollCold   bool
 	pollMisses int
 	inFlight   bool
-	// sw points at the sentinel word for atomic access (real backend
-	// only): release-stored by the sender's put, acquire-loaded by the
-	// receiver's poll pass.
+	// sw points at the sentinel word for atomic access (live backends,
+	// nil on a sizes-only mirror): release-stored by the sender's put,
+	// acquire-loaded by the receiver's poll pass.
 	sw *uint64
 	// arena marks a receive buffer placed in a shm arena (net backend,
 	// receiving rank; see placeRecvInShm): the sender may deposit into it
@@ -327,20 +327,22 @@ func (m *Manager) CreateHandle(pe int, buf *machine.Region, oob uint64, cb func(
 	}
 	m.nextID++
 	if m.rt != nil {
-		// Real backend: the sentinel word must exist for real and be
-		// addressable by 64-bit atomics.
-		if buf.Virtual() {
-			return nil, fmt.Errorf("ckdirect: handle %d needs a real buffer on the real backend", h.id)
+		// Live backends: where this process runs the PE, the sentinel
+		// word must exist for real and be addressable by 64-bit atomics.
+		// A mirror of a PE another process runs may be sizes only:
+		// nothing here reads or writes its bytes.
+		if buf.Virtual() && m.rts.HostsPE(pe) {
+			return nil, fmt.Errorf("ckdirect: handle %d needs a real buffer on a live backend", h.id)
 		}
-		sw, err := buf.Uint64At(buf.Size() - 8)
-		if err != nil {
-			return nil, fmt.Errorf("ckdirect: handle %d sentinel: %v (size the buffer in 8-byte words)", h.id, err)
+		if err := m.bindSentinel(h); err != nil {
+			return nil, err
 		}
-		h.sw = sw
-		// One Ctx per handle: realDetect hands the same (stateless)
-		// context to every callback instead of allocating one per
-		// delivery.
-		h.recvCtx = m.rts.CtxOn(pe)
+		// One Ctx per handle this process runs (a rehome gives a mirror
+		// its own): realDetect hands the same (stateless) context to
+		// every callback instead of allocating one per delivery.
+		if m.rts.HostsPE(pe) {
+			h.recvCtx = m.rts.CtxOn(pe)
+		}
 	}
 	m.handles = append(m.handles, h)
 	m.rts.ChargeOn(pe, sim.Microseconds(createCPUUS))
@@ -369,8 +371,8 @@ func (m *Manager) AssocLocal(h *Handle, pe int, src *machine.Region) error {
 		return fmt.Errorf("ckdirect: source buffer lives on PE %d, AssocLocal on PE %d", src.PE().ID(), pe)
 	}
 	if m.rt != nil {
-		if src.Virtual() {
-			return fmt.Errorf("ckdirect: handle %d needs a real source buffer on the real backend", h.id)
+		if src.Virtual() && m.rts.HostsPE(pe) {
+			return fmt.Errorf("ckdirect: handle %d needs a real source buffer on a live backend", h.id)
 		}
 		if src.Size() != h.recvBuf.Size() {
 			return fmt.Errorf("ckdirect: handle %d source is %d bytes, destination transfer is %d (the real put lands the source's final word in the sentinel position)",
@@ -418,6 +420,21 @@ func (m *Manager) usesPolling() bool {
 // phase structure (OpenAtom's arm broadcast) consult the manager rather
 // than the platform flag so the same code is correct on the real backend.
 func (m *Manager) UsesPolling() bool { return m.usesPolling() }
+
+// bindSentinel points a live backend's handle at the final word of its
+// receive buffer, or at nothing while the buffer is sizes only.
+func (m *Manager) bindSentinel(h *Handle) error {
+	h.sw = nil
+	if h.recvBuf.Virtual() {
+		return nil
+	}
+	sw, err := h.recvBuf.Uint64At(h.recvBuf.Size() - 8)
+	if err != nil {
+		return fmt.Errorf("ckdirect: handle %d sentinel: %v (size the buffer in 8-byte words)", h.id, err)
+	}
+	h.sw = sw
+	return nil
+}
 
 // writeSentinel stamps the out-of-band pattern into the last 8 bytes of
 // the receive buffer — detection later compares against it.

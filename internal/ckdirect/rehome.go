@@ -10,9 +10,11 @@ import (
 // array element moves to a new PE, the CkDirect channels it receives on
 // and sends from must follow it. A channel endpoint is runtime state —
 // sentinel word, polling-queue membership, prebuilt transfer op — so
-// rehoming is bookkeeping, not data movement: the registered buffers
-// travel with the element's pupped state (or never move at all when the
-// migration stays in-process).
+// rehoming is bookkeeping, not data movement: a registered buffer's
+// contents are re-filled by the channel's next exchange, so under the
+// live backends the buffer only gains fresh storage in the process that
+// now runs its PE and drops it in the one that no longer does
+// (machine.Region.Hold); an in-process migration keeps it.
 //
 // Like migration itself, rehoming is only legal at a quiescent cut: no
 // put in flight on the channel, its last delivery consumed and the
@@ -110,6 +112,11 @@ func (m *Manager) RehomeRecv(h *Handle, newPE int, done func()) {
 			m.net.DropPutBuffer(int64(h.id))
 		}
 		m.rehomeStep(newPE, func() {
+			if m.rt != nil {
+				if err := m.holdRecv(h); err != nil {
+					m.rts.ReportError(fmt.Errorf("ckdirect: rehome handle %d: %w", h.id, err))
+				}
+			}
 			m.writeSentinel(h)
 			if wasPolled {
 				m.onPollSet(newPE, func() { m.pollInsert(h) })
@@ -134,10 +141,33 @@ func (m *Manager) RehomeSend(h *Handle, newPE int) {
 	h.sendPE = newPE
 	if m.rt != nil {
 		h.putOp.SrcPE = newPE
+		if err := h.sendBuf.Hold(m.rts.HostsPE(newPE)); err != nil {
+			m.rts.ReportError(fmt.Errorf("ckdirect: rehome handle %d: %w", h.id, err))
+		}
 	}
 	if rec := m.rts.Recorder(); rec != nil && m.rts.HostsPE(newPE) {
 		rec.Incr(trace.CntLBRehomedSend, 1)
 	}
+}
+
+// holdRecv makes a live backend's receive buffer follow its endpoint:
+// storage and a sentinel word where this process runs the receiving PE,
+// sizes only elsewhere. A buffer that leaves also leaves its shm arena
+// placement behind (every rank dropped the put registration already).
+// A move that keeps the endpoint in (or out of) this process writes
+// nothing: the transport's reader goroutines read the sentinel pointer.
+func (m *Manager) holdRecv(h *Handle) error {
+	hosted := m.rts.HostsPE(h.recvPE)
+	if hosted == (h.sw != nil) {
+		return nil
+	}
+	if err := h.recvBuf.Hold(hosted); err != nil {
+		return err
+	}
+	if !hosted {
+		h.arena = false
+	}
+	return m.bindSentinel(h)
 }
 
 // drainCheck is Quiescent's per-handle test: re-armed, nothing pending,

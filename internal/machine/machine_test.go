@@ -131,6 +131,28 @@ func TestWrapRegionAliases(t *testing.T) {
 	}
 }
 
+// TestHoldFollowsTheElement: a sizes-only region gains zeroed storage of
+// its size, keeps it on a second Hold, and drops back to sizes only; a
+// wrapped region refuses to drop the slice its caller aliases.
+func TestHoldFollowsTheElement(t *testing.T) {
+	_, m := newTestMachine(1, 1)
+	r := m.AllocRegion(0, 16, true)
+	if err := r.Hold(true); err != nil || r.Virtual() || len(r.Bytes()) != 16 || !r.Rebindable() {
+		t.Fatalf("Hold(true) of a virtual region: err %v, virtual %v, %d bytes", err, r.Virtual(), len(r.Bytes()))
+	}
+	r.Bytes()[0] = 7
+	if err := r.Hold(true); err != nil || r.Bytes()[0] != 7 {
+		t.Fatal("a second Hold(true) replaced the storage")
+	}
+	if err := r.Hold(false); err != nil || !r.Virtual() || r.Size() != 16 {
+		t.Fatalf("Hold(false): err %v, virtual %v, size %d", err, r.Virtual(), r.Size())
+	}
+	w := m.WrapRegion(0, make([]byte, 8))
+	if err := w.Hold(false); err == nil || w.Virtual() {
+		t.Fatal("Hold(false) dropped a wrapped region's slice")
+	}
+}
+
 func TestCopyToRealToReal(t *testing.T) {
 	_, m := newTestMachine(2, 1)
 	src := m.WrapRegion(0, []byte{5, 6, 7})

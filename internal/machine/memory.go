@@ -29,6 +29,9 @@ type Region struct {
 	// that slice directly — moving the bytes out from under it would
 	// silently decouple the two views.
 	owned bool
+	// aliased marks a caller-held slice (WrapRegion), which Hold may
+	// not drop.
+	aliased bool
 }
 
 // AllocRegion allocates a memory region of size bytes on PE pe. When
@@ -57,7 +60,28 @@ func (m *Machine) WrapRegion(pe int, buf []byte) *Region {
 	if pe < 0 || pe >= len(m.pes) {
 		panic(fmt.Sprintf("machine: WrapRegion on invalid PE %d", pe))
 	}
-	return &Region{pe: m.pes[pe], size: len(buf), buf: buf}
+	return &Region{pe: m.pes[pe], size: len(buf), buf: buf, aliased: true}
+}
+
+// Hold gives the region zeroed storage of its size (real true) or drops
+// its storage, leaving the size only (real false). A registered region
+// follows its element between processes this way: its bytes exist only
+// in the process that runs the element. A region that aliases a
+// caller's slice (WrapRegion) keeps it: its caller reads that slice, not
+// Bytes, so dropping it would silently decouple the two views.
+func (r *Region) Hold(real bool) error {
+	switch {
+	case real && r.buf == nil:
+		r.buf = make([]byte, r.size)
+		r.owned = true
+	case !real && r.buf != nil:
+		if r.aliased {
+			return fmt.Errorf("machine: Hold drops a wrapped region (caller aliases the storage)")
+		}
+		r.buf = nil
+		r.owned = false
+	}
+	return nil
 }
 
 // Rebind migrates the region onto different backing storage of the same

@@ -304,7 +304,7 @@ func runStencil(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
 		LBEvery:  s.LBEvery, LBStrategy: s.LBStrategy,
 		Skew: s.Skew,
 	})
-	return res.Outcome, res.Field
+	return res.Outcome, res.Field()
 }
 
 // --- matmul ---
@@ -340,7 +340,7 @@ func runMatmul(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
 		Net:      env.Net,
 		Kill:     s.chaosKill,
 	})
-	return res.Outcome, res.C
+	return res.Outcome, res.C()
 }
 
 // --- fem ---
@@ -382,5 +382,5 @@ func runFem(env Env, s Spec, m apps.Mode) (apps.Outcome, []float64) {
 		Net:      env.Net,
 		Kill:     s.chaosKill,
 	})
-	return res.Outcome, res.Field
+	return res.Outcome, res.Field()
 }
